@@ -421,8 +421,9 @@ func run(bench string, o runOpts) error {
 		}
 		fmt.Println("verify: OK — committed stream, registers, memory, and rename state match the reference interpreter")
 		// The checkpoint round-trip leg: snapshot a warm-up prefix, push it
-		// through the on-disk JSON envelope, resume, and require the finished
-		// Result to be byte-identical to the cold run's. The invariant
+		// through the checkpoint store's on-disk encoding, resume, and
+		// require the finished Result to be byte-identical to the cold
+		// run's. The invariant
 		// checker stays off here — the leg compares two pipeline runs, and
 		// the differential above already audited this configuration.
 		vcfg.CheckInvariants = false

@@ -9,14 +9,14 @@
 // serve which entries) live in internal/exper, next to the preservation
 // argument in core.Resume and rename.RestoreUnit.
 //
-// Disk persistence reuses the rescache envelope (atomic write-rename,
-// corruption-tolerant reads), with a second ckpt-level envelope inside that
-// carries the format version and entry kind; Decode over that inner
-// envelope is total, so a corrupt or hostile file can only read as a miss.
+// Disk persistence writes each entry through rescache's raw-bytes path
+// (atomic write-rename, corruption-tolerant reads) in a compact binary
+// encoding (codec.go) whose header carries the format revision, entry kind
+// and key; Decode is total, so a corrupt or hostile file can only read as a
+// miss, and an entry from an older format revision is dropped as stale.
 package ckpt
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -31,8 +31,10 @@ import (
 // invalidates every persisted checkpoint and result.
 const Version = "ckpt-1"
 
-// FormatVersion is the inner envelope's structural revision.
-const FormatVersion = 1
+// FormatVersion is the on-disk encoding's revision (codec.go). Entries of
+// any other revision read as stale misses. Unlike Version it is not part of
+// any cache key, so bumping it leaves the result cache valid.
+const FormatVersion = 2
 
 // Kind discriminates the two entry types.
 type Kind string
@@ -64,13 +66,13 @@ type ResultMeta struct {
 
 // Envelope is the serialized checkpoint entry.
 type Envelope struct {
-	Format  int            `json:"format"`
-	Version string         `json:"version"`
-	Kind    Kind           `json:"kind"`
-	Key     string         `json:"key"`
-	Snap    *core.Snapshot `json:"snap,omitempty"`
-	Result  *core.Result   `json:"result,omitempty"`
-	Meta    *ResultMeta    `json:"meta,omitempty"`
+	Format  int
+	Version string
+	Kind    Kind
+	Key     string
+	Snap    *core.Snapshot
+	Result  *core.Result
+	Meta    *ResultMeta
 }
 
 // Validate checks an envelope's structural sanity, delegating snapshot
@@ -102,29 +104,6 @@ func (e *Envelope) Validate() error {
 	default:
 		return fmt.Errorf("ckpt: unknown envelope kind %q", e.Kind)
 	}
-}
-
-// Decode parses and validates a serialized envelope. It is total: any input
-// bytes — truncated, corrupt, or hostile — produce an error, never a panic,
-// and a nil error guarantees the envelope passed full structural validation
-// (for snapshots, down through every component's Validate).
-func Decode(data []byte) (*Envelope, error) {
-	var e Envelope
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("ckpt: decode: %w", err)
-	}
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	return &e, nil
-}
-
-// Encode serializes an envelope (the inverse of Decode).
-func Encode(e *Envelope) ([]byte, error) {
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(e)
 }
 
 // resultEntry pairs a stored result with its sharing metadata.
@@ -193,13 +172,50 @@ func (s *Store) PutSnapshot(key string, snap *core.Snapshot) error {
 	s.mu.Lock()
 	s.snaps[key] = snap
 	s.mu.Unlock()
+	return s.PersistSnapshot(key, snap)
+}
+
+// PersistSnapshot writes a snapshot to the disk tier only, leaving memory
+// untouched; on a memory-only store it does nothing. It suits entries whose
+// content the key fixes and which only a later process reads — exact
+// milestones — so a long sweep does not hold every snapshot it captured in
+// memory; a read in this process still finds the entry on disk.
+func (s *Store) PersistSnapshot(key string, snap *core.Snapshot) error {
 	if s.disk == nil {
 		return nil
 	}
-	dk := diskKey(KindSnapshot, key)
-	return s.disk.Put(dk, &Envelope{
-		Format: FormatVersion, Version: Version, Kind: KindSnapshot, Key: dk, Snap: snap,
+	return s.put(&Envelope{Kind: KindSnapshot, Key: diskKey(KindSnapshot, key), Snap: snap})
+}
+
+// put encodes e, stamped with this format and version, into the disk tier
+// under its key.
+func (s *Store) put(e *Envelope) error {
+	e.Format, e.Version = FormatVersion, Version
+	data, err := Encode(e)
+	if err != nil {
+		return err
+	}
+	return s.disk.PutBytes(e.Key, data)
+}
+
+// get reads the disk-tier entry of the given kind under key, or returns nil
+// on a miss. An entry that fails to decode, or holds another kind or key, is
+// removed by the disk tier and reads as a miss.
+func (s *Store) get(kind Kind, key string) *Envelope {
+	dk := diskKey(kind, key)
+	var e *Envelope
+	s.disk.GetBytes(dk, func(data []byte) error {
+		d, err := Decode(data)
+		if err != nil {
+			return err
+		}
+		if d.Kind != kind || d.Key != dk {
+			return fmt.Errorf("ckpt: entry %s holds %s entry %s", dk, d.Kind, d.Key)
+		}
+		e = d
+		return nil
 	})
+	return e
 }
 
 // Snapshot loads the snapshot stored under key, consulting memory first and
@@ -214,8 +230,7 @@ func (s *Store) Snapshot(key string) (*core.Snapshot, bool) {
 		return snap, true
 	}
 	if s.disk != nil {
-		var e Envelope
-		if s.disk.Get(diskKey(KindSnapshot, key), &e) && e.Validate() == nil && e.Kind == KindSnapshot {
+		if e := s.get(KindSnapshot, key); e != nil {
 			s.mu.Lock()
 			s.snaps[key] = e.Snap
 			s.mu.Unlock()
@@ -238,10 +253,7 @@ func (s *Store) PutResult(key string, res *core.Result, meta ResultMeta) error {
 	if s.disk == nil {
 		return nil
 	}
-	dk := diskKey(KindResult, key)
-	return s.disk.Put(dk, &Envelope{
-		Format: FormatVersion, Version: Version, Kind: KindResult, Key: dk, Result: res, Meta: &meta,
-	})
+	return s.put(&Envelope{Kind: KindResult, Key: diskKey(KindResult, key), Result: res, Meta: &meta})
 }
 
 // Result loads the result stored under key, returning a deep copy (entries
@@ -255,8 +267,7 @@ func (s *Store) Result(key string) (*core.Result, ResultMeta, bool) {
 		return ent.res.Clone(), ent.meta, true
 	}
 	if s.disk != nil {
-		var e Envelope
-		if s.disk.Get(diskKey(KindResult, key), &e) && e.Validate() == nil && e.Kind == KindResult {
+		if e := s.get(KindResult, key); e != nil {
 			s.mu.Lock()
 			s.results[key] = resultEntry{res: e.Result, meta: *e.Meta}
 			s.mu.Unlock()

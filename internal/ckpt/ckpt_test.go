@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -68,7 +67,7 @@ func TestStoreRoundTrip(t *testing.T) {
 			stores := []*Store{s}
 			if disk {
 				// A second store over the same directory must see the
-				// persisted entries (and round-trip them through JSON).
+				// persisted entries (and round-trip them through the codec).
 				s2, err := OpenStore(s.Dir())
 				if err != nil {
 					t.Fatal(err)
@@ -80,10 +79,8 @@ func TestStoreRoundTrip(t *testing.T) {
 				if !ok {
 					t.Fatal("stored snapshot missing")
 				}
-				gb, _ := json.Marshal(got)
-				wb, _ := json.Marshal(snap)
-				if string(gb) != string(wb) {
-					t.Error("snapshot did not round-trip byte-identically")
+				if !reflect.DeepEqual(got, snap) {
+					t.Error("snapshot did not round-trip")
 				}
 				gotRes, gotMeta, ok := st.Result("k2")
 				if !ok {
@@ -92,10 +89,8 @@ func TestStoreRoundTrip(t *testing.T) {
 				if !reflect.DeepEqual(gotMeta, meta) {
 					t.Errorf("meta round-trip: got %+v, want %+v", gotMeta, meta)
 				}
-				rb, _ := json.Marshal(gotRes)
-				rw, _ := json.Marshal(res)
-				if string(rb) != string(rw) {
-					t.Error("result did not round-trip byte-identically")
+				if !reflect.DeepEqual(gotRes, res) {
+					t.Error("result did not round-trip")
 				}
 				// Served results must not alias each other.
 				again, _, _ := st.Result("k2")
@@ -122,8 +117,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.Kind != e.Kind || back.Key != e.Key {
-			t.Errorf("kind/key round-trip: got %s/%s, want %s/%s", back.Kind, back.Key, e.Kind, e.Key)
+		if !reflect.DeepEqual(back, e) {
+			t.Errorf("%s envelope did not round-trip", e.Kind)
+		}
+		again, err := Encode(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != string(data) {
+			t.Errorf("re-encoding a decoded %s envelope changed its bytes", e.Kind)
 		}
 	}
 }
@@ -134,16 +136,26 @@ func TestDecodeRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// header builds an entry prefix: magic, format, version, key, kind byte.
+	header := func(version, key string, kind byte) []byte {
+		w := &writer{b: []byte(magic)}
+		w.uint(FormatVersion)
+		w.str(version)
+		w.str(key)
+		w.u8(kind)
+		return w.b
+	}
 	cases := map[string][]byte{
-		"empty":         nil,
-		"not json":      []byte("{"),
-		"wrong format":  []byte(`{"format":99,"version":"` + Version + `","kind":"snapshot","key":"a"}`),
-		"wrong version": []byte(`{"format":1,"version":"ckpt-0","kind":"snapshot","key":"a"}`),
-		"no key":        []byte(`{"format":1,"version":"` + Version + `","kind":"snapshot"}`),
-		"bad kind":      []byte(`{"format":1,"version":"` + Version + `","kind":"zap","key":"a"}`),
-		"nil snap":      []byte(`{"format":1,"version":"` + Version + `","kind":"snapshot","key":"a"}`),
-		"nil result":    []byte(`{"format":1,"version":"` + Version + `","kind":"result","key":"a"}`),
-		"truncated":     good[:len(good)/2],
+		"empty":          nil,
+		"json":           []byte(`{"format":1,"version":"` + Version + `","kind":"snapshot","key":"a"}`),
+		"magic only":     []byte(magic),
+		"wrong version":  append(header("ckpt-0", "a", wireSnapshot), good[len(header(Version, "a", wireSnapshot)):]...),
+		"no key":         append(header(Version, "", wireSnapshot), good[len(header(Version, "a", wireSnapshot)):]...),
+		"bad kind":       append(header(Version, "a", 9), good[len(header(Version, "a", wireSnapshot)):]...),
+		"empty body":     header(Version, "a", wireSnapshot),
+		"empty result":   header(Version, "a", wireResult),
+		"truncated":      good[:len(good)/2],
+		"trailing bytes": append(append([]byte(nil), good...), 0),
 	}
 	for name, data := range cases {
 		if _, err := Decode(data); err == nil {

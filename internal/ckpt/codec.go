@@ -1,0 +1,726 @@
+package ckpt
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+
+	"regsim/internal/bpred"
+	"regsim/internal/cache"
+	"regsim/internal/core"
+	"regsim/internal/mem"
+	"regsim/internal/rename"
+	"regsim/internal/sweep/rescache"
+)
+
+// The binary entry format (revision FormatVersion):
+//
+//	"RSCK" | format | version | kind | key | body
+//
+// A snapshot body is the core.Snapshot's fields in declaration order, each
+// component (window, rename, predictor, caches, memory) nested the same way;
+// a result body is the Result followed by its ResultMeta. Encodings by type:
+//
+//   - signed integers: zigzag varints; unsigned: uvarints, except memory
+//     words, which are fixed 8-byte little-endian;
+//   - bool and 8-bit fields: one byte (bools strictly 0 or 1);
+//   - strings and predictor tables: uvarint length, then the bytes;
+//   - slices: uvarint count, then the elements; fixed arrays: the elements;
+//   - core.Result: a length-prefixed JSON blob (small, and its JSON round
+//     trip is already pinned by core's tests).
+//
+// Decoding is total. The reader is sticky — after the first defect every
+// read returns zero and the error is reported once at the end — and every
+// count is checked against the remaining input before anything is
+// allocated: each element encodes to at least one byte (eight for memory
+// words), so no slice can be sized beyond what the input could fill. Trailing
+// bytes are a defect. A decoded envelope then passes the full Validate chain.
+const magic = "RSCK"
+
+// Kind bytes on the wire.
+const (
+	wireSnapshot = 1
+	wireResult   = 2
+)
+
+// Encode serializes an envelope (the inverse of Decode).
+func Encode(e *Envelope) ([]byte, error) {
+	if err := e.Validate(); err != nil {
+		return nil, err
+	}
+	size := 2 << 10 // a result entry
+	if e.Kind == KindSnapshot {
+		size = 64 << 10 // tens of KiB for a real machine
+	}
+	w := &writer{b: append(make([]byte, 0, size), magic...)}
+	w.uint(FormatVersion)
+	w.str(e.Version)
+	w.str(e.Key)
+	if e.Kind == KindSnapshot {
+		w.u8(wireSnapshot)
+		if err := w.snapshot(e.Snap); err != nil {
+			return nil, err
+		}
+	} else {
+		w.u8(wireResult)
+		if err := w.result(e.Result); err != nil {
+			return nil, err
+		}
+		w.int(int64(e.Meta.Watermark[0]))
+		w.int(int64(e.Meta.Watermark[1]))
+		w.bool(e.Meta.PressureFree)
+		w.str(e.Meta.Model)
+	}
+	return w.b, nil
+}
+
+// Decode parses and validates a serialized envelope. It is total: any input
+// bytes — truncated, corrupt, or hostile — produce an error, never a panic,
+// and a nil error guarantees the envelope passed full structural validation
+// (for snapshots, down through every component's Validate). Input that does
+// not open with this format's header (an older revision's entry) yields an
+// error wrapping rescache.ErrStale.
+func Decode(data []byte) (*Envelope, error) {
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
+		return nil, fmt.Errorf("ckpt: decode: %w: no binary checkpoint header", rescache.ErrStale)
+	}
+	r := &reader{b: data[len(magic):]}
+	if f := r.uint(); r.err == nil && f != FormatVersion {
+		return nil, fmt.Errorf("ckpt: decode: %w: format %d, want %d", rescache.ErrStale, f, FormatVersion)
+	}
+	e := &Envelope{Format: FormatVersion, Version: r.str(), Key: r.str()}
+	switch k := r.u8(); k {
+	case wireSnapshot:
+		e.Kind, e.Snap = KindSnapshot, r.snapshot()
+	case wireResult:
+		e.Kind, e.Result = KindResult, r.result()
+		e.Meta = &ResultMeta{Watermark: [2]int{r.intN(), r.intN()}, PressureFree: r.bool(), Model: r.str()}
+	default:
+		r.fail("unknown kind byte %d", k)
+	}
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("%d trailing bytes", len(r.b))
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if err := e.Validate(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// writer appends the wire encoding to b.
+type writer struct{ b []byte }
+
+func (w *writer) uint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
+func (w *writer) int(v int64)   { w.b = binary.AppendVarint(w.b, v) }
+func (w *writer) u8(v uint8)    { w.b = append(w.b, v) }
+func (w *writer) word(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
+
+func (w *writer) bool(v bool) {
+	if v {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+}
+
+func (w *writer) str(s string) {
+	w.uint(uint64(len(s)))
+	w.b = append(w.b, s...)
+}
+
+func (w *writer) bytes(p []byte) {
+	w.uint(uint64(len(p)))
+	w.b = append(w.b, p...)
+}
+
+func (w *writer) int64s(v []int64) {
+	w.uint(uint64(len(v)))
+	for _, x := range v {
+		w.int(x)
+	}
+}
+
+func (w *writer) result(r *core.Result) error {
+	blob, err := json.Marshal(r)
+	if err != nil {
+		return fmt.Errorf("ckpt: encode result: %w", err)
+	}
+	w.bytes(blob)
+	return nil
+}
+
+func (w *writer) snapshot(s *core.Snapshot) error {
+	w.str(s.Version)
+	w.str(s.ProgID)
+	w.cfg(&s.Cfg)
+	w.int(s.Now)
+	w.int(s.FetchResumeAt)
+	w.bool(s.Done)
+	for f := range s.SpecRegs {
+		for _, v := range s.SpecRegs[f] {
+			w.uint(v)
+		}
+	}
+	w.uint(s.SpecPC)
+	w.bool(s.SpecValid)
+	for _, q := range s.QCounts {
+		w.int(int64(q))
+	}
+	w.int(int64(s.QTotal))
+	w.int64s(s.StoreQ)
+	w.int64s(s.BrQ)
+	w.int(int64(s.BrIssueIdx))
+	w.uint(uint64(len(s.Buckets)))
+	for _, b := range s.Buckets {
+		w.int(int64(b.Index))
+		w.int64s(b.Seqs)
+	}
+	w.int64s(s.DivBusyUntil)
+	w.int64s(s.DivOwner)
+	w.int(int64(s.WBCount))
+	w.int(s.WBNextDrain)
+	w.uint(s.SumState)
+	w.int(s.LastCommitSeq)
+	w.window(s.Win)
+	w.rename(s.Ren)
+	w.bpred(s.BP)
+	w.dcache(s.DC)
+	w.icache(s.IC)
+	w.mem(s.Mem)
+	return w.result(&s.Res)
+}
+
+func (w *writer) cfg(c *core.CfgSnap) {
+	w.int(int64(c.Width))
+	w.int(int64(c.QueueSize))
+	w.int(int64(c.RegsPerFile))
+	w.u8(uint8(c.Model))
+	d := &c.DCache
+	w.u8(uint8(d.Kind))
+	for _, v := range [...]int{d.SizeBytes, d.Assoc, d.LineBytes, d.HitLatency, d.FetchLatency, d.MSHREntries,
+		c.ICacheMissPenalty, c.FrontEndDelay} {
+		w.int(int64(v))
+	}
+	w.bool(c.TrackLiveRegisters)
+	w.bool(c.InOrderBranches)
+	w.u8(uint8(c.Predictor))
+	w.int(int64(c.WriteBufferEntries))
+	w.int(int64(c.WriteBufferDrain))
+	w.int(int64(c.ReadPortsPerFile))
+	w.bool(c.SplitQueues)
+	w.int(int64(c.InsertPerCycle))
+	w.int(int64(c.CommitPerCycle))
+}
+
+func (w *writer) window(win *core.WindowSnap) {
+	w.int(int64(win.RingSize))
+	w.int(win.HeadSeq)
+	w.int(win.NextSeq)
+	w.uint(uint64(len(win.Uops)))
+	for i := range win.Uops {
+		u := &win.Uops[i]
+		w.int(u.Seq)
+		w.uint(u.PC)
+		w.uint(u.Enc)
+		w.u8(u.State)
+		w.u8(u.WaitCount)
+		w.int(u.WaitLink[0])
+		w.int(u.WaitLink[1])
+		w.int(u.DepWaitHead)
+		w.u8(u.NSrc)
+		w.bool(u.HasDst)
+		w.u8(u.DstVirt)
+		w.u8(u.SrcFile[0])
+		w.u8(u.SrcFile[1])
+		w.int(int64(u.SrcPhys[0]))
+		w.int(int64(u.SrcPhys[1]))
+		w.u8(u.DstFile)
+		w.int(int64(u.DstPhys))
+		w.int(int64(u.OldPhys))
+		w.uint(u.Result)
+		w.uint(u.Addr)
+		w.uint(u.OldSpecVal)
+		w.int(u.DepStore)
+		w.uint(u.FillLine)
+		w.bool(u.HasFill)
+		w.bool(u.Forwarded)
+		w.bool(u.Taken)
+		w.bool(u.PredTaken)
+		w.bool(u.Mispredict)
+		w.uint(uint64(u.BPSnap))
+		w.int(u.CompleteAt)
+		w.int(u.DispatchAt)
+		w.int(u.IssueAt)
+		w.bool(u.Miss)
+	}
+	w.int64s(win.ReadySeqs)
+}
+
+func (w *writer) rename(s *rename.Snapshot) {
+	w.u8(uint8(s.Model))
+	w.int(s.Frontier)
+	w.uint(uint64(len(s.Kills)))
+	for _, k := range s.Kills {
+		w.u8(k.File)
+		w.u8(k.Virt)
+		w.int(k.Seq)
+	}
+	w.int(s.KillsMin)
+	w.int(s.Frees)
+	for f := range s.Files {
+		fs := &s.Files[f]
+		w.int(int64(fs.N))
+		for _, p := range fs.MapTable {
+			w.int(int64(p))
+		}
+		w.uint(uint64(len(fs.FreeList)))
+		for _, p := range fs.FreeList {
+			w.int(int64(p))
+		}
+		w.uint(uint64(len(fs.Regs)))
+		for _, r := range fs.Regs {
+			w.bool(r.Live)
+			w.u8(uint8(r.Cat))
+			w.bool(r.WriterDone)
+			w.int(int64(r.Readers))
+			w.bool(r.Killed)
+			w.u8(r.Virt)
+		}
+		for _, chain := range fs.Chains {
+			w.uint(uint64(len(chain)))
+			for _, c := range chain {
+				w.int(c.Seq)
+				w.int(int64(c.Phys))
+			}
+		}
+		for _, n := range fs.LiveCat {
+			w.int(int64(n))
+		}
+		w.int(int64(fs.Live))
+		w.int64s(fs.WaitHead)
+		w.int(int64(fs.MaxPhys))
+	}
+}
+
+func (w *writer) bpred(s *bpred.Snapshot) {
+	w.u8(uint8(s.Kind))
+	w.bytes(s.Bimodal)
+	w.bytes(s.Global)
+	w.bytes(s.Selector)
+	w.uint(uint64(s.Hist))
+}
+
+func (w *writer) lines(ls []cache.LineSnap) {
+	w.uint(uint64(len(ls)))
+	for _, l := range ls {
+		w.int(int64(l.Index))
+		w.uint(l.Tag)
+		w.int(l.LastUse)
+	}
+}
+
+func (w *writer) dcache(s *cache.DSnap) {
+	w.lines(s.Lines)
+	w.int(s.BusyUntil)
+	w.uint(uint64(len(s.Arrivals)))
+	for _, f := range s.Arrivals {
+		w.uint(f.LineAddr)
+		w.int(f.ArriveAt)
+		w.int(int64(f.Waiters))
+	}
+	w.int(s.UseClock)
+	st := &s.Stats
+	for _, v := range [...]int64{st.LoadAccesses, st.LoadMisses, st.StoreProbes, st.StoreHits,
+		st.FillsStarted, st.FillsMerged, st.FillsDropped} {
+		w.int(v)
+	}
+}
+
+func (w *writer) icache(s *cache.ISnap) {
+	w.lines(s.Lines)
+	w.int(s.UseClock)
+	w.uint(s.LastLA)
+	w.bool(s.LastOK)
+	w.int(s.Accesses)
+	w.int(s.Misses)
+}
+
+func (w *writer) mem(s *mem.Snap) {
+	w.uint(uint64(len(s.Pages)))
+	for _, p := range s.Pages {
+		w.uint(p.Page)
+		w.uint(uint64(len(p.Words)))
+		for _, v := range p.Words {
+			w.word(v)
+		}
+	}
+}
+
+// reader decodes the wire encoding from b with a sticky error: after the
+// first defect b is emptied, every read returns zero, and err holds the
+// first defect.
+type reader struct {
+	b   []byte
+	err error
+}
+
+func (r *reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("ckpt: decode: "+format, args...)
+	}
+	r.b = nil
+}
+
+func (r *reader) uint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("bad or truncated uvarint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *reader) int() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail("bad or truncated varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// intN reads a varint into an int, refusing values the platform's int
+// cannot hold.
+func (r *reader) intN() int {
+	v := r.int()
+	if int64(int(v)) != v {
+		r.fail("value %d overflows int", v)
+		return 0
+	}
+	return int(v)
+}
+
+func (r *reader) i32() int32 {
+	v := r.int()
+	if int64(int32(v)) != v {
+		r.fail("value %d overflows int32", v)
+		return 0
+	}
+	return int32(v)
+}
+
+func (r *reader) phys() rename.Phys { return rename.Phys(r.i32()) }
+
+func (r *reader) u8() uint8 {
+	if len(r.b) == 0 {
+		r.fail("truncated input")
+		return 0
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return v
+}
+
+func (r *reader) bool() bool {
+	v := r.u8()
+	if v > 1 {
+		r.fail("bool byte %d", v)
+	}
+	return v == 1
+}
+
+func (r *reader) word() uint64 {
+	if len(r.b) < 8 {
+		r.fail("truncated input")
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+// count reads a length prefix for elements that each encode to at least
+// size bytes, refusing — before the caller allocates — any count the
+// remaining input cannot hold.
+func (r *reader) count(size int) int {
+	n := r.uint()
+	if n > uint64(len(r.b)/size) {
+		r.fail("length prefix %d exceeds the remaining %d bytes", n, len(r.b))
+		return 0
+	}
+	return int(n)
+}
+
+func (r *reader) bytes() []byte {
+	n := r.count(1)
+	if n == 0 {
+		return nil
+	}
+	p := append([]byte(nil), r.b[:n]...)
+	r.b = r.b[n:]
+	return p
+}
+
+func (r *reader) str() string { return string(r.bytes()) }
+
+func (r *reader) int64s() []int64 {
+	n := r.count(1)
+	if n == 0 {
+		return nil
+	}
+	v := make([]int64, n)
+	for i := range v {
+		v[i] = r.int()
+	}
+	return v
+}
+
+func (r *reader) result() *core.Result {
+	blob := r.bytes()
+	if r.err != nil {
+		return nil
+	}
+	var res core.Result
+	if err := json.Unmarshal(blob, &res); err != nil {
+		r.fail("result: %v", err)
+		return nil
+	}
+	return &res
+}
+
+func (r *reader) snapshot() *core.Snapshot {
+	s := &core.Snapshot{Version: r.str(), ProgID: r.str()}
+	s.Cfg = r.cfg()
+	s.Now = r.int()
+	s.FetchResumeAt = r.int()
+	s.Done = r.bool()
+	for f := range s.SpecRegs {
+		for i := range s.SpecRegs[f] {
+			s.SpecRegs[f][i] = r.uint()
+		}
+	}
+	s.SpecPC = r.uint()
+	s.SpecValid = r.bool()
+	for i := range s.QCounts {
+		s.QCounts[i] = r.intN()
+	}
+	s.QTotal = r.intN()
+	s.StoreQ = r.int64s()
+	s.BrQ = r.int64s()
+	s.BrIssueIdx = r.intN()
+	if n := r.count(1); n > 0 {
+		s.Buckets = make([]core.BucketSnap, n)
+		for i := range s.Buckets {
+			s.Buckets[i] = core.BucketSnap{Index: r.intN(), Seqs: r.int64s()}
+		}
+	}
+	s.DivBusyUntil = r.int64s()
+	s.DivOwner = r.int64s()
+	s.WBCount = r.intN()
+	s.WBNextDrain = r.int()
+	s.SumState = r.uint()
+	s.LastCommitSeq = r.int()
+	s.Win = r.window()
+	s.Ren = r.rename()
+	s.BP = r.bpred()
+	s.DC = r.dcache()
+	s.IC = r.icache()
+	s.Mem = r.mem()
+	if res := r.result(); res != nil {
+		s.Res = *res
+	}
+	return s
+}
+
+func (r *reader) cfg() core.CfgSnap {
+	var c core.CfgSnap
+	c.Width = r.intN()
+	c.QueueSize = r.intN()
+	c.RegsPerFile = r.intN()
+	c.Model = rename.Model(r.u8())
+	d := &c.DCache
+	d.Kind = cache.Kind(r.u8())
+	for _, p := range [...]*int{&d.SizeBytes, &d.Assoc, &d.LineBytes, &d.HitLatency, &d.FetchLatency, &d.MSHREntries,
+		&c.ICacheMissPenalty, &c.FrontEndDelay} {
+		*p = r.intN()
+	}
+	c.TrackLiveRegisters = r.bool()
+	c.InOrderBranches = r.bool()
+	c.Predictor = bpred.Kind(r.u8())
+	c.WriteBufferEntries = r.intN()
+	c.WriteBufferDrain = r.intN()
+	c.ReadPortsPerFile = r.intN()
+	c.SplitQueues = r.bool()
+	c.InsertPerCycle = r.intN()
+	c.CommitPerCycle = r.intN()
+	return c
+}
+
+func (r *reader) window() *core.WindowSnap {
+	win := &core.WindowSnap{RingSize: r.intN(), HeadSeq: r.int(), NextSeq: r.int()}
+	if n := r.count(1); n > 0 {
+		win.Uops = make([]core.UopSnap, n)
+		for i := range win.Uops {
+			u := &win.Uops[i]
+			u.Seq = r.int()
+			u.PC = r.uint()
+			u.Enc = r.uint()
+			u.State = r.u8()
+			u.WaitCount = r.u8()
+			u.WaitLink = [2]int64{r.int(), r.int()}
+			u.DepWaitHead = r.int()
+			u.NSrc = r.u8()
+			u.HasDst = r.bool()
+			u.DstVirt = r.u8()
+			u.SrcFile = [2]uint8{r.u8(), r.u8()}
+			u.SrcPhys = [2]rename.Phys{r.phys(), r.phys()}
+			u.DstFile = r.u8()
+			u.DstPhys = r.phys()
+			u.OldPhys = r.phys()
+			u.Result = r.uint()
+			u.Addr = r.uint()
+			u.OldSpecVal = r.uint()
+			u.DepStore = r.int()
+			u.FillLine = r.uint()
+			u.HasFill = r.bool()
+			u.Forwarded = r.bool()
+			u.Taken = r.bool()
+			u.PredTaken = r.bool()
+			u.Mispredict = r.bool()
+			u.BPSnap = r.history()
+			u.CompleteAt = r.int()
+			u.DispatchAt = r.int()
+			u.IssueAt = r.int()
+			u.Miss = r.bool()
+		}
+	}
+	win.ReadySeqs = r.int64s()
+	return win
+}
+
+func (r *reader) history() bpred.History {
+	v := r.uint()
+	if uint64(bpred.History(v)) != v {
+		r.fail("branch history %d overflows 16 bits", v)
+		return 0
+	}
+	return bpred.History(v)
+}
+
+func (r *reader) rename() *rename.Snapshot {
+	s := &rename.Snapshot{Model: rename.Model(r.u8()), Frontier: r.int()}
+	if n := r.count(1); n > 0 {
+		s.Kills = make([]rename.KillSnap, n)
+		for i := range s.Kills {
+			s.Kills[i] = rename.KillSnap{File: r.u8(), Virt: r.u8(), Seq: r.int()}
+		}
+	}
+	s.KillsMin = r.int()
+	s.Frees = r.int()
+	for f := range s.Files {
+		fs := &s.Files[f]
+		fs.N = r.intN()
+		for v := range fs.MapTable {
+			fs.MapTable[v] = r.phys()
+		}
+		if n := r.count(1); n > 0 {
+			fs.FreeList = make([]rename.Phys, n)
+			for i := range fs.FreeList {
+				fs.FreeList[i] = r.phys()
+			}
+		}
+		if n := r.count(1); n > 0 {
+			fs.Regs = make([]rename.RegSnap, n)
+			for i := range fs.Regs {
+				reg := &fs.Regs[i]
+				reg.Live = r.bool()
+				reg.Cat = rename.Category(r.u8())
+				reg.WriterDone = r.bool()
+				reg.Readers = r.i32()
+				reg.Killed = r.bool()
+				reg.Virt = r.u8()
+			}
+		}
+		for v := range fs.Chains {
+			if n := r.count(1); n > 0 {
+				fs.Chains[v] = make([]rename.ChainSnap, n)
+				for i := range fs.Chains[v] {
+					fs.Chains[v][i] = rename.ChainSnap{Seq: r.int(), Phys: r.phys()}
+				}
+			}
+		}
+		for c := range fs.LiveCat {
+			fs.LiveCat[c] = r.intN()
+		}
+		fs.Live = r.intN()
+		fs.WaitHead = r.int64s()
+		fs.MaxPhys = r.phys()
+	}
+	return s
+}
+
+func (r *reader) bpred() *bpred.Snapshot {
+	return &bpred.Snapshot{
+		Kind: bpred.Kind(r.u8()), Bimodal: r.bytes(), Global: r.bytes(), Selector: r.bytes(),
+		Hist: r.history(),
+	}
+}
+
+func (r *reader) lines() []cache.LineSnap {
+	n := r.count(1)
+	if n == 0 {
+		return nil
+	}
+	ls := make([]cache.LineSnap, n)
+	for i := range ls {
+		ls[i] = cache.LineSnap{Index: r.intN(), Tag: r.uint(), LastUse: r.int()}
+	}
+	return ls
+}
+
+func (r *reader) dcache() *cache.DSnap {
+	s := &cache.DSnap{Lines: r.lines(), BusyUntil: r.int()}
+	if n := r.count(1); n > 0 {
+		s.Arrivals = make([]cache.FillSnap, n)
+		for i := range s.Arrivals {
+			s.Arrivals[i] = cache.FillSnap{LineAddr: r.uint(), ArriveAt: r.int(), Waiters: r.intN()}
+		}
+	}
+	s.UseClock = r.int()
+	st := &s.Stats
+	for _, p := range [...]*int64{&st.LoadAccesses, &st.LoadMisses, &st.StoreProbes, &st.StoreHits,
+		&st.FillsStarted, &st.FillsMerged, &st.FillsDropped} {
+		*p = r.int()
+	}
+	return s
+}
+
+func (r *reader) icache() *cache.ISnap {
+	return &cache.ISnap{
+		Lines: r.lines(), UseClock: r.int(), LastLA: r.uint(), LastOK: r.bool(),
+		Accesses: r.int(), Misses: r.int(),
+	}
+}
+
+func (r *reader) mem() *mem.Snap {
+	s := &mem.Snap{}
+	if n := r.count(1); n > 0 {
+		s.Pages = make([]mem.PageSnap, n)
+		for i := range s.Pages {
+			p := &s.Pages[i]
+			p.Page = r.uint()
+			if words := r.count(8); words > 0 {
+				p.Words = make([]uint64, words)
+				for j := range p.Words {
+					p.Words[j] = r.word()
+				}
+			}
+		}
+	}
+	return s
+}

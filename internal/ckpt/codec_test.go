@@ -1,0 +1,286 @@
+package ckpt
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"regsim/internal/core"
+	"regsim/internal/sweep/rescache"
+)
+
+// fill sets every field reachable from v to a distinct non-zero value:
+// integers count up (odd ones negated, to exercise zigzag), unsigned values
+// wrap within their width, bools are true, strings and slices are non-empty,
+// pointers are allocated. It fails on a field it cannot set, so an
+// unexported snapshot field — which no codec could carry — fails too.
+func fill(t *testing.T, v reflect.Value, path string, n *int64) {
+	t.Helper()
+	if !v.CanSet() {
+		t.Fatalf("%s cannot be set (unexported?)", path)
+	}
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		*n++
+		x := *n
+		if x%2 == 1 {
+			x = -x
+		}
+		v.SetInt(x)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		*n++
+		limit := uint64(1)<<(v.Type().Bits()-1) - 1
+		v.SetUint(uint64(*n)%limit + 1)
+	case reflect.String:
+		*n++
+		v.SetString(fmt.Sprintf("s%d", *n))
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 2, 2)
+		v.Set(s)
+		for i := 0; i < s.Len(); i++ {
+			fill(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), n)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fill(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), n)
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(t, v.Elem(), path, n)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(t, v.Field(i), path+"."+v.Type().Field(i).Name, n)
+		}
+	default:
+		t.Fatalf("%s has kind %s, which the filler (and likely the codec) does not handle", path, v.Kind())
+	}
+}
+
+// TestCodecCarriesEveryField fills every field of every snapshot type with
+// a distinct non-zero value and requires the codec to reproduce it exactly:
+// a field added to any snapshot type but forgotten by the codec fails here.
+func TestCodecCarriesEveryField(t *testing.T) {
+	var n int64
+	var want core.Snapshot
+	fill(t, reflect.ValueOf(&want).Elem(), "Snapshot", &n)
+
+	w := &writer{}
+	if err := w.snapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	r := &reader{b: w.b}
+	got := r.snapshot()
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if len(r.b) != 0 {
+		t.Fatalf("%d bytes left after decoding", len(r.b))
+	}
+	if !reflect.DeepEqual(got, &want) {
+		t.Errorf("snapshot did not round-trip:\n got %+v\nwant %+v", got, &want)
+	}
+
+	// Result entries run the full Encode/Decode path: their Validate
+	// accepts any filled result with non-negative watermarks.
+	var res core.Result
+	fill(t, reflect.ValueOf(&res).Elem(), "Result", &n)
+	meta := ResultMeta{Watermark: [2]int{41, 57}, PressureFree: true, Model: "imprecise"}
+	e := &Envelope{Format: FormatVersion, Version: Version, Kind: KindResult, Key: "k", Result: &res, Meta: &meta}
+	data, err := Encode(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, e) {
+		t.Errorf("result envelope did not round-trip:\n got %+v\nwant %+v", back, e)
+	}
+}
+
+// TestDecodeEveryStrictPrefixFails: no truncation of a valid entry decodes.
+func TestDecodeEveryStrictPrefixFails(t *testing.T) {
+	snap, res := testSnapshot(t)
+	for _, e := range []*Envelope{
+		{Format: FormatVersion, Version: Version, Kind: KindSnapshot, Key: "a", Snap: snap},
+		{Format: FormatVersion, Version: Version, Kind: KindResult, Key: "b", Result: res,
+			Meta: &ResultMeta{Watermark: [2]int{30, 31}, Model: "precise"}},
+	} {
+		data, err := Encode(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := range data {
+			if _, err := Decode(data[:n]); err == nil {
+				t.Fatalf("%s entry: the %d-byte prefix of %d decoded", e.Kind, n, len(data))
+			}
+		}
+	}
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestHugeLengthPrefixRefusedBeforeAllocating: a count claiming 2^40
+// elements is an error, and nothing near its size is allocated — at the
+// envelope header, and at each kind of counted field.
+func TestHugeLengthPrefixRefusedBeforeAllocating(t *testing.T) {
+	const huge = 1 << 40
+	header := binary.AppendUvarint(append([]byte(magic), FormatVersion), huge)
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	cases := map[string]func() error{
+		"envelope version": func() error { _, err := Decode(header); return err },
+		"bytes": func() error {
+			r := &reader{b: uv(huge)}
+			r.bytes()
+			return r.err
+		},
+		"int64 slice": func() error {
+			r := &reader{b: uv(huge)}
+			r.int64s()
+			return r.err
+		},
+		"cache lines": func() error {
+			r := &reader{b: uv(huge)}
+			r.lines()
+			return r.err
+		},
+		"memory pages": func() error {
+			r := &reader{b: uv(huge)}
+			r.mem()
+			return r.err
+		},
+		"memory words": func() error {
+			r := &reader{b: uv(1, 7, huge)}
+			r.mem()
+			return r.err
+		},
+	}
+	for name, decode := range cases {
+		var err error
+		if n := allocated(func() { err = decode() }); n > 1<<16 {
+			t.Errorf("%s: allocated %d bytes for a hostile count", name, n)
+		}
+		if err == nil {
+			t.Errorf("%s: hostile count accepted", name)
+		}
+	}
+}
+
+// TestDecodeStaleHeaders: entries that do not carry this format's header —
+// the JSON envelopes of format 1, or another binary revision — fail with
+// rescache.ErrStale, so the disk tier drops them quietly.
+func TestDecodeStaleHeaders(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"json":          []byte(`{"format":1,"version":"ckpt-1","kind":"snapshot","key":"a"}`),
+		"older binary":  append([]byte(magic), 1),
+		"future binary": append([]byte(magic), FormatVersion+1),
+	} {
+		if _, err := Decode(data); !errors.Is(err, rescache.ErrStale) {
+			t.Errorf("%s: Decode error %v, want ErrStale", name, err)
+		}
+	}
+}
+
+// TestPlantedJSONEntryIsAStaleMiss: a store directory populated before the
+// binary format holds JSON envelopes under the same paths. Reading one is a
+// miss, not an error, and the entry is removed so the slot heals.
+func TestPlantedJSONEntryIsAStaleMiss(t *testing.T) {
+	snap, res := testSnapshot(t)
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := rescache.Open(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The format-1 layout: rescache's JSON envelope around a JSON ckpt
+	// envelope.
+	type jsonEnvelope struct {
+		Format  int            `json:"format"`
+		Version string         `json:"version"`
+		Kind    Kind           `json:"kind"`
+		Key     string         `json:"key"`
+		Snap    *core.Snapshot `json:"snap,omitempty"`
+		Result  *core.Result   `json:"result,omitempty"`
+		Meta    *ResultMeta    `json:"meta,omitempty"`
+	}
+	sk, rk := diskKey(KindSnapshot, "k1"), diskKey(KindResult, "k2")
+	if err := old.Put(sk, jsonEnvelope{Format: 1, Version: Version, Kind: KindSnapshot, Key: sk, Snap: snap}); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Put(rk, jsonEnvelope{Format: 1, Version: Version, Kind: KindResult, Key: rk, Result: res,
+		Meta: &ResultMeta{Watermark: [2]int{30, 30}, Model: "precise"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Snapshot("k1"); ok {
+		t.Error("format-1 JSON snapshot entry served as a hit")
+	}
+	if _, _, ok := s.Result("k2"); ok {
+		t.Error("format-1 JSON result entry served as a hit")
+	}
+	for _, dk := range []string{sk, rk} {
+		if _, err := os.Stat(filepath.Join(s.Dir(), dk[:2], dk+".json")); !os.IsNotExist(err) {
+			t.Errorf("stale entry %s was not removed (stat: %v)", dk, err)
+		}
+	}
+	if st := s.disk.Stats(); st.Errors != 0 || st.Misses != 2 {
+		t.Errorf("disk tier stats %+v, want 2 quiet misses", st)
+	}
+	// The slots heal with binary entries.
+	if err := s.PutSnapshot("k1", snap); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := OpenStore(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fresh.Snapshot("k1"); !ok {
+		t.Error("healed slot did not read back")
+	}
+}
+
+// TestEntryKeyMismatchIsCorrupt: a valid entry under the wrong path (a
+// renamed or mis-copied file) is an error, not a hit.
+func TestEntryKeyMismatchIsCorrupt(t *testing.T) {
+	snap, _ := testSnapshot(t)
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := Encode(&Envelope{Format: FormatVersion, Version: Version, Kind: KindSnapshot,
+		Key: diskKey(KindSnapshot, "other"), Snap: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.disk.PutBytes(diskKey(KindSnapshot, "k"), data); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Snapshot("k"); ok {
+		t.Error("entry filed under the wrong key served as a hit")
+	}
+	if st := s.disk.Stats(); st.Errors != 1 {
+		t.Errorf("disk tier stats %+v, want 1 error", st)
+	}
+}

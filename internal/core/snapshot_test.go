@@ -32,9 +32,10 @@ func buildArtifact(t *testing.T, bench string) *prog.Artifact {
 	return art
 }
 
-// roundTrip pushes a snapshot through its JSON encoding, as the checkpoint
-// store does, so the test covers the serialized format and not just the
-// in-memory structures.
+// roundTrip pushes a snapshot through its JSON encoding, so the test covers
+// a decoded copy and not just the in-memory structures. The checkpoint
+// store's own binary codec gets the same resume check in
+// verify.CheckpointRoundTrip.
 func roundTrip(t *testing.T, s *Snapshot) *Snapshot {
 	t.Helper()
 	b, err := json.Marshal(s)

@@ -170,10 +170,12 @@ scan:
 	// Exact milestones pay off solely across processes (a later run of the
 	// same spec at a different budget), so they are captured only into
 	// persistent stores — for a memory-only store they would be pure
-	// overhead on every simulated run. Shared milestones are what the
-	// sweep's own siblings fast-forward over, so they are captured whenever
-	// the run is still pressure-free; in memory they are put-if-absent
-	// (any pressure-free source is an equally valid prefix).
+	// overhead on every simulated run — and only to disk: same-budget
+	// repeats are memoized, so this process never reads them back. Shared
+	// milestones are what the sweep's own siblings fast-forward over, so
+	// they are captured whenever the run is still pressure-free; in memory
+	// they are put-if-absent (any pressure-free source is an equally valid
+	// prefix).
 	persist := st.Dir() != ""
 	for i := next; i < len(ms); i++ {
 		if res, err = m.Run(ms[i]); err != nil {
@@ -195,10 +197,10 @@ scan:
 		}
 		if snap, serr := m.Snapshot(); serr == nil {
 			if persist {
-				s.putSnapshot(st, milestoneExactKey(spec, art, ms[i]), snap, spec)
+				s.logPut(spec, st.PersistSnapshot(milestoneExactKey(spec, art, ms[i]), snap))
 			}
 			if sharedKey != "" {
-				s.putSnapshot(st, sharedKey, snap, spec)
+				s.logPut(spec, st.PutSnapshot(sharedKey, snap))
 			}
 		}
 	}
@@ -215,26 +217,22 @@ scan:
 		PressureFree: m.PressureFreeSoFar(),
 		Model:        spec.Model.String(),
 	}
-	if perr := st.PutResult(exactFinal, res, meta); perr != nil {
-		s.progressf("ckpt put %s: %v", spec.Bench, perr)
-	}
+	s.logPut(spec, st.PutResult(exactFinal, res, meta))
 	if sharedFinal != "" && meta.PressureFree {
 		// Put-if-absent: an existing entry is never less servable than this
 		// one would be (pressure-free trajectories are size-independent, and
 		// sweeps order precise before imprecise), so keep the first.
 		if _, _, ok := st.Result(sharedFinal); !ok {
-			if perr := st.PutResult(sharedFinal, res, meta); perr != nil {
-				s.progressf("ckpt put %s: %v", spec.Bench, perr)
-			}
+			s.logPut(spec, st.PutResult(sharedFinal, res, meta))
 		}
 	}
 	return res, nil
 }
 
-func (s *Suite) putSnapshot(st *ckpt.Store, key string, snap *core.Snapshot, spec Spec) {
-	if err := st.PutSnapshot(key, snap); err != nil {
-		// Persistence is best effort: the in-memory entry is in place, and
-		// a lost disk entry costs a future re-simulation, never the sweep.
+// logPut reports a failed checkpoint-store write. Persistence is best
+// effort: a lost disk entry costs a future re-simulation, never the sweep.
+func (s *Suite) logPut(spec Spec, err error) {
+	if err != nil {
 		s.progressf("ckpt put %s: %v", spec.Bench, err)
 	}
 }

@@ -33,7 +33,7 @@ func readGoldens(t *testing.T) map[string]string {
 // fingerprints exactly — whether results come from cold runs with capture
 // (pass one), from fast-forwarding over another budget's milestone
 // snapshots (pass two), or from snapshots that additionally round-tripped
-// through the on-disk JSON envelope (pass three). Pass one also exercises
+// through the on-disk checkpoint encoding (pass three). Pass one also exercises
 // cross-configuration sharing within the sweep itself (a precise
 // pressure-free result serving its imprecise twin), since the cross-product
 // runs both models over identical machines.

@@ -2,7 +2,9 @@
 // on-disk, content-addressed result store. Entries are keyed by a
 // fingerprint of everything that could change a simulation's output (the
 // full machine spec, the commit budget, and the simulator/workload version
-// strings) and stored as versioned JSON envelopes.
+// strings) and stored as versioned JSON envelopes. Other stores that need the
+// same durability with their own encoding write raw bytes through
+// PutBytes/GetBytes.
 //
 // Durability properties:
 //
@@ -82,11 +84,36 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, shard, key+".json")
 }
 
+// ErrStale marks an entry written under an older format revision. A decode
+// function handed to GetBytes returns it (possibly wrapped) to have the entry
+// dropped quietly, as staleness rather than corruption.
+var ErrStale = errors.New("rescache: stale entry format")
+
 // Get loads the entry for key into v, reporting whether it was present and
 // intact. Any defect — unreadable file, bad JSON, format or key mismatch —
 // counts as a miss (plus an error counter tick) and removes the bad entry so
 // the slot heals on the next Put.
 func (s *Store) Get(key string, v any) bool {
+	return s.GetBytes(key, func(data []byte) error {
+		var env envelope
+		if err := json.Unmarshal(data, &env); err != nil {
+			return err
+		}
+		if env.Key != key {
+			return fmt.Errorf("rescache: entry holds key %q", env.Key)
+		}
+		if env.Format != FormatVersion {
+			return ErrStale
+		}
+		return json.Unmarshal(env.Value, v)
+	})
+}
+
+// GetBytes reads the raw entry stored under key and hands it to decode,
+// reporting whether the entry was present and decode accepted it. A decode
+// error removes the entry and counts as a miss: one wrapping ErrStale
+// quietly (a format bump), any other also ticks the error counter.
+func (s *Store) GetBytes(key string, decode func(data []byte) error) bool {
 	path := s.path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -96,44 +123,37 @@ func (s *Store) Get(key string, v any) bool {
 		s.misses.Add(1)
 		return false
 	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil || env.Key != key {
-		s.corrupt(path)
-		return false
-	}
-	if env.Format != FormatVersion {
-		// A format bump is staleness, not corruption: drop the entry
-		// quietly and re-simulate.
+	if err := decode(data); err != nil {
 		os.Remove(path)
+		if !errors.Is(err, ErrStale) {
+			s.errs.Add(1)
+		}
 		s.misses.Add(1)
-		return false
-	}
-	if err := json.Unmarshal(env.Value, v); err != nil {
-		s.corrupt(path)
 		return false
 	}
 	s.hits.Add(1)
 	return true
 }
 
-func (s *Store) corrupt(path string) {
-	os.Remove(path)
-	s.errs.Add(1)
-	s.misses.Add(1)
-}
-
-// Put stores v under key atomically: the entry is written to a temporary
-// file in the destination directory and renamed into place, so readers (in
-// this or any other process) only ever observe complete entries.
+// Put stores v under key as a JSON envelope. The envelope is assembled
+// around the value's encoding directly, in one pass: the bytes are exactly
+// what marshalling the envelope struct would produce.
 func (s *Store) Put(key string, v any) error {
 	val, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("rescache: encode %s: %w", key, err)
 	}
-	data, err := json.Marshal(envelope{Format: FormatVersion, Key: key, Value: val})
-	if err != nil {
-		return fmt.Errorf("rescache: encode %s: %w", key, err)
-	}
+	quoted, _ := json.Marshal(key) // a string always marshals
+	data := fmt.Appendf(make([]byte, 0, len(val)+len(quoted)+32),
+		`{"format":%d,"key":%s,"value":`, FormatVersion, quoted)
+	data = append(append(data, val...), '}')
+	return s.PutBytes(key, data)
+}
+
+// PutBytes stores data under key atomically: the entry is written to a
+// temporary file in the destination directory and renamed into place, so
+// readers (in this or any other process) only ever observe complete entries.
+func (s *Store) PutBytes(key string, data []byte) error {
 	path := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("rescache: %w", err)

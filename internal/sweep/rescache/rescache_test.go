@@ -1,6 +1,8 @@
 package rescache
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -127,6 +129,43 @@ func TestFormatVersionMismatchIsAQuietMiss(t *testing.T) {
 	}
 	if st := s.Stats(); st.Errors != 0 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want a quiet miss (no error)", st)
+	}
+}
+
+func TestGetBytesStaleVersusCorrupt(t *testing.T) {
+	for name, c := range map[string]struct {
+		err    error
+		errors int64
+	}{
+		"stale":   {fmt.Errorf("old header: %w", ErrStale), 0},
+		"corrupt": {errors.New("bad length prefix"), 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := testStore(t)
+			key := Fingerprint(name)
+			if err := s.PutBytes(key, []byte{1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
+			path := entryFile(t, s)
+			if s.GetBytes(key, func([]byte) error { return c.err }) {
+				t.Fatal("rejected entry served as a hit")
+			}
+			if st := s.Stats(); st.Errors != c.errors || st.Misses != 1 {
+				t.Errorf("stats = %+v, want %d errors + 1 miss", st, c.errors)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Error("rejected entry was not removed")
+			}
+		})
+	}
+	s := testStore(t)
+	key := Fingerprint("raw")
+	if err := s.PutBytes(key, []byte("raw bytes")); err != nil {
+		t.Fatal(err)
+	}
+	var got string
+	if !s.GetBytes(key, func(data []byte) error { got = string(data); return nil }) || got != "raw bytes" {
+		t.Errorf("raw round trip: got %q", got)
 	}
 }
 

@@ -4,18 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"regsim/internal/ckpt"
 	"regsim/internal/core"
 	"regsim/internal/prog"
 )
 
 // CheckpointRoundTrip is the fourth verification leg, covering checkpoint
 // fast-forwarding: it runs cfg × p cold to budget, then again with a
-// warm-up prefix that is snapshotted, serialized through the on-disk JSON
-// envelope format, restored, and resumed to the same budget — and requires
-// the two Results to be byte-identical under their canonical JSON encoding
-// (the same encoding the persistent caches store, so "equal" here means
-// exactly what cache validity requires). Any field that drifts names a
-// state component the snapshot fails to carry.
+// warm-up prefix that is snapshotted, encoded and decoded through
+// ckpt.Encode/Decode (the checkpoint store's on-disk format), resumed, and
+// run to the same budget — and requires the two Results to be byte-identical
+// under their canonical JSON encoding (the encoding the result cache stores,
+// so "equal" here means exactly what cache validity requires). Any field
+// that drifts names a state component the snapshot or its codec fails to
+// carry.
 //
 // warm selects the snapshot point in committed instructions; values outside
 // (0, budget) default to budget/2. Configurations with per-event hooks
@@ -48,15 +50,16 @@ func CheckpointRoundTrip(cfg core.Config, p *prog.Program, budget, warm int64) e
 	if err != nil {
 		return fmt.Errorf("verify: snapshot of %s at %d commits: %w", p.Name, warm, err)
 	}
-	blob, err := json.Marshal(snap)
+	blob, err := ckpt.Encode(&ckpt.Envelope{Format: ckpt.FormatVersion, Version: ckpt.Version,
+		Kind: ckpt.KindSnapshot, Key: "verify", Snap: snap})
 	if err != nil {
 		return fmt.Errorf("verify: encode snapshot of %s: %w", p.Name, err)
 	}
-	var restored core.Snapshot
-	if err := json.Unmarshal(blob, &restored); err != nil {
+	restored, err := ckpt.Decode(blob)
+	if err != nil {
 		return fmt.Errorf("verify: decode snapshot of %s: %w", p.Name, err)
 	}
-	resumed, err := core.Resume(cfg, art, &restored)
+	resumed, err := core.Resume(cfg, art, restored.Snap)
 	if err != nil {
 		return fmt.Errorf("verify: resume %s at %d commits: %w", p.Name, warm, err)
 	}

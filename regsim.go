@@ -364,9 +364,10 @@ func Verify(cfg Config, p *Program, budget int64) error {
 
 // VerifyCheckpoint runs the checkpoint round-trip leg of the verification
 // subsystem: p under cfg is simulated cold to budget and again by
-// snapshotting a warm-up prefix, serializing the snapshot through its
-// on-disk JSON form, resuming, and finishing — and the two Results must be
-// byte-identical under the canonical encoding the persistent caches store.
+// snapshotting a warm-up prefix, serializing the snapshot through the
+// checkpoint store's on-disk encoding, resuming, and finishing — and the two
+// Results must be byte-identical under the canonical encoding the result
+// cache stores.
 // warm is the snapshot point in committed instructions; values outside
 // (0, budget) default to budget/2. The returned error is a
 // *VerifyMismatchError with Field "checkpoint" on drift.
