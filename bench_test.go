@@ -68,11 +68,13 @@ func BenchmarkFig5(b *testing.B) {
 	}
 }
 
-// BenchmarkFig6 regenerates the register-file size sweep (288 runs).
+// BenchmarkFig6 regenerates the register-file size sweep (288 specs). This
+// plain sweep includes sibling sharing: like every sweep, it answers a spec
+// from a finished pressure-free sibling instead of simulating it.
 func BenchmarkFig6(b *testing.B) { benchrun.Fig6(benchBudget)(b) }
 
 // BenchmarkFig6Cold is the same sweep under a fresh checkpoint store each
-// iteration: capture cost included, intra-sweep sharing on.
+// iteration: capture cost included, milestone sharing on.
 func BenchmarkFig6Cold(b *testing.B) { benchrun.Fig6Cold(benchBudget)(b) }
 
 // BenchmarkFig6Checkpointed regenerates the sweep over a pre-populated

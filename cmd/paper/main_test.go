@@ -1,7 +1,11 @@
 package main_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -54,7 +58,9 @@ func TestExitCodes(t *testing.T) {
 // TestCheckpointedFig6ByteIdentical is the CLI-level byte-identity contract:
 // fig6 rendered plain, rendered cold under a fresh -checkpoint-dir, and
 // rendered warm over the populated store must produce identical bytes on
-// stdout — fast-forwarding may only change how long the sweep takes.
+// stdout — fast-forwarding may only change how long the sweep takes. The
+// plain sweep shares finished siblings too; TestFig7MatchesUnsharedDigest
+// is the reference that cannot share.
 func TestCheckpointedFig6ByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the fig6 sweep three times")
@@ -85,6 +91,40 @@ func TestCheckpointedFig6ByteIdentical(t *testing.T) {
 	}
 	if warm != plain {
 		t.Errorf("checkpointed warm sweep drifted from the plain sweep\nplain:\n%s\nwarm:\n%s", plain, warm)
+	}
+}
+
+// TestFig7MatchesUnsharedDigest pins a reference that cannot share: the
+// fig7 sweep, where most runs are answered by a finished sibling, must print
+// exactly what the last build without in-suite sibling sharing printed
+// (testdata/fig7-n5000-jobs4.sha256 was generated with the binary of commit
+// 403aa51 as `paper -n 5000 -no-cache -jobs 4 fig7 | sha256sum`). -jobs 1
+// must print the same bytes as -jobs 4: which runs are shared depends on
+// scheduling, the output must not.
+func TestFig7MatchesUnsharedDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the fig7 sweep twice")
+	}
+	blob, err := os.ReadFile("testdata/fig7-n5000-jobs4.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(blob))
+	bin := cmdtest.Build(t, "paper")
+	stdout := func(jobs string) []byte {
+		t.Helper()
+		out, err := exec.Command(bin, "-n", "5000", "-no-cache", "-jobs", jobs, "fig7").Output()
+		if err != nil {
+			t.Fatalf("paper -jobs %s: %v", jobs, err)
+		}
+		return out
+	}
+	four := stdout("4")
+	if sum := sha256.Sum256(four); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("fig7 stdout hashes to %x, want the unshared build's %s:\n%s", sum, want, four)
+	}
+	if one := stdout("1"); !bytes.Equal(one, four) {
+		t.Errorf("-jobs 1 and -jobs 4 printed different fig7 output\njobs 1:\n%s\njobs 4:\n%s", one, four)
 	}
 }
 

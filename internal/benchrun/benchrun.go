@@ -87,11 +87,11 @@ func Fig6(budget int64) func(b *testing.B) {
 }
 
 // Fig6Cold runs the register-file size sweep with a fresh in-memory
-// checkpoint store each iteration: every run still simulates (snapshot
-// capture cost included), but configurations differing only in register
-// count or exception model share warm-up prefixes and pressure-free final
-// results within the sweep. The delta against Fig6 is what one cold sweep
-// gains (and pays) from checkpointing.
+// checkpoint store each iteration: snapshot capture cost included, and
+// configurations differing only in register count share warm-up prefixes
+// within the sweep. Both this and Fig6 share pressure-free final results
+// between siblings (the suite does that in every sweep), so the delta
+// against Fig6 is what one cold sweep gains (and pays) from milestones.
 func Fig6Cold(budget int64) func(b *testing.B) {
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -37,7 +37,9 @@ import (
 //     freeing discipline's only behavioural difference, but the imprecise
 //     model's earlier frees keep its watermark at or below the precise
 //     model's — so a precise source bounds both models while an imprecise
-//     source is only proof for imprecise targets.
+//     source is only proof for imprecise targets. The suite's sibling table
+//     (siblings.go) applies the same rule within a process, store or not;
+//     the shared final carries it to later processes.
 //
 // Every key folds in the simulator, workload, artifact, checkpoint and
 // snapshot format versions plus the artifact's content ID, so stale stores
@@ -109,24 +111,34 @@ func servableShared(meta ckpt.ResultMeta, spec Spec) bool {
 		(meta.Model == rename.Precise.String() && spec.Model == rename.Imprecise)
 }
 
+// finalMeta is the sharing metadata of spec's finished run on m.
+func finalMeta(m *core.Machine, spec Spec) ckpt.ResultMeta {
+	return ckpt.ResultMeta{
+		Watermark:    m.RegWatermarks(),
+		PressureFree: m.PressureFreeSoFar(),
+		Model:        spec.Model.String(),
+	}
+}
+
 // runCheckpointed simulates spec through the checkpoint store: serve the
 // result outright if a servable final entry exists, otherwise resume from
 // the deepest restorable milestone snapshot, simulate the remainder while
 // capturing new milestones, and store the finished result. Every path
-// produces a Result bit-identical to the cold run's.
-func (s *Suite) runCheckpointed(spec Spec, art *prog.Artifact, cfg core.Config) (*core.Result, error) {
+// produces a Result bit-identical to the cold run's, returned with the
+// sharing metadata of the run that produced it.
+func (s *Suite) runCheckpointed(spec Spec, art *prog.Artifact, cfg core.Config) (*core.Result, ckpt.ResultMeta, error) {
 	st := s.Checkpoints
 	exactFinal := finalExactKey(spec, art)
-	if res, _, ok := st.Result(exactFinal); ok {
+	if res, meta, ok := st.Result(exactFinal); ok {
 		s.progressf("ckpt %-9s regs=%-4d %s: final (exact)", spec.Bench, spec.Regs, spec.Model)
-		return res, nil
+		return res, meta, nil
 	}
 	sharedFinal := ""
 	if !spec.Track {
 		sharedFinal = finalSharedKey(spec, art)
 		if res, meta, ok := st.Result(sharedFinal); ok && servableShared(meta, spec) {
 			s.progressf("ckpt %-9s regs=%-4d %s: final (shared, wm=%v)", spec.Bench, spec.Regs, spec.Model, meta.Watermark)
-			return res, nil
+			return res, meta, nil
 		}
 	}
 
@@ -157,7 +169,7 @@ scan:
 	if m == nil {
 		var err error
 		if m, err = core.NewFromArtifact(cfg, art); err != nil {
-			return nil, err
+			return nil, ckpt.ResultMeta{}, err
 		}
 	} else {
 		s.progressf("ckpt %-9s regs=%-4d %s: resumed at %d commits", spec.Bench, spec.Regs, spec.Model, ms[next-1])
@@ -179,7 +191,7 @@ scan:
 	persist := st.Dir() != ""
 	for i := next; i < len(ms); i++ {
 		if res, err = m.Run(ms[i]); err != nil {
-			return nil, err
+			return nil, ckpt.ResultMeta{}, err
 		}
 		capture := persist
 		sharedKey := ""
@@ -208,15 +220,11 @@ scan:
 		// Resumed from a snapshot at (or beyond) the budget itself — a
 		// larger-budget run's milestone. Run is a no-op that finalizes.
 		if res, err = m.Run(spec.Budget); err != nil {
-			return nil, err
+			return nil, ckpt.ResultMeta{}, err
 		}
 	}
 
-	meta := ckpt.ResultMeta{
-		Watermark:    m.RegWatermarks(),
-		PressureFree: m.PressureFreeSoFar(),
-		Model:        spec.Model.String(),
-	}
+	meta := finalMeta(m, spec)
 	s.logPut(spec, st.PutResult(exactFinal, res, meta))
 	if sharedFinal != "" && meta.PressureFree {
 		// Put-if-absent: an existing entry is never less servable than this
@@ -226,7 +234,7 @@ scan:
 			s.logPut(spec, st.PutResult(sharedFinal, res, meta))
 		}
 	}
-	return res, nil
+	return res, meta, nil
 }
 
 // logPut reports a failed checkpoint-store write. Persistence is best

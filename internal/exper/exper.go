@@ -25,13 +25,17 @@
 // Execution rides on the sweep subsystem (internal/sweep): each figure
 // prefetches its whole spec matrix across a bounded worker pool, the
 // engine's memo guarantees every spec simulates at most once per process
-// (figures share configurations freely), and an optional persistent result
-// cache (internal/sweep/rescache) makes repeat sweeps near-instant.
+// (figures share configurations freely), a run that never saw register
+// pressure answers its register-file and exception-model siblings
+// (siblings.go), and an optional persistent result cache
+// (internal/sweep/rescache) makes repeat sweeps near-instant.
 package exper
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -88,7 +92,9 @@ func (spec Spec) Config() core.Config {
 
 // Suite runs simulations on the sweep subsystem: every spec is simulated at
 // most once (the engine's memo replaces the old in-suite map), figure
-// generators batch-prefetch their spec matrices across Jobs workers, and an
+// generators batch-prefetch their spec matrices across Jobs workers, a
+// finished pressure-free run answers its siblings (specs differing only in
+// register-file size and exception model) without simulating them, and an
 // optional persistent result cache answers repeat runs across processes.
 // Figures that share configurations (e.g. Figure 7's lockup-free points and
 // Figure 6) therefore reuse results automatically.
@@ -147,6 +153,11 @@ type Suite struct {
 	eng     *sweep.Engine[Spec, *core.Result]
 	progMu  sync.Mutex
 	sims    atomic.Int64 // simulations actually executed (cache misses)
+
+	// Pressure-free results of exact runs, answering their siblings, and
+	// the number of requests they answered.
+	siblings siblingTable
+	shared   atomic.Int64
 
 	// Built program artifacts (workload plus predecoded instruction
 	// table), shared across the suite's runs. An Artifact is immutable
@@ -215,12 +226,36 @@ func (s *Suite) RunContext(ctx context.Context, spec Spec) (*core.Result, error)
 // Duplicate specs coalesce, at most Jobs simulations run concurrently, and
 // the first failure (or the context's cancellation/deadline) cancels the
 // rest of the batch. It is the serving layer's `/v1/sweep` entry point.
+//
+// The batch executes trunk-first: largest register file first, precise
+// before imprecise, otherwise in request order. The runs that can answer
+// their siblings thus tend to finish before those siblings start; one that
+// has not finished yet only costs the sibling a simulation, never a
+// different result.
 func (s *Suite) RunAll(ctx context.Context, specs []Spec) ([]*core.Result, error) {
-	norm := make([]Spec, len(specs))
-	for i, spec := range specs {
-		norm[i] = s.normalize(spec)
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
 	}
-	return s.engine().DoAll(ctx, norm)
+	slices.SortStableFunc(order, func(a, b int) int {
+		if c := cmp.Compare(specs[b].Regs, specs[a].Regs); c != 0 {
+			return c
+		}
+		return cmp.Compare(specs[a].Model, specs[b].Model)
+	})
+	norm := make([]Spec, len(specs))
+	for j, i := range order {
+		norm[j] = s.normalize(specs[i])
+	}
+	done, err := s.engine().DoAll(ctx, norm)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*core.Result, len(specs))
+	for j, i := range order {
+		out[i] = done[j]
+	}
+	return out, nil
 }
 
 // prefetch simulates a figure's whole spec matrix across the worker pool;
@@ -308,19 +343,19 @@ func (s *Suite) artifact(bench string) (*prog.Artifact, error) {
 	return a, nil
 }
 
-// checkpointable reports whether a run under cfg may use the checkpoint
-// store. Runs with per-event hooks attached (tracer, telemetry, counter
-// sampler) are excluded: their sinks observe the simulation stream, which a
-// fast-forwarded run would silently truncate (and core.Snapshot refuses
-// them for the same reason).
-func (s *Suite) checkpointable(cfg core.Config) bool {
-	return s.Checkpoints != nil &&
-		cfg.Tracer == nil && cfg.Telemetry == nil && cfg.CounterSampler == nil
+// unhooked reports whether a run under cfg has no per-event hooks attached
+// (tracer, telemetry, counter sampler). Only such runs may be answered from,
+// or fill, a sibling or checkpoint entry: a hook's sink observes the
+// simulation stream, which a served or fast-forwarded run would silently
+// truncate (core.Snapshot refuses hooked machines for the same reason).
+func unhooked(cfg core.Config) bool {
+	return cfg.Tracer == nil && cfg.Telemetry == nil && cfg.CounterSampler == nil
 }
 
-// simulate is the engine's run function: persistent-cache lookup, then the
-// real simulation — checkpoint-accelerated or sampled when the suite is so
-// configured — then a cache fill. It may run on any pool worker.
+// simulate is the engine's run function: persistent-cache lookup, then a
+// finished sibling's result when one is servable, then the real simulation
+// — checkpoint-accelerated or sampled when the suite is so configured —
+// then a cache fill. It may run on any pool worker.
 //
 // Sampled runs bypass the persistent cache in both directions: an estimate
 // must never be served where an exact result is expected, and the same
@@ -380,18 +415,34 @@ func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 			cfg.Telemetry = telemetry.New()
 		}
 	}
+	// Sibling sharing covers the runs the checkpoint store's shared entries
+	// do: exact (not sampled), untracked and unhooked — so a traced request
+	// still simulates and keeps its core.run accounting.
+	shareable := !sampled && !spec.Track && unhooked(cfg)
+	if shareable {
+		if res, meta, ok := s.siblings.serve(spec); ok {
+			s.shared.Add(1)
+			s.fill(key, spec, res)
+			s.progressf("hit %-9s w=%d q=%-3d regs=%-4d %s/%s: IPC %.2f (sibling %s, wm=%v)",
+				spec.Bench, spec.Width, spec.Queue, spec.Regs, spec.Model, spec.Cache, res.CommitIPC(), meta.Model, meta.Watermark)
+			return res, nil
+		}
+	}
 	var res *core.Result
+	var meta ckpt.ResultMeta
 	switch {
 	case sampled:
 		res, err = s.runSampled(ctx, spec, art, cfg)
-	case s.checkpointable(cfg):
-		res, err = s.runCheckpointed(spec, art, cfg)
+	case s.Checkpoints != nil && unhooked(cfg):
+		res, meta, err = s.runCheckpointed(spec, art, cfg)
 	default:
 		var m *core.Machine
 		m, err = core.NewFromArtifact(cfg, art)
 		if err == nil {
 			s.sims.Add(1)
-			res, err = m.Run(spec.Budget)
+			if res, err = m.Run(spec.Budget); err == nil {
+				meta = finalMeta(m, spec)
+			}
 		}
 	}
 	if err != nil {
@@ -405,26 +456,39 @@ func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 		run.Set("cycleAccounting", cfg.Telemetry.Account.Snapshot())
 	}
 	run.End()
-	if s.Cache != nil && !sampled {
-		if err := s.Cache.Put(key, res); err != nil {
-			// A failed fill costs a future re-simulation, never the sweep.
-			s.progressf("cache put %s: %v", spec.Bench, err)
-		}
+	if shareable && meta.PressureFree {
+		s.siblings.put(spec, res, meta)
+	}
+	if !sampled {
+		s.fill(key, spec, res)
 	}
 	s.progressf("ran %-9s w=%d q=%-3d regs=%-4d %s/%s: IPC %.2f",
 		spec.Bench, spec.Width, spec.Queue, spec.Regs, spec.Model, spec.Cache, res.CommitIPC())
 	return res, nil
 }
 
+// fill stores res in the persistent result cache under key, if the suite
+// has one. A failed fill costs a future re-simulation, never the sweep.
+func (s *Suite) fill(key string, spec Spec, res *core.Result) {
+	if s.Cache == nil {
+		return
+	}
+	if err := s.Cache.Put(key, res); err != nil {
+		s.progressf("cache put %s: %v", spec.Bench, err)
+	}
+}
+
 // SweepStats snapshots the scheduler and persistent-cache counters. Runs
 // counts simulations actually executed: an engine execution answered by the
-// persistent cache is a cache hit, not a run.
+// persistent cache is a cache hit, and one answered by a sibling's result is
+// Shared, not a run.
 func (s *Suite) SweepStats() telemetry.SweepStats {
 	eng := s.engine().Stats()
 	st := telemetry.SweepStats{
 		Workers:  eng.Jobs,
 		Active:   eng.Active,
 		Runs:     s.sims.Load(),
+		Shared:   s.shared.Load(),
 		MemoHits: eng.MemoHits,
 		Deduped:  eng.Deduped,
 	}

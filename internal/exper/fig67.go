@@ -36,18 +36,13 @@ type Fig6 struct {
 func (s *Suite) Fig6() (*Fig6, error) {
 	f := &Fig6{Budget: s.Budget}
 	var specs []Spec
-	// Prefetch order is a checkpoint-sharing heuristic: largest register
-	// files first and precise before imprecise, so the sweep's earliest
-	// runs are the pressure-free ones that seed shared checkpoint entries
-	// for everything after them. Results are identical in any order — a
-	// less favourable schedule (e.g. under high Jobs) only costs reuse.
 	for _, width := range Widths {
 		for _, model := range []rename.Model{rename.Precise, rename.Imprecise} {
-			for i := len(RegSizes) - 1; i >= 0; i-- {
+			for _, regs := range RegSizes {
 				for _, bench := range workload.Names() {
 					specs = append(specs, Spec{
 						Bench: bench, Width: width, Queue: CostEffectiveQueue(width),
-						Regs: RegSizes[i], Model: model, Cache: cache.LockupFree,
+						Regs: regs, Model: model, Cache: cache.LockupFree,
 					})
 				}
 			}

@@ -101,9 +101,9 @@ func (s *Server) registerMetrics() {
 			return []obs.LabeledHist{{Stats: st}}
 		})
 
-	// Sweep engine and persistent result cache: executions vs. the two
-	// layers that absorb repeats (the in-flight singleflight, the
-	// cross-process rescache).
+	// Sweep engine and persistent result cache: executions vs. the layers
+	// that absorb repeats (the in-flight singleflight, the cross-process
+	// rescache) and siblings (a finished pressure-free run's result).
 	sweepStats := func() telemetry.SweepStats { return s.cfg.Suite.SweepStats() }
 	r.GaugeFunc("regsim_sweep_workers", "Sweep worker-pool bound.",
 		func() float64 { return float64(sweepStats().Workers) })
@@ -111,6 +111,8 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(sweepStats().Active) })
 	r.CounterFunc("regsim_sweep_runs_total", "Simulations actually executed by this process.",
 		func() float64 { return float64(sweepStats().Runs) })
+	r.CounterFunc("regsim_sweep_shared_total", "Requests answered from a finished sibling run (differing only in register-file size and exception model) instead of simulated.",
+		func() float64 { return float64(sweepStats().Shared) })
 	r.CounterFunc("regsim_sweep_memo_hits_total", "Requests answered from an already-completed execution.",
 		func() float64 { return float64(sweepStats().MemoHits) })
 	r.CounterFunc("regsim_sweep_coalesced_total", "Requests that piggybacked on an in-flight execution of the same spec.",

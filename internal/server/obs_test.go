@@ -297,6 +297,8 @@ func TestPrometheusExposition(t *testing.T) {
 		`regsim_http_request_duration_ms_count{endpoint="POST /v1/simulate"} 1`,
 		"# TYPE regsim_sweep_runs_total counter",
 		"regsim_sweep_runs_total 1",
+		"# TYPE regsim_sweep_shared_total counter",
+		"regsim_sweep_shared_total 0",
 		"# TYPE regsim_admission_in_flight gauge",
 		"regsim_admission_admitted_total 1",
 		"# TYPE regsim_admission_wait_ms histogram",

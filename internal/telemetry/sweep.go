@@ -14,6 +14,10 @@ type SweepStats struct {
 	Active int64 `json:"active"`
 	// Runs counts simulations actually executed this process.
 	Runs int64 `json:"runs"`
+	// Shared counts requests answered from a finished sibling run (one
+	// differing only in register-file size and exception model) instead
+	// of being simulated.
+	Shared int64 `json:"shared"`
 	// MemoHits counts requests answered from the in-memory memo.
 	MemoHits int64 `json:"memoHits"`
 	// Deduped counts requests that piggybacked on an in-flight execution
@@ -30,8 +34,8 @@ type SweepStats struct {
 
 // String renders the snapshot as a one-line summary.
 func (s SweepStats) String() string {
-	line := fmt.Sprintf("sweep: %d workers, %d simulated, %d memo hits, %d deduped",
-		s.Workers, s.Runs, s.MemoHits, s.Deduped)
+	line := fmt.Sprintf("sweep: %d workers, %d simulated, %d shared, %d memo hits, %d deduped",
+		s.Workers, s.Runs, s.Shared, s.MemoHits, s.Deduped)
 	if s.CacheHits+s.CacheMisses+s.CacheErrors > 0 {
 		line += fmt.Sprintf("; cache: %d hits, %d misses, %d errors",
 			s.CacheHits, s.CacheMisses, s.CacheErrors)

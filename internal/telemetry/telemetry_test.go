@@ -166,3 +166,19 @@ func TestProgressString(t *testing.T) {
 		t.Errorf("final heartbeat %q not marked done", p.String())
 	}
 }
+
+// TestSweepStatsShared: runs answered by a sibling are reported apart from
+// simulated ones, in the one-line summary and in the JSON encoding.
+func TestSweepStatsShared(t *testing.T) {
+	st := SweepStats{Workers: 2, Runs: 625, Shared: 239}
+	if s := st.String(); !strings.Contains(s, "625 simulated, 239 shared") {
+		t.Errorf("summary %q does not report simulated and shared runs apart", s)
+	}
+	blob, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), `"shared":239`) {
+		t.Errorf("JSON %s has no shared count", blob)
+	}
+}

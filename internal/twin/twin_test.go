@@ -54,7 +54,9 @@ func TestEstimateBasic(t *testing.T) {
 
 // TestCalibrationMemoized: repeated estimates for one (bench, width) pair
 // calibrate exactly once — one anchor batch total, everything after is
-// closed-form.
+// closed-form. Each anchor is either simulated or answered by a finished
+// sibling anchor (which one depends on scheduling), so the two counters
+// together must account for the batch exactly.
 func TestCalibrationMemoized(t *testing.T) {
 	suite, m := newModel(t)
 	batch := int64(twin.CalibrationRunsPerPair())
@@ -65,8 +67,9 @@ func TestCalibrationMemoized(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if runs := suite.SweepStats().Runs; runs != batch {
-		t.Errorf("5 estimates over one (bench,width) ran %d simulations, want exactly the %d calibration runs", runs, batch)
+	if st := suite.SweepStats(); st.Runs+st.Shared != batch {
+		t.Errorf("5 estimates over one (bench,width) ran %d simulations and shared %d, want exactly the %d calibration runs",
+			st.Runs, st.Shared, batch)
 	}
 	if reqs := m.CalibrationRuns(); reqs != batch {
 		t.Errorf("CalibrationRuns = %d, want %d", reqs, batch)
@@ -90,8 +93,9 @@ func TestCalibrationConcurrent(t *testing.T) {
 		}(i * 8)
 	}
 	wg.Wait()
-	if batch := int64(twin.CalibrationRunsPerPair()); suite.SweepStats().Runs != batch {
-		t.Errorf("concurrent estimates ran %d simulations, want the %d-run calibration batch", suite.SweepStats().Runs, batch)
+	if st, batch := suite.SweepStats(), int64(twin.CalibrationRunsPerPair()); st.Runs+st.Shared != batch {
+		t.Errorf("concurrent estimates ran %d simulations and shared %d, want the %d-run calibration batch",
+			st.Runs, st.Shared, batch)
 	}
 }
 
