@@ -86,17 +86,21 @@ func Fig6(budget int64) func(b *testing.B) {
 	}
 }
 
-// Fig6Cold runs the register-file size sweep with a fresh in-memory
-// checkpoint store each iteration: snapshot capture cost included, and
-// configurations differing only in register count share warm-up prefixes
-// within the sweep. Both this and Fig6 share pressure-free final results
-// between siblings (the suite does that in every sweep), so the delta
-// against Fig6 is what one cold sweep gains (and pays) from milestones.
+// Fig6Cold runs the register-file size sweep over a fresh on-disk
+// checkpoint store each iteration: every simulated run persists its
+// milestone snapshots and none resumes, so the delta against Fig6 is what
+// milestone capture costs a cold sweep. Both this and Fig6 share
+// pressure-free results between siblings (the suite does that in every
+// sweep).
 func Fig6Cold(budget int64) func(b *testing.B) {
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
+			store, err := ckpt.OpenStore(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
 			s := exper.NewSuite(budget)
-			s.Checkpoints = ckpt.NewStore()
+			s.Checkpoints = store
 			if _, err := s.Fig6(); err != nil {
 				b.Fatal(err)
 			}
@@ -104,14 +108,18 @@ func Fig6Cold(budget int64) func(b *testing.B) {
 	}
 }
 
-// Fig6Checkpointed measures the amortised steady state of cross-run sweep
-// reuse: the checkpoint store is populated by one untimed sweep, then each
-// timed iteration regenerates the figure over the warm store — the shape a
-// second `cmd/paper -checkpoint-dir` invocation takes. This is the number
-// the "fast sweep reruns" goal tracks.
+// Fig6Checkpointed measures a repeat sweep over a populated checkpoint
+// store without a result cache: one untimed sweep fills the store, then
+// each timed iteration regenerates the figure on a fresh suite, every
+// simulated run resuming from its milestone at the budget read back from
+// disk — the shape of a second `cmd/paper -no-cache -checkpoint-dir`
+// invocation.
 func Fig6Checkpointed(budget int64) func(b *testing.B) {
 	return func(b *testing.B) {
-		store := ckpt.NewStore()
+		store, err := ckpt.OpenStore(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
 		warm := exper.NewSuite(budget)
 		warm.Checkpoints = store
 		if _, err := warm.Fig6(); err != nil {

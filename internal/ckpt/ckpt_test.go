@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 	"regsim/internal/workload"
 )
 
-func testSnapshot(t testing.TB) (*core.Snapshot, *core.Result) {
+func testSnapshot(t testing.TB) *core.Snapshot {
 	t.Helper()
 	p, err := workload.Build("compress")
 	if err != nil {
@@ -23,115 +24,86 @@ func testSnapshot(t testing.TB) (*core.Snapshot, *core.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(3_000)
-	if err != nil {
+	if _, err := m.Run(3_000); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snap, res
+	return snap
 }
 
 func TestStoreRoundTrip(t *testing.T) {
-	snap, res := testSnapshot(t)
-	meta := ResultMeta{Watermark: [2]int{40, 35}, PressureFree: true, Model: "precise"}
-
-	for _, disk := range []bool{false, true} {
-		name := "memory"
-		if disk {
-			name = "disk"
+	// Only the disk store is left; the subtest keeps the name it had when a
+	// memory store ran beside it.
+	t.Run("disk", func(t *testing.T) {
+		snap := testSnapshot(t)
+		dir := t.TempDir()
+		s, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			var s *Store
-			var err error
-			if disk {
-				s, err = OpenStore(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				s = NewStore()
+		if _, ok := s.Snapshot("k1"); ok {
+			t.Fatal("empty store reported a snapshot hit")
+		}
+		if err := s.PutSnapshot("k1", snap); err != nil {
+			t.Fatal(err)
+		}
+		// A second store over the same directory — another process — sees the
+		// entry, round-tripped through the codec.
+		s2, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range []*Store{s, s2} {
+			got, ok := st.Snapshot("k1")
+			if !ok {
+				t.Fatal("stored snapshot missing")
 			}
-			if _, ok := s.Snapshot("k1"); ok {
-				t.Fatal("empty store reported a snapshot hit")
+			if !reflect.DeepEqual(got, snap) {
+				t.Error("snapshot did not round-trip")
 			}
-			if err := s.PutSnapshot("k1", snap); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.PutResult("k2", res, meta); err != nil {
-				t.Fatal(err)
-			}
-
-			stores := []*Store{s}
-			if disk {
-				// A second store over the same directory must see the
-				// persisted entries (and round-trip them through the codec).
-				s2, err := OpenStore(s.Dir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				stores = append(stores, s2)
-			}
-			for _, st := range stores {
-				got, ok := st.Snapshot("k1")
-				if !ok {
-					t.Fatal("stored snapshot missing")
-				}
-				if !reflect.DeepEqual(got, snap) {
-					t.Error("snapshot did not round-trip")
-				}
-				gotRes, gotMeta, ok := st.Result("k2")
-				if !ok {
-					t.Fatal("stored result missing")
-				}
-				if !reflect.DeepEqual(gotMeta, meta) {
-					t.Errorf("meta round-trip: got %+v, want %+v", gotMeta, meta)
-				}
-				if !reflect.DeepEqual(gotRes, res) {
-					t.Error("result did not round-trip")
-				}
-				// Served results must not alias each other.
-				again, _, _ := st.Result("k2")
-				if again == gotRes {
-					t.Error("Result returned the same pointer twice")
-				}
-			}
-		})
-	}
+		}
+		if st := s.Stats(); st != (Stats{SnapshotHits: 1, SnapshotMisses: 1}) {
+			t.Errorf("stats %+v, want 1 hit and 1 miss", st)
+		}
+		// The store keeps nothing in memory: once the file is gone, so is the
+		// entry.
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Snapshot("k1"); ok {
+			t.Error("entry served after its file was removed: the store holds it in memory")
+		}
+	})
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	snap, res := testSnapshot(t)
-	for _, e := range []*Envelope{
-		{Format: FormatVersion, Version: Version, Kind: KindSnapshot, Key: "a", Snap: snap},
-		{Format: FormatVersion, Version: Version, Kind: KindResult, Key: "b", Result: res,
-			Meta: &ResultMeta{Watermark: [2]int{30, 30}, Model: "imprecise"}},
-	} {
-		data, err := Encode(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := Decode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(back, e) {
-			t.Errorf("%s envelope did not round-trip", e.Kind)
-		}
-		again, err := Encode(back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(again) != string(data) {
-			t.Errorf("re-encoding a decoded %s envelope changed its bytes", e.Kind)
-		}
+	snap := testSnapshot(t)
+	e := &Envelope{Format: FormatVersion, Version: Version, Kind: KindSnapshot, Key: "a", Snap: snap}
+	data, err := Encode(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, e) {
+		t.Error("envelope did not round-trip")
+	}
+	again, err := Encode(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(data) {
+		t.Error("re-encoding a decoded envelope changed its bytes")
 	}
 }
 
 func TestDecodeRejects(t *testing.T) {
-	snap, _ := testSnapshot(t)
+	snap := testSnapshot(t)
 	good, err := Encode(&Envelope{Format: FormatVersion, Version: Version, Kind: KindSnapshot, Key: "a", Snap: snap})
 	if err != nil {
 		t.Fatal(err)
@@ -145,15 +117,16 @@ func TestDecodeRejects(t *testing.T) {
 		w.u8(kind)
 		return w.b
 	}
+	body := good[len(header(Version, "a", wireSnapshot)):]
 	cases := map[string][]byte{
 		"empty":          nil,
 		"json":           []byte(`{"format":1,"version":"` + Version + `","kind":"snapshot","key":"a"}`),
 		"magic only":     []byte(magic),
-		"wrong version":  append(header("ckpt-0", "a", wireSnapshot), good[len(header(Version, "a", wireSnapshot)):]...),
-		"no key":         append(header(Version, "", wireSnapshot), good[len(header(Version, "a", wireSnapshot)):]...),
-		"bad kind":       append(header(Version, "a", 9), good[len(header(Version, "a", wireSnapshot)):]...),
+		"wrong version":  append(header("ckpt-0", "a", wireSnapshot), body...),
+		"no key":         append(header(Version, "", wireSnapshot), body...),
+		"bad kind":       append(header(Version, "a", 9), body...),
+		"result kind":    append(header(Version, "a", 2), body...),
 		"empty body":     header(Version, "a", wireSnapshot),
-		"empty result":   header(Version, "a", wireResult),
 		"truncated":      good[:len(good)/2],
 		"trailing bytes": append(append([]byte(nil), good...), 0),
 	}
@@ -164,6 +137,20 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	if _, err := Decode(good); err != nil {
 		t.Errorf("Decode rejected a valid envelope: %v", err)
+	}
+}
+
+// legacyResultEntry is a finished-result entry (wire kind 2) exactly as the
+// store wrote it before it kept only milestone snapshots: a 1000-commit
+// Result with watermarks [40 35], pressure-free, precise. Such entries
+// remain in older checkpoint directories under the same format revision.
+const legacyResultEntry = "RSCK\x02\x06ckpt-1\x03k-r\x02\xd5\x04{\"Cycles\":800,\"Committed\":1000,\"Issued\":0,\"IssuedLoads\":0,\"IssuedStores\":0,\"IssuedCondBr\":0,\"CommittedLoads\":0,\"CommittedCondBr\":0,\"LoadMisses\":0,\"ForwardedLoads\":0,\"Mispredicts\":0,\"NoFreeRegCycles\":0,\"DispatchRegStalls\":0,\"DispatchQueueFullStalls\":0,\"WriteBufferStalls\":0,\"Halted\":false,\"Checksum\":0,\"Live\":[{\"Cum\":[null,null,null,null]},{\"Cum\":[null,null,null,null]}],\"Ports\":[{\"Reads\":null,\"Writes\":null},{\"Reads\":null,\"Writes\":null}],\"DCache\":{\"LoadAccesses\":0,\"LoadMisses\":0,\"StoreProbes\":0,\"StoreHits\":0,\"FillsStarted\":0,\"FillsMerged\":0,\"FillsDropped\":0},\"ICacheAccesses\":0,\"ICacheMisses\":0}PF\x01\aprecise"
+
+// TestLegacyResultEntryRejected: a result entry left by an older store
+// decodes as an error, so it can never be mistaken for a snapshot.
+func TestLegacyResultEntryRejected(t *testing.T) {
+	if _, err := Decode([]byte(legacyResultEntry)); err == nil {
+		t.Fatal("Decode accepted a result entry (wire kind 2)")
 	}
 }
 

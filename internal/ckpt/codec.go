@@ -17,17 +17,18 @@ import (
 //
 //	"RSCK" | format | version | kind | key | body
 //
-// A snapshot body is the core.Snapshot's fields in declaration order, each
-// component (window, rename, predictor, caches, memory) nested the same way;
-// a result body is the Result followed by its ResultMeta. Encodings by type:
+// The body is the core.Snapshot's fields in declaration order, each
+// component (window, rename, predictor, caches, memory) nested the same way.
+// Encodings by type:
 //
 //   - signed integers: zigzag varints; unsigned: uvarints, except memory
 //     words, which are fixed 8-byte little-endian;
 //   - bool and 8-bit fields: one byte (bools strictly 0 or 1);
 //   - strings and predictor tables: uvarint length, then the bytes;
 //   - slices: uvarint count, then the elements; fixed arrays: the elements;
-//   - core.Result: a length-prefixed JSON blob (small, and its JSON round
-//     trip is already pinned by core's tests).
+//   - core.Result (the snapshot's running statistics): a length-prefixed
+//     JSON blob (small, and its JSON round trip is already pinned by core's
+//     tests).
 //
 // Decoding is total. The reader is sticky — after the first defect every
 // read returns zero and the error is reported once at the end — and every
@@ -37,39 +38,23 @@ import (
 // bytes are a defect. A decoded envelope then passes the full Validate chain.
 const magic = "RSCK"
 
-// Kind bytes on the wire.
-const (
-	wireSnapshot = 1
-	wireResult   = 2
-)
+// wireSnapshot is the snapshot kind byte. Kind byte 2 is retired: it held
+// finished results, which stores of this format revision may still contain,
+// so it must keep decoding as an error rather than be reassigned.
+const wireSnapshot = 1
 
 // Encode serializes an envelope (the inverse of Decode).
 func Encode(e *Envelope) ([]byte, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	size := 2 << 10 // a result entry
-	if e.Kind == KindSnapshot {
-		size = 64 << 10 // tens of KiB for a real machine
-	}
-	w := &writer{b: append(make([]byte, 0, size), magic...)}
+	w := &writer{b: append(make([]byte, 0, 64<<10), magic...)} // tens of KiB for a real machine
 	w.uint(FormatVersion)
 	w.str(e.Version)
 	w.str(e.Key)
-	if e.Kind == KindSnapshot {
-		w.u8(wireSnapshot)
-		if err := w.snapshot(e.Snap); err != nil {
-			return nil, err
-		}
-	} else {
-		w.u8(wireResult)
-		if err := w.result(e.Result); err != nil {
-			return nil, err
-		}
-		w.int(int64(e.Meta.Watermark[0]))
-		w.int(int64(e.Meta.Watermark[1]))
-		w.bool(e.Meta.PressureFree)
-		w.str(e.Meta.Model)
+	w.u8(wireSnapshot)
+	if err := w.snapshot(e.Snap); err != nil {
+		return nil, err
 	}
 	return w.b, nil
 }
@@ -88,14 +73,10 @@ func Decode(data []byte) (*Envelope, error) {
 	if f := r.uint(); r.err == nil && f != FormatVersion {
 		return nil, fmt.Errorf("ckpt: decode: %w: format %d, want %d", rescache.ErrStale, f, FormatVersion)
 	}
-	e := &Envelope{Format: FormatVersion, Version: r.str(), Key: r.str()}
-	switch k := r.u8(); k {
-	case wireSnapshot:
-		e.Kind, e.Snap = KindSnapshot, r.snapshot()
-	case wireResult:
-		e.Kind, e.Result = KindResult, r.result()
-		e.Meta = &ResultMeta{Watermark: [2]int{r.intN(), r.intN()}, PressureFree: r.bool(), Model: r.str()}
-	default:
+	e := &Envelope{Format: FormatVersion, Version: r.str(), Key: r.str(), Kind: KindSnapshot}
+	if k := r.u8(); k == wireSnapshot {
+		e.Snap = r.snapshot()
+	} else {
 		r.fail("unknown kind byte %d", k)
 	}
 	if r.err == nil && len(r.b) != 0 {

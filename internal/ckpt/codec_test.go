@@ -86,42 +86,17 @@ func TestCodecCarriesEveryField(t *testing.T) {
 	if !reflect.DeepEqual(got, &want) {
 		t.Errorf("snapshot did not round-trip:\n got %+v\nwant %+v", got, &want)
 	}
-
-	// Result entries run the full Encode/Decode path: their Validate
-	// accepts any filled result with non-negative watermarks.
-	var res core.Result
-	fill(t, reflect.ValueOf(&res).Elem(), "Result", &n)
-	meta := ResultMeta{Watermark: [2]int{41, 57}, PressureFree: true, Model: "imprecise"}
-	e := &Envelope{Format: FormatVersion, Version: Version, Kind: KindResult, Key: "k", Result: &res, Meta: &meta}
-	data, err := Encode(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, e) {
-		t.Errorf("result envelope did not round-trip:\n got %+v\nwant %+v", back, e)
-	}
 }
 
 // TestDecodeEveryStrictPrefixFails: no truncation of a valid entry decodes.
 func TestDecodeEveryStrictPrefixFails(t *testing.T) {
-	snap, res := testSnapshot(t)
-	for _, e := range []*Envelope{
-		{Format: FormatVersion, Version: Version, Kind: KindSnapshot, Key: "a", Snap: snap},
-		{Format: FormatVersion, Version: Version, Kind: KindResult, Key: "b", Result: res,
-			Meta: &ResultMeta{Watermark: [2]int{30, 31}, Model: "precise"}},
-	} {
-		data, err := Encode(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n := range data {
-			if _, err := Decode(data[:n]); err == nil {
-				t.Fatalf("%s entry: the %d-byte prefix of %d decoded", e.Kind, n, len(data))
-			}
+	data, err := Encode(&Envelope{Format: FormatVersion, Version: Version, Kind: KindSnapshot, Key: "a", Snap: testSnapshot(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := range data {
+		if _, err := Decode(data[:n]); err == nil {
+			t.Fatalf("the %d-byte prefix of %d decoded", n, len(data))
 		}
 	}
 }
@@ -206,12 +181,12 @@ func TestDecodeStaleHeaders(t *testing.T) {
 // binary format holds JSON envelopes under the same paths. Reading one is a
 // miss, not an error, and the entry is removed so the slot heals.
 func TestPlantedJSONEntryIsAStaleMiss(t *testing.T) {
-	snap, res := testSnapshot(t)
+	snap := testSnapshot(t)
 	s, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := rescache.Open(s.Dir())
+	old, err := rescache.Open(s.disk.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,36 +198,25 @@ func TestPlantedJSONEntryIsAStaleMiss(t *testing.T) {
 		Kind    Kind           `json:"kind"`
 		Key     string         `json:"key"`
 		Snap    *core.Snapshot `json:"snap,omitempty"`
-		Result  *core.Result   `json:"result,omitempty"`
-		Meta    *ResultMeta    `json:"meta,omitempty"`
 	}
-	sk, rk := diskKey(KindSnapshot, "k1"), diskKey(KindResult, "k2")
+	sk := diskKey("k1")
 	if err := old.Put(sk, jsonEnvelope{Format: 1, Version: Version, Kind: KindSnapshot, Key: sk, Snap: snap}); err != nil {
-		t.Fatal(err)
-	}
-	if err := old.Put(rk, jsonEnvelope{Format: 1, Version: Version, Kind: KindResult, Key: rk, Result: res,
-		Meta: &ResultMeta{Watermark: [2]int{30, 30}, Model: "precise"}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Snapshot("k1"); ok {
 		t.Error("format-1 JSON snapshot entry served as a hit")
 	}
-	if _, _, ok := s.Result("k2"); ok {
-		t.Error("format-1 JSON result entry served as a hit")
+	if _, err := os.Stat(filepath.Join(s.disk.Dir(), sk[:2], sk+".json")); !os.IsNotExist(err) {
+		t.Errorf("stale entry %s was not removed (stat: %v)", sk, err)
 	}
-	for _, dk := range []string{sk, rk} {
-		if _, err := os.Stat(filepath.Join(s.Dir(), dk[:2], dk+".json")); !os.IsNotExist(err) {
-			t.Errorf("stale entry %s was not removed (stat: %v)", dk, err)
-		}
+	if st := s.disk.Stats(); st.Errors != 0 || st.Misses != 1 {
+		t.Errorf("disk tier stats %+v, want 1 quiet miss", st)
 	}
-	if st := s.disk.Stats(); st.Errors != 0 || st.Misses != 2 {
-		t.Errorf("disk tier stats %+v, want 2 quiet misses", st)
-	}
-	// The slots heal with binary entries.
+	// The slot heals with a binary entry.
 	if err := s.PutSnapshot("k1", snap); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := OpenStore(s.Dir())
+	fresh, err := OpenStore(s.disk.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,17 +228,16 @@ func TestPlantedJSONEntryIsAStaleMiss(t *testing.T) {
 // TestEntryKeyMismatchIsCorrupt: a valid entry under the wrong path (a
 // renamed or mis-copied file) is an error, not a hit.
 func TestEntryKeyMismatchIsCorrupt(t *testing.T) {
-	snap, _ := testSnapshot(t)
 	s, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	data, err := Encode(&Envelope{Format: FormatVersion, Version: Version, Kind: KindSnapshot,
-		Key: diskKey(KindSnapshot, "other"), Snap: snap})
+		Key: diskKey("other"), Snap: testSnapshot(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.disk.PutBytes(diskKey(KindSnapshot, "k"), data); err != nil {
+	if err := s.disk.PutBytes(diskKey("k"), data); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Snapshot("k"); ok {

@@ -10,25 +10,20 @@ import (
 // panic. A hostile or bit-rotted checkpoint file must read as a cache miss,
 // not a crash, because the store heals misses by re-simulating.
 func FuzzCheckpointDecode(f *testing.F) {
-	// Genuine binary entries as the structured seeds, so the engine mutates
-	// from a deep valid snapshot and a valid result entry.
-	snap, res := testSnapshot(f)
-	for _, e := range []*Envelope{
-		{Format: FormatVersion, Version: Version, Kind: KindSnapshot, Key: "seed", Snap: snap},
-		{Format: FormatVersion, Version: Version, Kind: KindResult, Key: "seed", Result: res,
-			Meta: &ResultMeta{Watermark: [2]int{30, 30}, Model: "precise"}},
-	} {
-		good, err := Encode(e)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(good)
+	// A genuine binary entry as the structured seed, so the engine mutates
+	// from a deep valid snapshot.
+	good, err := Encode(&Envelope{Format: FormatVersion, Version: Version, Kind: KindSnapshot, Key: "seed", Snap: testSnapshot(f)})
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(good)
 	f.Add([]byte(magic))
 	f.Add(append([]byte(magic), FormatVersion))
 
-	// Hostile inputs: the format-1 JSON layout a pre-binary store holds,
-	// and plain garbage.
+	// Hostile inputs: a result entry older stores hold under this format
+	// revision, the format-1 JSON layout a pre-binary store holds, and plain
+	// garbage.
+	f.Add([]byte(legacyResultEntry))
 	f.Add([]byte{})
 	f.Add([]byte("{"))
 	f.Add([]byte(`{}`))

@@ -21,9 +21,7 @@ const SnapVersion = "core-snap-1"
 // CfgSnap is the subset of Config that determines simulation behaviour —
 // every field except the hooks (which carry no simulation state) and
 // CheckInvariants (which observes but never perturbs). A snapshot may only
-// resume under a config whose CfgSnap matches the source's, with one
-// sanctioned exception: RegsPerFile may differ when the run so far was
-// register-pressure-free (see Resume).
+// resume under a config whose CfgSnap matches the source's (see Resume).
 type CfgSnap struct {
 	Width              int          `json:"width"`
 	QueueSize          int          `json:"queue"`
@@ -259,17 +257,17 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 }
 
 // RegWatermarks returns both files' rename allocation watermarks (highest
-// physical register ever allocated). The checkpoint layer records them so a
-// pressure-free result or snapshot can be validated against a smaller
-// target file (servable iff target regs ≥ watermark+2).
+// physical register ever allocated). The experiment layer records them so a
+// pressure-free result can answer a smaller target file (servable iff
+// target regs ≥ watermark+2; see internal/exper/siblings.go).
 func (m *Machine) RegWatermarks() [2]int {
 	return [2]int{m.ren.Watermark(isa.IntFile), m.ren.Watermark(isa.FPFile)}
 }
 
 // PressureFreeSoFar reports whether the run has never ticked a register-
-// pressure counter: the precondition for cross-register-size checkpoint
-// sharing (the trajectory so far is provably independent of the file size,
-// for any size ≥ watermark+2).
+// pressure counter: the precondition for sharing its result across
+// register-file sizes (the trajectory so far is provably independent of the
+// file size, for any size ≥ watermark+2).
 func (m *Machine) PressureFreeSoFar() bool {
 	return m.res.NoFreeRegCycles == 0 && m.res.DispatchRegStalls == 0
 }
@@ -367,15 +365,9 @@ func (s *Snapshot) Validate() error {
 }
 
 // Resume rebuilds a machine from a snapshot under cfg, against the same
-// artifact the snapshot was taken from.
-//
-// cfg must match the snapshot's captured configuration in every behaviour-
-// affecting dimension except RegsPerFile. A register-file retarget is
-// accepted only when the snapshot's run was pressure-free so far and the
-// target file clears both watermarks by 2 (see rename.RestoreUnit for the
-// full preservation argument); the resumed run is then bit-identical to a
-// cold run at the target size — including any register pressure the larger
-// window of the future may develop.
+// artifact the snapshot was taken from. cfg must match the snapshot's
+// captured configuration in every behaviour-affecting dimension, register-
+// file size included; the resumed run is then bit-identical to the cold run.
 func Resume(cfg Config, art *prog.Artifact, s *Snapshot) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -392,18 +384,8 @@ func Resume(cfg Config, art *prog.Artifact, s *Snapshot) (*Machine, error) {
 	if s.ProgID != art.ID() {
 		return nil, fmt.Errorf("core: snapshot is for program %.12s…, artifact is %.12s…", s.ProgID, art.ID())
 	}
-	want := s.Cfg
-	want.RegsPerFile = cfg.RegsPerFile
-	if cfgSnapOf(cfg) != want {
-		return nil, fmt.Errorf("core: snapshot configuration differs beyond register-file size")
-	}
-	if cfg.RegsPerFile != s.Cfg.RegsPerFile {
-		if cfg.TrackLiveRegisters {
-			return nil, fmt.Errorf("core: cannot retarget a live-register-tracking run across register-file sizes")
-		}
-		if s.Res.NoFreeRegCycles != 0 || s.Res.DispatchRegStalls != 0 {
-			return nil, fmt.Errorf("core: cannot retarget: source run already saw register pressure")
-		}
+	if cfgSnapOf(cfg) != s.Cfg {
+		return nil, fmt.Errorf("core: snapshot configuration differs from the resuming one")
 	}
 	limits, err := dispatch.LimitsFor(cfg.Width)
 	if err != nil {

@@ -100,82 +100,72 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSnapshotRetargetRegisters: a snapshot taken from a pressure-free run
-// at a large register file must resume bit-identically at smaller files —
-// including files small enough that the run develops pressure after the
-// resume point, which must match the cold run's pressure exactly.
-func TestSnapshotRetargetRegisters(t *testing.T) {
-	const warm, budget = 4_000, 20_000
+// TestPressureFreeRunServesSiblings pins, at the core, the rule the
+// experiment layer's sibling sharing rests on (exper.servableShared): a
+// 256-register run that never saw register pressure, with final watermarks
+// wm, has the same Result as the cold run at every register-file size
+// n ≥ max(wm)+2 under its own exception model, and — for a precise source —
+// under the imprecise model too.
+func TestPressureFreeRunServesSiblings(t *testing.T) {
+	const budget = 20_000
 	art := buildArtifact(t, "compress")
+	run := func(t *testing.T, cfg Config) (*Machine, *Result) {
+		t.Helper()
+		m, err := NewFromArtifact(cfg, art)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run(budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, res
+	}
 	for _, model := range []rename.Model{rename.Precise, rename.Imprecise} {
 		t.Run(model.String(), func(t *testing.T) {
 			srcCfg := DefaultConfig()
 			srcCfg.Model = model
 			srcCfg.RegsPerFile = 256
-
-			src, err := NewFromArtifact(srcCfg, art)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := src.Run(warm); err != nil {
-				t.Fatal(err)
-			}
+			src, srcRes := run(t, srcCfg)
 			if !src.PressureFreeSoFar() {
-				t.Fatalf("256-register warm-up saw register pressure; test premise broken")
+				t.Fatal("256-register run saw register pressure; test premise broken")
 			}
 			wm := src.RegWatermarks()
-			snap, err := src.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
 			minRegs := max(wm[0], wm[1]) + 2
-			if minRegs < rename.MinRegsPerFile {
-				minRegs = rename.MinRegsPerFile
+			targets := []rename.Model{model}
+			if model == rename.Precise {
+				targets = append(targets, rename.Imprecise)
 			}
-			for _, regs := range []int{minRegs, 48, 64, 128} {
-				if regs < minRegs {
+			served := 0
+			// The paper's register-file axis, plus the smallest admitted size.
+			for _, regs := range []int{minRegs, 32, 48, 64, 80, 96, 128, 160, 256} {
+				if regs < minRegs || regs < rename.MinRegsPerFile {
 					continue
 				}
-				cfg := srcCfg
-				cfg.RegsPerFile = regs
-
-				cold, err := NewFromArtifact(cfg, art)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := cold.Run(budget)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resumed, err := Resume(cfg, art, roundTrip(t, snap))
-				if err != nil {
-					t.Fatalf("regs=%d: %v", regs, err)
-				}
-				got, err := resumed.Run(budget)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if g, w := resultJSON(t, got), resultJSON(t, want); g != w {
-					t.Errorf("regs=%d: retargeted resume differs from cold run\ncold:    %s\nresumed: %s", regs, w, g)
+				for _, target := range targets {
+					cfg := srcCfg
+					cfg.RegsPerFile, cfg.Model = regs, target
+					_, want := run(t, cfg)
+					if g, w := resultJSON(t, srcRes), resultJSON(t, want); g != w {
+						t.Errorf("regs=%d %s: the pressure-free source's result differs from the cold run\ncold:   %s\nsource: %s", regs, target, w, g)
+					}
+					served++
 				}
 			}
-			// Below the watermark clearance the retarget must refuse.
-			cfg := srcCfg
-			cfg.RegsPerFile = rename.MinRegsPerFile
-			if minRegs > rename.MinRegsPerFile {
-				if _, err := Resume(cfg, art, snap); err == nil {
-					t.Errorf("retarget to %d registers (watermarks %v) unexpectedly accepted", cfg.RegsPerFile, wm)
-				}
+			if served == 0 {
+				t.Fatalf("no target size clears watermarks %v; the test would pass vacuously", wm)
 			}
 		})
 	}
 }
 
 // TestSnapshotRefusals pins the guard rails: hooked machines cannot
-// snapshot, and resume rejects config drift beyond the register file.
+// snapshot, and resume rejects any config drift, register-file size
+// included.
 func TestSnapshotRefusals(t *testing.T) {
 	art := buildArtifact(t, "compress")
 	cfg := DefaultConfig()
+	cfg.RegsPerFile = 256 // large enough that the warm-up is pressure-free
 	m, err := NewFromArtifact(cfg, art)
 	if err != nil {
 		t.Fatal(err)
@@ -207,11 +197,34 @@ func TestSnapshotRefusals(t *testing.T) {
 		t.Error("Resume accepted a queue-size mismatch")
 	}
 
+	if !m.PressureFreeSoFar() {
+		t.Fatal("warm-up saw register pressure; the size check below needs a pressure-free source")
+	}
+	for _, regs := range []int{cfg.RegsPerFile / 2, cfg.RegsPerFile * 2} {
+		resized := cfg
+		resized.RegsPerFile = regs
+		if _, err := Resume(resized, art, snap); err == nil {
+			t.Errorf("Resume accepted a pressure-free %d-register snapshot at %d registers", cfg.RegsPerFile, regs)
+		}
+	}
+
 	track := cfg
 	track.TrackLiveRegisters = true
-	track.RegsPerFile = 2048
 	if _, err := Resume(track, art, snap); err == nil {
-		t.Error("Resume accepted a cross-size retarget with live tracking enabled")
+		t.Error("Resume accepted a live-register-tracking mismatch")
+	}
+
+	// The never-allocated registers must form the free list's front prefix
+	// in descending order: the sibling rule trusts a resumed run's
+	// watermark because of it.
+	bad := roundTrip(t, snap)
+	fs := &bad.Ren.Files[0]
+	if fs.N-1-int(fs.MaxPhys) < 2 {
+		t.Fatalf("watermark %d leaves no untouched prefix to corrupt", fs.MaxPhys)
+	}
+	fs.FreeList[0], fs.FreeList[1] = fs.FreeList[1], fs.FreeList[0]
+	if _, err := Resume(cfg, art, bad); err == nil {
+		t.Error("Resume accepted a snapshot whose free list breaks the untouched-prefix invariant")
 	}
 
 	other := buildArtifact(t, "tomcatv")

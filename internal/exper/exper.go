@@ -126,14 +126,12 @@ type Suite struct {
 	Heartbeat telemetry.ProgressFunc
 	// HeartbeatEvery is the heartbeat period in cycles (default 1<<20).
 	HeartbeatEvery int64
-	// Checkpoints, when non-nil, enables architectural checkpoint
-	// fast-forwarding: runs capture full-fidelity machine snapshots at a
-	// milestone grid and finished results with sharing metadata, and later
-	// runs resume from the deepest servable entry instead of simulating
-	// the common prefix again. Every served or resumed result is
-	// bit-identical to the cold run's (see internal/exper/checkpoint.go
-	// for the sharing rules and core.Resume for the preservation
-	// argument), which TestCheckpointedGoldens enforces against the
+	// Checkpoints, when non-nil, enables cross-budget fast-forwarding: runs
+	// persist full-fidelity machine snapshots at a milestone grid, and a
+	// later run of the same configuration at any budget resumes from the
+	// deepest one instead of simulating the prefix again (see
+	// internal/exper/checkpoint.go). Every resumed result is bit-identical
+	// to the cold run's, which TestCheckpointedGoldens enforces against the
 	// golden corpus.
 	Checkpoints *ckpt.Store
 	// SampleRate, when in (0, 1), switches non-tracking runs to sampled
@@ -415,9 +413,9 @@ func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 			cfg.Telemetry = telemetry.New()
 		}
 	}
-	// Sibling sharing covers the runs the checkpoint store's shared entries
-	// do: exact (not sampled), untracked and unhooked — so a traced request
-	// still simulates and keeps its core.run accounting.
+	// Sibling sharing covers exact (not sampled), untracked and unhooked
+	// runs — so a traced request still simulates and keeps its core.run
+	// accounting.
 	shareable := !sampled && !spec.Track && unhooked(cfg)
 	if shareable {
 		if res, meta, ok := s.siblings.serve(spec); ok {
@@ -429,7 +427,7 @@ func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 		}
 	}
 	var res *core.Result
-	var meta ckpt.ResultMeta
+	var meta siblingMeta
 	switch {
 	case sampled:
 		res, err = s.runSampled(ctx, spec, art, cfg)

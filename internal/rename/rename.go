@@ -170,8 +170,8 @@ type fileState struct {
 	// the architectural mappings exist). Registers above it are untouched
 	// pool registers, which — because the free list pops from the end and
 	// its untouched tail forms the front prefix [n-1 .. maxPhys+1] — is what
-	// lets a checkpoint taken at one file size be retargeted to another
-	// (see Snapshot/RestoreUnit).
+	// lets a pressure-free run's result answer other file sizes (see
+	// internal/exper/siblings.go).
 	maxPhys Phys
 
 	// waitHead[p] is the head of the intrusive chain of dispatched

@@ -8,7 +8,8 @@ import (
 
 // Watermark returns a file's allocation watermark: the highest physical
 // register number Rename has ever handed out (numRenameable-1 at reset).
-// Checkpoint retargeting keys off it — see RestoreUnit.
+// Sibling sharing across register-file sizes keys off it (see
+// internal/exper/siblings.go).
 func (u *Unit) Watermark(f isa.RegFile) int { return int(u.fs(f).maxPhys) }
 
 // RegSnap is one physical register's serialized lifecycle state. The
@@ -157,23 +158,9 @@ func (s *Snapshot) Validate() error {
 	return nil
 }
 
-// RestoreUnit rebuilds a rename unit from a snapshot, retargeted to
-// regsPerFile physical registers per file. The model must match the
-// snapshot's (cross-model resume is unsound: the freeing disciplines carry
-// different in-flight state).
-//
-// Retargeting argument: the free list is popped only from the end, so the
-// never-allocated registers — exactly those above the watermark — always
-// form the front prefix [n-1 .. maxPhys+1] in descending order, and every
-// live or recycled register is ≤ maxPhys. Replacing that prefix with
-// [regsPerFile-1 .. maxPhys+1] therefore yields precisely the free list a
-// cold run at regsPerFile would hold at the same cycle, provided the prefix
-// trajectory was identical — which the caller guarantees by only resuming
-// across sizes when the snapshot's run was register-pressure-free so far
-// and regsPerFile ≥ watermark+2 (the list can then never have emptied, so
-// no stall or NoFreeRegCycles tick could have diverged the trajectory).
-// Everything after the restore unfolds as the cold run would, including any
-// future register pressure.
+// RestoreUnit rebuilds a rename unit from a snapshot. regsPerFile and model
+// must match the snapshot's: a snapshot resumes only under the
+// configuration it was taken in.
 func RestoreUnit(s *Snapshot, regsPerFile int, model Model) (*Unit, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -187,9 +174,8 @@ func RestoreUnit(s *Snapshot, regsPerFile int, model Model) (*Unit, error) {
 	}
 	for f := range u.files {
 		fsn := &s.Files[f]
-		retarget := regsPerFile != fsn.N
-		if retarget && regsPerFile < int(fsn.MaxPhys)+2 {
-			return nil, fmt.Errorf("rename: cannot retarget file %d snapshot (watermark %d) to %d registers; need ≥ %d", f, fsn.MaxPhys, regsPerFile, int(fsn.MaxPhys)+2)
+		if fsn.N != regsPerFile {
+			return nil, fmt.Errorf("rename: file %d snapshot has %d registers, want %d", f, fsn.N, regsPerFile)
 		}
 		fs := &u.files[f]
 		fs.n = regsPerFile
@@ -209,8 +195,11 @@ func RestoreUnit(s *Snapshot, regsPerFile int, model Model) (*Unit, error) {
 		fs.liveCat = fsn.LiveCat
 		fs.live = fsn.Live
 		fs.maxPhys = fsn.MaxPhys
-		// Free list: untouched prefix resized to the target file, recycled
-		// suffix copied verbatim.
+		// The registers above the watermark were never allocated, so they
+		// must form the free list's front prefix [n-1 .. maxPhys+1] in
+		// descending order. A resumed run's watermark decides which sibling
+		// configurations its result answers (internal/exper/siblings.go rests
+		// on this invariant), so a snapshot that breaks it is refused.
 		prefix := fsn.N - 1 - int(fsn.MaxPhys)
 		if prefix > len(fsn.FreeList) {
 			return nil, fmt.Errorf("rename: file %d free list shorter (%d) than its untouched prefix (%d)", f, len(fsn.FreeList), prefix)
@@ -220,11 +209,7 @@ func RestoreUnit(s *Snapshot, regsPerFile int, model Model) (*Unit, error) {
 				return nil, fmt.Errorf("rename: file %d free-list prefix entry %d is phys %d, want %d", f, p, fsn.FreeList[p], want)
 			}
 		}
-		fs.freeList = make([]Phys, 0, regsPerFile-numRenameable)
-		for p := regsPerFile - 1; p > int(fsn.MaxPhys); p-- {
-			fs.freeList = append(fs.freeList, Phys(p))
-		}
-		fs.freeList = append(fs.freeList, fsn.FreeList[prefix:]...)
+		fs.freeList = append(make([]Phys, 0, regsPerFile-numRenameable), fsn.FreeList...)
 		fs.waitHead = make([]int64, regsPerFile)
 		copy(fs.waitHead, fsn.WaitHead)
 		for p := int(fsn.MaxPhys) + 1; p < regsPerFile; p++ {

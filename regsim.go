@@ -375,19 +375,15 @@ func VerifyCheckpoint(cfg Config, p *Program, budget, warm int64) error {
 	return verify.CheckpointRoundTrip(cfg, p, budget, warm)
 }
 
-// CheckpointStore holds architectural checkpoints (mid-run machine
-// snapshots and finished results) shared across the runs of a sweep, so
-// configurations differing only in late-binding dimensions fast-forward
-// over a common warm-up prefix instead of re-simulating it. Attach one to
-// Suite.Checkpoints; results are bit-identical with or without it.
+// CheckpointStore persists architectural checkpoints (mid-run machine
+// snapshots at milestone commit counts) under a directory, so a later run of
+// the same configuration at another budget fast-forwards over the prefix
+// instead of re-simulating it. Attach one to Suite.Checkpoints; results are
+// bit-identical with or without it.
 type CheckpointStore = ckpt.Store
 
-// NewCheckpointStore returns a memory-only checkpoint store (checkpoints
-// live for the process; nothing is persisted).
-func NewCheckpointStore() *CheckpointStore { return ckpt.NewStore() }
-
 // OpenCheckpointStore opens (creating if needed) a checkpoint store backed
-// by dir, so warm-up fast-forwarding also works across processes.
+// by dir.
 func OpenCheckpointStore(dir string) (*CheckpointStore, error) { return ckpt.OpenStore(dir) }
 
 // VerifyMismatchError reports which architectural field diverged from the
