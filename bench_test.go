@@ -74,12 +74,13 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) { benchrun.Fig6(benchBudget)(b) }
 
 // BenchmarkFig6Cold is the same sweep under a fresh on-disk checkpoint store
-// each iteration: milestone capture cost included.
+// each iteration: snapshot capture cost included.
 func BenchmarkFig6Cold(b *testing.B) { benchrun.Fig6Cold(benchBudget)(b) }
 
 // BenchmarkFig6Checkpointed regenerates the sweep over a pre-populated
-// on-disk checkpoint store, every run resuming at its budget milestone — the
-// rerun cost of a checkpointed sweep without a result cache.
+// on-disk checkpoint store, every run resuming one commit bundle short of
+// its budget — the rerun cost of a checkpointed sweep without a result
+// cache.
 func BenchmarkFig6Checkpointed(b *testing.B) { benchrun.Fig6Checkpointed(benchBudget)(b) }
 
 // BenchmarkFig7 regenerates the cache-organisation comparison (864 runs,

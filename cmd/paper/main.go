@@ -22,9 +22,10 @@
 // sample) are simulated exactly. The band must lie in (0, 1).
 //
 // -checkpoint-dir attaches the architectural checkpoint store (shared with
-// cmd/regsim): sweeps persist mid-run machine snapshots at milestone commit
-// counts, and a later sweep at another budget fast-forwards each
-// configuration from its own deepest milestone, with bit-identical output.
+// cmd/regsim): each configuration keeps one mid-run machine snapshot, the
+// deepest a run of it stored, and a later sweep at the same or a larger
+// budget fast-forwards each configuration from it, with bit-identical
+// output. A sweep at a smaller budget simulates in full.
 //
 // -sample <rate in (0,1)> switches sweeps to sampled simulation: each run
 // simulates only that fraction of its budget and extrapolates the rest with
@@ -74,7 +75,7 @@ func main() {
 	pruneDefaults := exper.DefaultPruneOptions(nil)
 	estimate := flag.Bool("estimate", false, "fig10 only: twin-guided pruned sweep (simulate just the predicted-competitive band)")
 	pruneBand := flag.Float64("prune-band", pruneDefaults.Band, "with -estimate: keep points predicted within this fraction of each curve's peak, in (0, 1)")
-	ckptDir := flag.String("checkpoint-dir", "", "architectural checkpoint directory shared with cmd/regsim: persist milestone snapshots and fast-forward each configuration from another budget's milestones, bit-identically (empty disables checkpointing)")
+	ckptDir := flag.String("checkpoint-dir", "", "architectural checkpoint directory shared with cmd/regsim: keep each configuration's deepest machine snapshot and fast-forward runs at the same or a larger budget from it, bit-identically (empty disables checkpointing)")
 	sample := flag.Float64("sample", 0, "sampled simulation: each run simulates this fraction of its budget, in (0,1), and extrapolates the rest (figures become estimates; 0 disables)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: paper [-n budget] [-jobs N] [-cache-dir dir] [-checkpoint-dir dir] [-sample rate] [-v] [-progress] [-estimate [-prune-band f]] table1|fig3|fig4|fig5|fig6|fig7|fig8|fig10|findings|regreq|ports|ablations|all\n")

@@ -27,10 +27,10 @@
 // a non-registry program (asm:/random:) always simulate.
 //
 // -checkpoint-dir attaches the architectural checkpoint store (also shared
-// with cmd/paper): the run persists mid-run machine snapshots at milestone
-// commit counts and fast-forwards from the deepest milestone a previous run
-// of the same configuration left behind, at any budget, with bit-identical
-// results. -sample <rate in (0,1)>
+// with cmd/paper): the run fast-forwards from the machine snapshot a
+// previous run of the same configuration left behind, when that run's
+// budget was no larger, and stores its own state if it went deeper, with
+// bit-identical results. -sample <rate in (0,1)>
 // switches to sampled simulation: only that fraction of the budget is
 // simulated and the rest is extrapolated, so the printed statistics are
 // estimates (see DESIGN.md §14 for the error bounds) and never enter the
@@ -77,7 +77,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file when the run finishes")
 	cacheDir := flag.String("cache-dir", "", "persistent result-cache directory shared with cmd/paper (empty disables caching)")
 	noCache := flag.Bool("no-cache", false, "bypass the persistent result cache")
-	ckptDir := flag.String("checkpoint-dir", "", "architectural checkpoint directory shared with cmd/paper: persist milestone snapshots and fast-forward the same configuration from another budget's milestones, bit-identically (empty disables checkpointing)")
+	ckptDir := flag.String("checkpoint-dir", "", "architectural checkpoint directory shared with cmd/paper: keep the configuration's deepest machine snapshot and fast-forward a run at the same or a larger budget from it, bit-identically (empty disables checkpointing)")
 	sample := flag.Float64("sample", 0, "sampled simulation: simulate this fraction of the budget, in (0,1), and extrapolate the rest (statistics become estimates; 0 disables)")
 	verifyRun := flag.Bool("verify", false, "after the run, check the configuration against the functional reference interpreter (differential oracle + runtime invariant checker) and the checkpoint round-trip leg; roughly quadruples runtime")
 	flag.Parse()

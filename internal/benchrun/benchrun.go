@@ -87,9 +87,9 @@ func Fig6(budget int64) func(b *testing.B) {
 }
 
 // Fig6Cold runs the register-file size sweep over a fresh on-disk
-// checkpoint store each iteration: every simulated run persists its
-// milestone snapshots and none resumes, so the delta against Fig6 is what
-// milestone capture costs a cold sweep. Both this and Fig6 share
+// checkpoint store each iteration: every simulated run stores one snapshot
+// of its configuration and none resumes, so the delta against Fig6 is what
+// snapshot capture costs a cold sweep. Both this and Fig6 share
 // pressure-free results between siblings (the suite does that in every
 // sweep).
 func Fig6Cold(budget int64) func(b *testing.B) {
@@ -111,9 +111,9 @@ func Fig6Cold(budget int64) func(b *testing.B) {
 // Fig6Checkpointed measures a repeat sweep over a populated checkpoint
 // store without a result cache: one untimed sweep fills the store, then
 // each timed iteration regenerates the figure on a fresh suite, every
-// simulated run resuming from its milestone at the budget read back from
-// disk — the shape of a second `cmd/paper -no-cache -checkpoint-dir`
-// invocation.
+// simulated run resuming from its configuration's snapshot, read back from
+// disk one commit bundle short of the budget — the shape of a second
+// `cmd/paper -no-cache -checkpoint-dir` invocation.
 func Fig6Checkpointed(budget int64) func(b *testing.B) {
 	return func(b *testing.B) {
 		store, err := ckpt.OpenStore(b.TempDir())

@@ -1,8 +1,7 @@
 // Package ckpt is the checkpoint store behind cross-budget fast-forwarding:
-// it persists full-fidelity machine snapshots taken at milestone commit
-// counts under a directory, so a later run of the same configuration — at
-// any budget, in any process — resumes from the deepest milestone instead of
-// simulating the prefix again.
+// it persists full-fidelity machine snapshots under a directory, one per
+// key, so a later run of the same configuration — in any process — resumes
+// from a stored state instead of simulating the prefix again.
 //
 // The store is deliberately dumb: keys are opaque strings the experiment
 // layer derives from config fingerprints, and the store never inspects what
@@ -37,7 +36,7 @@ const FormatVersion = 2
 // Kind names an entry type on the wire.
 type Kind string
 
-// KindSnapshot entries carry a machine snapshot (a resumable milestone).
+// KindSnapshot entries carry a machine snapshot (a resumable state).
 // It is the only kind the store reads or writes.
 const KindSnapshot Kind = "snapshot"
 
@@ -71,7 +70,7 @@ func (e *Envelope) Validate() error {
 	return e.Snap.Validate()
 }
 
-// Store persists milestone snapshots under a directory, sharing rescache's
+// Store persists machine snapshots under a directory, sharing rescache's
 // durability properties (atomic writes, corruption-tolerant reads,
 // multi-process safe). All methods are safe for concurrent use.
 type Store struct {
@@ -143,12 +142,10 @@ func (s *Store) Stats() Stats {
 	return Stats{SnapshotHits: s.snapHits.Load(), SnapshotMisses: s.snapMisses.Load()}
 }
 
-// Milestones returns the snapshot-capture grid for a commit budget: powers
-// of two from 1024 up to (exclusive) the budget, then the budget itself.
-// The final milestone — the completed run's state — is what lets a larger-
-// budget run resume where a smaller one finished, since milestone keys are
-// budget-independent (a run's trajectory does not depend on where it will
-// be told to stop).
+// Milestones returns a commit grid for a budget: powers of two from 1024 up
+// to (exclusive) the budget, then the budget itself. The store and the
+// experiment layer do not use it; the benchmark harness (regbench) probes
+// snapshot and resume cost on this grid.
 func Milestones(budget int64) []int64 {
 	var ms []int64
 	for mi := int64(1024); mi < budget; mi <<= 1 {

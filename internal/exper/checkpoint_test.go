@@ -42,14 +42,34 @@ func openStore(t *testing.T) *ckpt.Store {
 	return store
 }
 
+// resumeDepth parses a checkpoint progress line, "ckpt <bench> regs=<n>
+// <model>: resumed at <N> commits", into its spec ("regs=<n> <model>") and
+// the commit count N it resumed at.
+func resumeDepth(line string) (spec string, n int64, ok bool) {
+	f := strings.Fields(line)
+	if len(f) != 8 || f[0] != "ckpt" || f[4] != "resumed" {
+		return "", 0, false
+	}
+	if _, err := fmt.Sscanf(f[6], "%d", &n); err != nil {
+		return "", 0, false
+	}
+	return f[2] + " " + strings.TrimSuffix(f[3], ":"), n, true
+}
+
+// shortOf reports whether n lies within one commit bundle short of budget,
+// (budget-2·width, budget]: where a run at that budget stores its state.
+func shortOf(n, budget int64, width int) bool {
+	return n > budget-2*int64(width) && n <= budget
+}
+
 // TestCheckpointedGoldens is the byte-identity contract of checkpoint
 // fast-forwarding: the full golden cross-product, run through a suite over
 // an on-disk checkpoint store, must reproduce the committed golden
-// fingerprints exactly — whether results come from cold runs that persist
-// their milestones, then from a same-budget repeat that resumes each of
-// them at the budget itself (pass one), from fast-forwarding over another
-// budget's milestones (pass two), or from a store reopened over the same
-// directory, as a later process sees it (pass three).
+// fingerprints exactly — whether results come from cold runs that store
+// their state, then from a same-budget repeat that resumes each of them one
+// commit bundle short of the budget (pass one), from fast-forwarding over
+// another budget's states (pass two), or from a store reopened over the
+// same directory, as a later process sees it (pass three).
 func TestCheckpointedGoldens(t *testing.T) {
 	want := readGoldens(t)
 	specs := goldenSpecs()
@@ -85,32 +105,36 @@ func TestCheckpointedGoldens(t *testing.T) {
 		s.Checkpoints = store
 		check(t, s, specs)
 		// The repeat has neither a result cache nor the first suite's memo:
-		// every spec it simulates resumes from its milestone at the budget.
+		// every spec it simulates resumes from its stored state, which lies
+		// one commit bundle (at most 2×8 commits) short of the budget.
 		again := NewSuite(goldenBudget)
 		again.Checkpoints = store
 		var resumed int64
 		again.Progress = func(line string) {
-			if strings.HasSuffix(line, fmt.Sprintf("resumed at %d commits", goldenBudget)) {
+			if _, n, ok := resumeDepth(line); ok {
 				resumed++
+				if !shortOf(n, goldenBudget, 8) {
+					t.Errorf("same-budget repeat resumed at %d commits, want (%d, %d]: %s", n, goldenBudget-16, goldenBudget, line)
+				}
 			}
 		}
 		check(t, again, specs)
 		if runs := again.SweepStats().Runs; runs == 0 || resumed != runs {
-			t.Errorf("same-budget repeat resumed %d of its %d simulated specs at the budget", resumed, runs)
+			t.Errorf("same-budget repeat resumed %d of its %d simulated specs", resumed, runs)
 		}
 	})
 
 	t.Run("resume", func(t *testing.T) {
 		// Populate the store at half the budget, then run the goldens: every
-		// spec fast-forwards over the half-budget run's milestones and
-		// simulates only the rest.
+		// spec fast-forwards over the half-budget run's state and simulates
+		// only the rest.
 		store := openStore(t)
 		populate(t, store, goldenBudget/2, specs)
 		s := NewSuite(goldenBudget)
 		s.Checkpoints = store
 		check(t, s, specs)
 		if st := store.Stats(); st.SnapshotHits == 0 {
-			t.Error("resume pass never hit a milestone snapshot")
+			t.Error("resume pass never hit a stored snapshot")
 		}
 	})
 
@@ -148,25 +172,31 @@ func TestCheckpointedGoldens(t *testing.T) {
 	})
 }
 
-// TestCheckpointSharing pins the sharing a register-file sweep under a
-// checkpoint store still gets: within the sweep, finished pressure-free runs
-// answer their siblings; across budgets, a second suite over the same
-// directory resumes every spec the first one simulated from that spec's own
-// milestones. The second suite may answer some of those from a sibling
-// instead; a spec the first one shared left no milestones, so the second
-// starts it cold if it simulates it.
+// TestCheckpointSharing pins what a register-file sweep under a checkpoint
+// store shares, and the store's one-entry-per-configuration contract.
+// Within a sweep, finished pressure-free runs answer their siblings. Across
+// budgets, each configuration keeps only the deepest state any run of it
+// stored:
+//   - at 2B, every spec also simulated at B resumes one commit bundle short
+//     of B, and none the B sweep shared resumes;
+//   - a later sweep at B resumes nothing (every stored state lies past its
+//     stop), matches a storeless sweep byte for byte, and leaves the deeper
+//     states in place, so another sweep at 2B resumes short of 2B;
+//   - the directory holds one entry per configuration ever simulated.
 func TestCheckpointSharing(t *testing.T) {
-	const budget = 4_096
+	const budget, width = 4_096, 4
 	var specs []Spec
 	for _, regs := range RegSizes {
 		for _, model := range []rename.Model{rename.Precise, rename.Imprecise} {
-			specs = append(specs, Spec{Bench: "compress", Width: 4, Queue: 32, Regs: regs, Model: model, Cache: cache.LockupFree})
+			specs = append(specs, Spec{Bench: "compress", Width: width, Queue: 32, Regs: regs, Model: model, Cache: cache.LockupFree})
 		}
 	}
 	dir := t.TempDir()
+	simulated := make(map[string]bool) // over every sweep
 	// sweep runs specs at the given budget through a suite over dir, and
-	// returns it with the specs ("regs=N model") it simulated and resumed.
-	sweep := func(budget int64) (s *Suite, ran, resumed map[string]bool) {
+	// returns it with its results, the specs ("regs=N model") it simulated,
+	// and the commit count each resumed spec resumed at.
+	sweep := func(budget int64) (s *Suite, results []*core.Result, ran map[string]bool, resumed map[string]int64) {
 		store, err := ckpt.OpenStore(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -174,76 +204,123 @@ func TestCheckpointSharing(t *testing.T) {
 		s = NewSuite(budget)
 		s.Jobs = 1 // trunk-first in a fixed order: the shared set is deterministic
 		s.Checkpoints = store
-		ran, resumed = make(map[string]bool), make(map[string]bool)
+		ran, resumed = make(map[string]bool), make(map[string]int64)
 		s.Progress = func(line string) {
-			f := strings.Fields(line)
-			switch {
-			case f[0] == "ran":
+			if f := strings.Fields(line); f[0] == "ran" {
 				ran[f[4]+" "+strings.Split(f[5], "/")[0]] = true
-			case f[0] == "ckpt" && strings.Contains(line, "resumed at"):
-				resumed[f[2]+" "+strings.TrimSuffix(f[3], ":")] = true
+			} else if spec, n, ok := resumeDepth(line); ok {
+				resumed[spec] = n
 			}
 		}
-		if _, err := s.RunAll(context.Background(), specs); err != nil {
+		results, err = s.RunAll(context.Background(), specs)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return s, ran, resumed
+		for spec := range ran {
+			simulated[spec] = true
+		}
+		return s, results, ran, resumed
 	}
 
-	first, ran1, _ := sweep(budget)
+	first, _, ran1, _ := sweep(budget)
 	if st := first.SweepStats(); st.Shared == 0 || st.Runs >= int64(len(specs)) {
 		t.Errorf("sweep simulated %d and shared %d of %d specs; sibling sharing saved nothing", st.Runs, st.Shared, len(specs))
 	}
-	_, ran2, resumed := sweep(2 * budget)
+	_, _, ran2, resumed := sweep(2 * budget)
 	both := 0
 	for spec := range ran2 {
+		n, ok := resumed[spec]
 		switch {
 		case ran1[spec]:
 			both++
-			if !resumed[spec] {
-				t.Errorf("%s: simulated at budget %d, but not resumed at budget %d", spec, budget, 2*budget)
+			if !ok || !shortOf(n, budget, width) {
+				t.Errorf("%s: simulated at budget %d, but at budget %d resumed at %d commits (resumed=%v), want (%d, %d]",
+					spec, budget, 2*budget, n, ok, budget-2*width, budget)
 			}
-		case resumed[spec]:
+		case ok:
 			t.Errorf("%s: shared at budget %d, yet resumed at budget %d", spec, budget, 2*budget)
 		}
 	}
 	if both == 0 {
 		t.Error("no spec simulated at both budgets; the resume check would pass vacuously")
 	}
-	// The store writes milestone snapshots ("-s" entries) and nothing else.
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && !strings.HasSuffix(path, "-s.json") {
-			t.Errorf("checkpoint dir holds %s, which is not a milestone snapshot", path)
+
+	// Back down to B: every stored state lies past this budget's stop.
+	_, results, ran3, resumed := sweep(budget)
+	if len(ran3) == 0 {
+		t.Error("the sweep back at the smaller budget simulated nothing; its checks would pass vacuously")
+	}
+	for spec, n := range resumed {
+		t.Errorf("%s: resumed at %d commits in a sweep at budget %d, past the cold run's stop", spec, n, budget)
+	}
+	plain, err := NewSuite(budget).RunAll(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range specs {
+		got, _ := json.Marshal(results[i])
+		want, _ := json.Marshal(plain[i])
+		if string(got) != string(want) {
+			t.Errorf("%s: result over the deeper store differs from a storeless run", goldenKey(spec))
+		}
+	}
+
+	// That sweep stored nothing shallower: back at 2B, every simulated spec
+	// resumes one bundle short of 2B.
+	_, _, ran4, resumed := sweep(2 * budget)
+	for spec := range ran4 {
+		if n, ok := resumed[spec]; !ok || !shortOf(n, 2*budget, width) {
+			t.Errorf("%s: at budget %d again, resumed at %d commits (resumed=%v), want (%d, %d]",
+				spec, 2*budget, n, ok, 2*budget-2*width, 2*budget)
+		}
+	}
+
+	// One snapshot ("-s" entry) per configuration simulated, nothing else.
+	entries := 0
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil || d.IsDir():
+		case strings.HasSuffix(path, "-s.json"):
+			entries++
+		default:
+			t.Errorf("checkpoint dir holds %s, which is not a snapshot entry", path)
 		}
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if entries != len(simulated) {
+		t.Errorf("checkpoint dir holds %d snapshot entries for %d configurations simulated", entries, len(simulated))
+	}
 }
 
-// TestMilestoneKeyPinned pins exact-milestone keys to the values earlier
-// builds derived: a change to the key material orphans every existing
-// checkpoint directory, so it may only come with a version bump, which
-// changes these pins on purpose.
-func TestMilestoneKeyPinned(t *testing.T) {
+// TestConfigKeyPinned pins per-configuration checkpoint keys: a change to
+// the key material orphans every existing checkpoint directory, so it may
+// only come with a version bump, which changes these pins on purpose. The
+// budget is not part of the key.
+func TestConfigKeyPinned(t *testing.T) {
 	art, err := NewSuite(1).artifact("compress")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
 		spec Spec
-		mi   int64
 		want string
 	}{
 		{Spec{Bench: "compress", Width: 4, Queue: 32, Regs: 64, Model: rename.Imprecise, Cache: cache.LockupFree, Budget: 50_000},
-			32_768, "478078680446cb5b242b045e9a95a4cf9026571b5e77ff52814be9809b24edd7"},
+			"5ac47c41e732347a95f46d6cd2102a06ea614e5ff896cd4460667950ffe114a6"},
 		{Spec{Bench: "compress", Width: 4, Queue: 32, Regs: MeasureRegs, Model: rename.Precise, Cache: cache.LockupFree, Track: true, Budget: 50_000},
-			1_024, "2290760769cafc20ed603238733062e1cc0936b2c250e8cbbef5dacf3cfa78b1"},
+			"9be05a6c53ba2b4913a902afb17f9abe924e7b7413ae3ef7ed459a124cc92d3f"},
 	}
 	for _, c := range cases {
-		if got := milestoneExactKey(c.spec, art, c.mi); got != c.want {
-			t.Errorf("%s at %d: key %s, want %s", goldenKey(c.spec), c.mi, got, c.want)
+		got := configKey(c.spec, art)
+		if got != c.want {
+			t.Errorf("%s: key %s, want %s", goldenKey(c.spec), got, c.want)
+		}
+		c.spec.Budget *= 2
+		if again := configKey(c.spec, art); again != got {
+			t.Errorf("%s: key depends on the budget", goldenKey(c.spec))
 		}
 	}
 }

@@ -126,10 +126,10 @@ type Suite struct {
 	Heartbeat telemetry.ProgressFunc
 	// HeartbeatEvery is the heartbeat period in cycles (default 1<<20).
 	HeartbeatEvery int64
-	// Checkpoints, when non-nil, enables cross-budget fast-forwarding: runs
-	// persist full-fidelity machine snapshots at a milestone grid, and a
-	// later run of the same configuration at any budget resumes from the
-	// deepest one instead of simulating the prefix again (see
+	// Checkpoints, when non-nil, enables cross-budget fast-forwarding: each
+	// configuration keeps one full-fidelity machine snapshot, the deepest a
+	// run of it stored, and a later run at the same or a larger budget
+	// resumes from it instead of simulating the prefix again (see
 	// internal/exper/checkpoint.go). Every resumed result is bit-identical
 	// to the cold run's, which TestCheckpointedGoldens enforces against the
 	// golden corpus.

@@ -375,11 +375,11 @@ func VerifyCheckpoint(cfg Config, p *Program, budget, warm int64) error {
 	return verify.CheckpointRoundTrip(cfg, p, budget, warm)
 }
 
-// CheckpointStore persists architectural checkpoints (mid-run machine
-// snapshots at milestone commit counts) under a directory, so a later run of
-// the same configuration at another budget fast-forwards over the prefix
-// instead of re-simulating it. Attach one to Suite.Checkpoints; results are
-// bit-identical with or without it.
+// CheckpointStore persists architectural checkpoints (one mid-run machine
+// snapshot per configuration, the deepest a run stored) under a directory,
+// so a later run of the same configuration at the same or a larger budget
+// fast-forwards over the prefix instead of re-simulating it. Attach one to
+// Suite.Checkpoints; results are bit-identical with or without it.
 type CheckpointStore = ckpt.Store
 
 // OpenCheckpointStore opens (creating if needed) a checkpoint store backed
