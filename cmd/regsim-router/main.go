@@ -1,10 +1,12 @@
 // Command regsim-router fronts a pool of regsimd workers with cache-affinity
-// routing: each simulation spec is fingerprinted (the same SHA-256 the
-// persistent result cache keys entries by) and rendezvous-hashed onto a
+// routing: each simulation spec's sibling group (the spec without its
+// register-file size and exception model) is fingerprinted the way the
+// persistent result cache keys entries and rendezvous-hashed onto a
 // preferred worker, so repeated traffic for a configuration lands where its
 // result is already memoized — a cluster of small caches behaving like one
-// big one. Sweeps are sharded per spec across the pool and merged back in
-// request order.
+// big one — and a group's siblings land where its pressure-free trunk can
+// answer them. Sweeps are sharded by preferred worker across the pool and
+// merged back in request order.
 //
 // Usage:
 //
@@ -48,7 +50,7 @@ func main() {
 	addr := flag.String("addr", ":8266", "listen address")
 	workers := flag.String("workers", "", "comma-separated worker base URLs (e.g. http://host1:8265,http://host2:8265)")
 	allowRegister := flag.Bool("allow-register", false, "accept POST /v1/cluster/register so workers can join at runtime")
-	policy := flag.String("policy", string(cluster.PolicyAffinity), "routing policy: affinity (rendezvous-hash on the spec fingerprint) or roundrobin")
+	policy := flag.String("policy", string(cluster.PolicyAffinity), "routing policy: affinity (rendezvous-hash on the spec's sibling-group fingerprint) or roundrobin")
 	budget := flag.Int64("n", 200_000, "default committed-instruction budget for specs that omit one; must match the workers' -n or routing keys diverge from cache keys")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "health/load probe period (negative disables probing)")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe deadline")

@@ -4,13 +4,16 @@
 // retry-with-reroute failover.
 //
 // The core mechanism is rendezvous (highest-random-weight) hashing over the
-// same SHA-256 spec fingerprint the persistent result cache keys entries by
-// (internal/sweep/rescache via exper.Fingerprint): every spec has one
-// preferred worker, so repeated traffic for a configuration concentrates on
-// the node whose in-memory memo and on-disk cache already hold its result —
-// the warm-hit concentration that makes a cluster of small caches behave
-// like one big one. Adding or removing a worker moves only the ~1/n of
-// fingerprints that mapped to it; everything else keeps its warm node.
+// SHA-256 fingerprint of each spec's sibling group (exper.Fingerprint of
+// exper.SiblingGroup: the spec without its register-file size and exception
+// model, fingerprinted the way the persistent result cache keys entries):
+// every spec has one preferred worker, so repeated traffic for a
+// configuration concentrates on the node whose in-memory memo and on-disk
+// cache already hold its result — the warm-hit concentration that makes a
+// cluster of small caches behave like one big one — and a group's siblings
+// meet the pressure-free trunk whose result can answer them. Adding or
+// removing a worker moves only the ~1/n of keys that mapped to it;
+// everything else keeps its warm node.
 //
 // Around that affinity core the router is failure-shaped:
 //
@@ -25,9 +28,9 @@
 //     regrouped onto the surviving preference order and re-sent, so an
 //     in-flight sweep completes with results byte-identical to a
 //     single-node run;
-//   - per-spec sweep sharding: POST /v1/sweep splits its matrix by each
-//     spec's preferred worker, runs the shards concurrently, and merges
-//     results back into request order.
+//   - per-group sweep sharding: POST /v1/sweep splits its matrix by each
+//     spec's preferred worker (so a sibling group stays in one shard), runs
+//     the shards concurrently, and merges results back into request order.
 //
 // The router serves the same wire surface as a worker (simulate, sweep,
 // estimate, workloads, timing, healthz, metrics), so regsim.Client points at either
@@ -58,7 +61,7 @@ type Policy string
 
 const (
 	// PolicyAffinity routes each spec to the rendezvous-hash preference
-	// order of its fingerprint.
+	// order of its sibling group's fingerprint.
 	PolicyAffinity Policy = "affinity"
 	// PolicyRoundRobin rotates through the pool per request, ignoring
 	// fingerprints (cache hits then depend on luck, which is the point of
@@ -92,8 +95,8 @@ type Config struct {
 
 	// DefaultBudget fills a request spec's omitted commit budget before
 	// fingerprinting, and must match the workers' -n so the router's
-	// routing key equals the workers' cache key (default 200,000 — the
-	// regsimd default). A mismatch only de-concentrates caches; results
+	// routing key derives from the spec the workers' cache key does
+	// (default 200,000 — the regsimd default). A mismatch only de-concentrates caches; results
 	// stay correct because workers fill their own defaults.
 	DefaultBudget int64
 	// MaxSweepSpecs bounds one sweep request's matrix at the router

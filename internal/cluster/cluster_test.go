@@ -12,8 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"regsim/internal/cache"
 	"regsim/internal/exper"
+	"regsim/internal/rename"
 	"regsim/internal/server"
+	"regsim/internal/workload"
 )
 
 // testBudget keeps cluster-level simulations fast; routing behaviour is
@@ -72,14 +75,30 @@ func newTestRouter(t *testing.T, workers []string, mutate func(*Config)) (*Route
 	return rt, ts
 }
 
-// regsFamily returns n valid distinct specs (regs varies, bench fixed) for
-// routing tests that need a spread of fingerprints.
-func regsFamily(n int) []exper.Spec {
+// specFamily returns n (at most 108) valid specs in n distinct sibling
+// groups, for routing tests that need a spread of routing keys. The router
+// keys a spec by its sibling group, so the family varies bench × width ×
+// queue: a family varying only the register file would be one group, routed
+// to one worker.
+func specFamily(n int) []exper.Spec {
+	benches := workload.Names()
+	nb, nw := len(benches), len(exper.Widths)
 	specs := make([]exper.Spec, n)
 	for i := range specs {
-		specs[i] = exper.Spec{Bench: "compress", Regs: 40 + 8*i}
+		specs[i] = exper.Spec{
+			Bench: benches[i%nb],
+			Width: exper.Widths[i/nb%nw],
+			Queue: exper.QueueSizes[i/(nb*nw)%len(exper.QueueSizes)],
+		}
 	}
 	return specs
+}
+
+// executed is how many specs a worker's suite answered by running its
+// simulate path: simulated, or served by a finished sibling.
+func executed(w *testWorker) int64 {
+	st := w.srv.Suite().SweepStats()
+	return st.Runs + st.Shared
 }
 
 // specsPreferring partitions a candidate spec family by which worker heads
@@ -167,6 +186,57 @@ func TestAffinityRoutesRepeatsToOneWorker(t *testing.T) {
 	}
 }
 
+// TestSiblingGroupRouting: the routing key is the spec's sibling group, so
+// every spec of a group — any register-file size, either exception model —
+// ranks the same worker first, where the group's pressure-free trunk can
+// answer the rest. Groups still spread: Fig. 7's 864 specs form 54 groups,
+// and both workers of a two-worker pool own some of them.
+func TestSiblingGroupRouting(t *testing.T) {
+	rt, err := New(Config{
+		Workers:       []string{"http://worker-a:8265", "http://worker-b:8265"},
+		DefaultBudget: testBudget,
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	home := make(map[exper.Spec]string)
+	owned := make(map[string]int)
+	specs := 0
+	for _, bench := range workload.Names() {
+		for _, width := range exper.Widths {
+			for _, kind := range []cache.Kind{cache.Perfect, cache.LockupFree, cache.Lockup} {
+				for _, regs := range exper.RegSizes {
+					for _, model := range []rename.Model{rename.Precise, rename.Imprecise} {
+						specs++
+						spec, key := rt.finishSpec(exper.Spec{
+							Bench: bench, Width: width, Queue: exper.CostEffectiveQueue(width),
+							Regs: regs, Model: model, Cache: kind,
+						})
+						head := rankByHRW(rt.pool.workers(), key)[0].name
+						group := exper.SiblingGroup(spec)
+						prev, seen := home[group]
+						if !seen {
+							home[group] = head
+							owned[head]++
+						} else if prev != head {
+							t.Fatalf("%+v ranks %s first, its group %s", spec, head, prev)
+						}
+					}
+				}
+			}
+		}
+	}
+	if specs != 864 || len(home) != 54 {
+		t.Fatalf("Fig. 7 matrix: %d specs in %d groups, want 864 in 54", specs, len(home))
+	}
+	if len(owned) != 2 {
+		t.Errorf("54 groups did not spread over both workers: %v", owned)
+	}
+	t.Logf("groups per worker: %v", owned)
+}
+
 // TestSweepMergesInRequestOrder: a routed sweep's results must be
 // byte-identical to a single-node run of the same matrix — sharding and
 // merging is invisible in the response.
@@ -176,7 +246,16 @@ func TestSweepMergesInRequestOrder(t *testing.T) {
 	_, ts := newTestRouter(t, []string{w1.url(), w2.url()}, nil)
 	single := newTestWorker(t, nil)
 
-	specs := regsFamily(6)
+	// Each spec of the family twice: as a pressure-free trunk candidate
+	// and as its register-file sibling, so sharing happens behind the
+	// router as it does on the single node.
+	var specs []exper.Spec
+	for _, spec := range specFamily(6) {
+		for _, regs := range []int{256, 160} {
+			spec.Regs = regs
+			specs = append(specs, spec)
+		}
+	}
 	req := server.SweepRequest{Specs: specs}
 	status, routed := postJSON(t, ts.URL+"/v1/sweep", req)
 	if status != http.StatusOK {
@@ -189,9 +268,8 @@ func TestSweepMergesInRequestOrder(t *testing.T) {
 	if got, want := sweepResults(t, routed), sweepResults(t, direct); got != want {
 		t.Fatalf("routed sweep results differ from single-node run:\nrouted:  %.300s\ndirect:  %.300s", got, want)
 	}
-	runs := w1.srv.Suite().SweepStats().Runs + w2.srv.Suite().SweepStats().Runs
-	if runs != int64(len(specs)) {
-		t.Fatalf("pool executed %d simulations for %d distinct specs", runs, len(specs))
+	if n := executed(w1) + executed(w2); n != int64(len(specs)) {
+		t.Fatalf("pool executed %d specs for %d distinct specs", n, len(specs))
 	}
 }
 
@@ -227,7 +305,7 @@ func TestKillWorkerMidSweepReroutes(t *testing.T) {
 
 	// Build a matrix guaranteed to shard onto both workers, so the doomed
 	// worker definitely receives (and kills) its shard.
-	split := specsPreferring(t, rt, regsFamily(40), 3)
+	split := specsPreferring(t, rt, specFamily(40), 3)
 	var specs []exper.Spec
 	for _, w := range rt.pool.workers() {
 		specs = append(specs, split[w.name]...)
@@ -253,8 +331,8 @@ func TestKillWorkerMidSweepReroutes(t *testing.T) {
 	}
 	// The survivor executed everything; the corpse's failure is on the
 	// books.
-	if runs := w2.srv.Suite().SweepStats().Runs; runs != int64(len(specs)) {
-		t.Errorf("survivor ran %d of %d specs", runs, len(specs))
+	if n := executed(w2); n != int64(len(specs)) {
+		t.Errorf("survivor executed %d of %d specs", n, len(specs))
 	}
 	for _, ws := range rt.Workers() {
 		if ws.Name == w1.url() && ws.Failures == 0 {
@@ -271,7 +349,7 @@ func TestAffinityBeatsRoundRobinWarmHits(t *testing.T) {
 	// An odd spec count makes the round-robin cursor flip every spec to the
 	// other worker on the replay, so the baseline's warm-hit rate collapses
 	// rather than riding luck.
-	specs := regsFamily(5)
+	specs := specFamily(5)
 	run := func(policy Policy) (memoHits, runs int64) {
 		w1 := newTestWorker(t, nil)
 		w2 := newTestWorker(t, nil)
@@ -285,7 +363,7 @@ func TestAffinityBeatsRoundRobinWarmHits(t *testing.T) {
 			}
 		}
 		s1, s2 := w1.srv.Suite().SweepStats(), w2.srv.Suite().SweepStats()
-		return s1.MemoHits + s2.MemoHits, s1.Runs + s2.Runs
+		return s1.MemoHits + s2.MemoHits, executed(w1) + executed(w2)
 	}
 	affinityHits, affinityRuns := run(PolicyAffinity)
 	rrHits, rrRuns := run(PolicyRoundRobin)
@@ -367,7 +445,7 @@ func TestRerouteOn429(t *testing.T) {
 
 	// Pick a spec whose preference order leads with the stub, so the 429 is
 	// actually on the routed path.
-	split := specsPreferring(t, rt, regsFamily(40), 1)
+	split := specsPreferring(t, rt, specFamily(40), 1)
 	spec := split[rt.pool.get(normalizedURL(t, stub.URL)).name][0]
 
 	client := server.NewClient(ts.URL)

@@ -83,12 +83,14 @@ func newRoomyWorker(t *testing.T) *testWorker {
 	return &testWorker{srv: srv, ts: ts}
 }
 
-// workerStats snapshots the suite counters of each worker keyed by URL.
+// workerStats snapshots the suite counters of each worker keyed by URL:
+// specs executed (simulated or answered by a sibling) and duplicates the
+// memo or singleflight absorbed.
 func workerStats(ws map[string]*testWorker) map[string]struct{ runs, absorbed int64 } {
 	out := make(map[string]struct{ runs, absorbed int64 }, len(ws))
 	for url, w := range ws {
 		st := w.srv.Suite().SweepStats()
-		out[url] = struct{ runs, absorbed int64 }{st.Runs, st.MemoHits + st.Deduped}
+		out[url] = struct{ runs, absorbed int64 }{executed(w), st.MemoHits + st.Deduped}
 	}
 	return out
 }
@@ -115,7 +117,7 @@ func TestMultiRouterAgreement(t *testing.T) {
 	clientB := server.NewClient(tsB.URL)
 
 	const n = 12
-	family := regsFamily(n)
+	family := specFamily(n)
 	// wantOn[url] = how many of the family prefer that worker, per router A's
 	// ranking. Router B must compute the identical assignment.
 	wantOn := make(map[string]int64)

@@ -67,11 +67,11 @@ func ctxError(ctx context.Context) *server.APIError {
 }
 
 // handleSimulate routes one spec: POST /v1/simulate. The spec is normalized
-// and fingerprinted, the fingerprint's preference order computed, and the
-// candidates tried in order until one answers — a worker that fails on the
-// transport or refuses with 429/503 is routed past (reroute), a worker that
-// answers a terminal error (validation, simulator failure) speaks for the
-// cluster and its answer passes through unchanged.
+// and its sibling group fingerprinted, that key's preference order
+// computed, and the candidates tried in order until one answers — a worker
+// that fails on the transport or refuses with 429/503 is routed past
+// (reroute), a worker that answers a terminal error (validation, simulator
+// failure) speaks for the cluster and its answer passes through unchanged.
 func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if rt.refuseIfDraining(w) {
 		return
@@ -153,7 +153,7 @@ func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // estimateKey is the routing key of an estimate request. Estimates are not
-// keyed by the full spec fingerprint: the twin's expensive state is its
+// keyed by the sibling-group fingerprint: the twin's expensive state is its
 // per-(bench, width) calibration, shared by every spec on that pair, so
 // routing all of a pair's estimates to one worker means the pool calibrates
 // each pair once instead of everywhere — the same warm-concentration argument

@@ -16,9 +16,10 @@ import "sort"
 //     don't involve it.
 //
 // The score is FNV-1a 64 over worker-name ++ NUL ++ key. FNV is not a
-// cryptographic hash, but the key side here is already a hex SHA-256 spec
-// fingerprint (exper.Fingerprint), so the input is uniformly distributed and
-// FNV just has to mix it against the worker name cheaply. The NUL separator
+// cryptographic hash, but the key side here is already a hex SHA-256
+// fingerprint (exper.Fingerprint of the spec's exper.SiblingGroup), so the
+// input is uniformly distributed and FNV just has to mix it against the
+// worker name cheaply. The NUL separator
 // keeps (name, key) framing unambiguous — names are URLs and keys are hex,
 // neither contains NUL.
 

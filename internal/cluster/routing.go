@@ -6,11 +6,15 @@ import (
 
 // finishSpec fills a request spec's omitted fields with the same baseline
 // defaults the workers apply (4-wide, cost-effective queue, 80 registers,
-// the configured commit budget), then returns its routing key: the spec
-// fingerprint — the identical hex SHA-256 the workers' persistent result
-// cache keys the entry by. Normalizing before hashing matters: "bench only"
-// and "bench plus explicit defaults" must land on the same worker, or the
-// affinity the router exists for evaporates on cosmetic spec differences.
+// the configured commit budget), then returns its routing key: the
+// fingerprint of the spec's sibling group (exper.SiblingGroup, the spec
+// with register-file size and exception model cleared). Every spec of a
+// group thus prefers the worker whose sibling table holds the group's
+// pressure-free trunk, and since each spec still has exactly one preferred
+// worker, repeats keep their result-cache affinity too. Normalizing before
+// hashing matters: "bench only" and "bench plus explicit defaults" must
+// land on the same worker, or the affinity the router exists for
+// evaporates on cosmetic spec differences.
 func (rt *Router) finishSpec(spec exper.Spec) (exper.Spec, string) {
 	if spec.Width == 0 {
 		spec.Width = 4
@@ -24,7 +28,7 @@ func (rt *Router) finishSpec(spec exper.Spec) (exper.Spec, string) {
 	if spec.Budget == 0 {
 		spec.Budget = rt.cfg.DefaultBudget
 	}
-	return spec, exper.Fingerprint(spec)
+	return spec, exper.Fingerprint(exper.SiblingGroup(spec))
 }
 
 // pick computes the attempt order for one routing key: the policy's

@@ -277,10 +277,11 @@ func (s *Suite) progressf(format string, args ...any) {
 
 // Fingerprint is the content address of one fully-specified spec: the hex
 // SHA-256 the persistent result cache keys entries by. The cluster router
-// reuses it as the rendezvous-hashing key, so requests for one spec always
-// prefer the worker whose memo and disk cache already hold its result. The
-// spec should have all fields set (in particular a non-zero Budget); the
-// suite fingerprints specs only after normalize fills the budget in.
+// hashes the fingerprint of a spec's SiblingGroup, so requests for one spec,
+// and for its siblings, always prefer the worker whose memo, sibling table
+// and disk cache already hold its result. The spec should have all fields
+// set (in particular a non-zero Budget); the suite fingerprints specs only
+// after normalize fills the budget in.
 func Fingerprint(spec Spec) string { return fingerprint(spec) }
 
 // fingerprint is the persistent-cache key: everything that can change a
@@ -342,10 +343,13 @@ func (s *Suite) artifact(bench string) (*prog.Artifact, error) {
 }
 
 // unhooked reports whether a run under cfg has no per-event hooks attached
-// (tracer, telemetry, counter sampler). Only such runs may be answered from,
-// or fill, a sibling or checkpoint entry: a hook's sink observes the
-// simulation stream, which a served or fast-forwarded run would silently
-// truncate (core.Snapshot refuses hooked machines for the same reason).
+// (tracer, telemetry, counter sampler). Only such runs may resume from, or
+// fill, a checkpoint entry: a hook's sink observes the simulation stream,
+// which a fast-forwarded run would silently truncate (core.Snapshot refuses
+// hooked machines for the same reason). Sibling sharing needs no such
+// guard: a hook observes a run without steering it, so a hooked run's
+// result and watermarks are the unhooked run's, and a request answered from
+// the table runs no machine for a hook to watch.
 func unhooked(cfg core.Config) bool {
 	return cfg.Tracer == nil && cfg.Telemetry == nil && cfg.CounterSampler == nil
 }
@@ -358,6 +362,12 @@ func unhooked(cfg core.Config) bool {
 // Sampled runs bypass the persistent cache in both directions: an estimate
 // must never be served where an exact result is expected, and the same
 // fingerprint must never mean two different things.
+//
+// Sibling sharing covers every exact, untracked request, traced or not. A
+// traced request answered from the table records a "sibling" span (source
+// model and watermarks) where workload.build and core.run would have been;
+// a traced request that simulates keeps its core.run cycle accounting and
+// fills the table like any other run.
 func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 	sampled := s.SampleRate > 0 && s.SampleRate < 1 && !spec.Track
 	var key string
@@ -372,6 +382,20 @@ func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 			s.progressf("hit %-9s w=%d q=%-3d regs=%-4d %s/%s: IPC %.2f (cached)",
 				spec.Bench, spec.Width, spec.Queue, spec.Regs, spec.Model, spec.Cache, r.CommitIPC())
 			return &r, nil
+		}
+	}
+	shareable := !sampled && !spec.Track
+	if shareable {
+		if res, meta, ok := s.siblings.serve(spec); ok {
+			sib, _ := obs.StartSpan(ctx, "sibling")
+			sib.Set("model", meta.Model.String())
+			sib.Set("watermark", meta.Watermark)
+			sib.End()
+			s.shared.Add(1)
+			s.fill(key, spec, res)
+			s.progressf("hit %-9s w=%d q=%-3d regs=%-4d %s/%s: IPC %.2f (sibling %s, wm=%v)",
+				spec.Bench, spec.Width, spec.Queue, spec.Regs, spec.Model, spec.Cache, res.CommitIPC(), meta.Model, meta.Watermark)
+			return res, nil
 		}
 	}
 	build, _ := obs.StartSpan(ctx, "workload.build")
@@ -411,19 +435,6 @@ func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 			spec.Bench, spec.Width, spec.Queue, spec.Regs, spec.Model, spec.Cache))
 		if cfg.Telemetry == nil {
 			cfg.Telemetry = telemetry.New()
-		}
-	}
-	// Sibling sharing covers exact (not sampled), untracked and unhooked
-	// runs — so a traced request still simulates and keeps its core.run
-	// accounting.
-	shareable := !sampled && !spec.Track && unhooked(cfg)
-	if shareable {
-		if res, meta, ok := s.siblings.serve(spec); ok {
-			s.shared.Add(1)
-			s.fill(key, spec, res)
-			s.progressf("hit %-9s w=%d q=%-3d regs=%-4d %s/%s: IPC %.2f (sibling %s, wm=%v)",
-				spec.Bench, spec.Width, spec.Queue, spec.Regs, spec.Model, spec.Cache, res.CommitIPC(), meta.Model, meta.Watermark)
-			return res, nil
 		}
 	}
 	var res *core.Result

@@ -74,9 +74,11 @@ func servableShared(meta siblingMeta, spec Spec) bool {
 // holding at most one cloned result (about 1 KB) per source exception model.
 const siblingCap = 1024
 
-// siblingGroup is the table key: the spec without the two dimensions sibling
-// sharing spans. Budget and Track stay.
-func siblingGroup(spec Spec) Spec {
+// SiblingGroup is the spec without the two dimensions sibling sharing spans
+// (register-file size and exception model); Budget and Track stay. It keys
+// the suite's sibling table, and the cluster router hashes its fingerprint
+// so that a group's trunk and its siblings meet on one worker.
+func SiblingGroup(spec Spec) Spec {
 	spec.Regs, spec.Model = 0, 0
 	return spec
 }
@@ -106,7 +108,7 @@ type siblingTable struct {
 func (t *siblingTable) serve(spec Spec) (*core.Result, siblingMeta, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	el, ok := t.groups[siblingGroup(spec)]
+	el, ok := t.groups[SiblingGroup(spec)]
 	if !ok {
 		return nil, siblingMeta{}, false
 	}
@@ -126,7 +128,7 @@ func (t *siblingTable) serve(spec Spec) (*core.Result, siblingMeta, bool) {
 func (t *siblingTable) put(spec Spec, res *core.Result, meta siblingMeta) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	g := siblingGroup(spec)
+	g := SiblingGroup(spec)
 	el, ok := t.groups[g]
 	if ok {
 		t.lru.MoveToFront(el)

@@ -1,12 +1,15 @@
 package exper
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
 	"regsim/internal/cache"
+	"regsim/internal/core"
 	"regsim/internal/obs"
 	"regsim/internal/rename"
 	"regsim/internal/sweep/rescache"
@@ -151,40 +154,83 @@ func TestSiblingTableBounded(t *testing.T) {
 	}
 }
 
-// TestTracedRunsNeverShared: a traced request carries the simulator's own
-// cycle accounting on its core.run span, so it simulates even when a
-// finished sibling could answer it, and its result is still the sibling's.
-func TestTracedRunsNeverShared(t *testing.T) {
+// TestTracedRequestsShare: tracing a request (what regsimd does to every
+// request) neither blocks sibling sharing nor loses observability. A traced
+// trunk simulates with its core.run cycle accounting and fills the sibling
+// table; the table then answers an untraced sibling, and a traced sibling
+// with a "sibling" span in place of workload.build and core.run. Every
+// answer's Result JSON equals a storeless cold run's.
+func TestTracedRequestsShare(t *testing.T) {
+	const budget = 2_000
 	trunk := Spec{Bench: "compress", Width: 4, Queue: 32, Regs: 256, Model: rename.Precise, Cache: cache.LockupFree}
-	sibling := trunk
-	sibling.Regs = 160
-	s := NewSuite(2_000)
-	want, err := s.Run(trunk)
+	untraced, traced := trunk, trunk
+	untraced.Regs, untraced.Model = 192, rename.Imprecise
+	traced.Regs = 160
+	s := NewSuite(budget)
+	run := func(spec Spec) (*core.Result, obs.SpanData) {
+		t.Helper()
+		root, ctx := obs.StartTrace(context.Background(), "request")
+		res, err := s.RunContext(ctx, spec)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, root.Snapshot()
+	}
+	stats := func(step string, runs, shared int64) {
+		t.Helper()
+		if st := s.SweepStats(); st.Runs != runs || st.Shared != shared {
+			t.Fatalf("%s: %d simulated, %d shared; want %d, %d", step, st.Runs, st.Shared, runs, shared)
+		}
+	}
+
+	trunkRes, tree := run(trunk)
+	stats("traced trunk", 1, 0)
+	coreRun := tree.Find("core.run")
+	if coreRun == nil || coreRun.Attr("cycleAccounting") == nil {
+		t.Fatalf("traced trunk lost its core.run cycle accounting: %+v", coreRun)
+	}
+	if tree.Find("sibling") != nil {
+		t.Error("traced trunk has a sibling span although it simulated")
+	}
+
+	untracedRes, err := s.Run(untraced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, ctx := obs.StartTrace(context.Background(), "request")
-	got, err := s.RunContext(ctx, sibling)
-	root.End()
-	if err != nil {
-		t.Fatal(err)
+	stats("untraced sibling of a traced trunk", 1, 1)
+
+	tracedRes, tree := run(traced)
+	stats("traced sibling", 1, 2)
+	sib := tree.Find("sibling")
+	if sib == nil {
+		t.Fatal("traced sibling answer has no sibling span")
 	}
-	if st := s.SweepStats(); st.Runs != 2 || st.Shared != 0 {
-		t.Errorf("traced sibling: %d simulated, %d shared; want it simulated", st.Runs, st.Shared)
+	if got := sib.Attr("model"); got != "precise" {
+		t.Errorf("sibling span model = %v, want the trunk's precise", got)
 	}
-	if tree := root.Snapshot(); tree.Find("core.run") == nil {
-		t.Error("traced sibling has no core.run span")
+	if sib.Attr("watermark") == nil {
+		t.Error("sibling span has no watermark")
 	}
-	if g, w := goldenFingerprint(t, got), goldenFingerprint(t, want); g != w {
-		t.Errorf("traced sibling differs from its pressure-free trunk\n  got  %s\n  want %s", g, w)
+	for _, name := range []string{"core.run", "workload.build"} {
+		if tree.Find(name) != nil {
+			t.Errorf("traced sibling answer has a %s span", name)
+		}
 	}
-	// An untraced request for another sibling is answered from the table.
-	sibling.Model = rename.Imprecise
-	if _, err := s.Run(sibling); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.SweepStats(); st.Shared != 1 {
-		t.Errorf("untraced sibling: %d shared, want 1", st.Shared)
+
+	for _, c := range []struct {
+		spec Spec
+		got  *core.Result
+	}{{trunk, trunkRes}, {untraced, untracedRes}, {traced, tracedRes}} {
+		want, err := NewSuite(budget).Run(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _ := json.Marshal(c.got)
+		w, _ := json.Marshal(want)
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s: answer differs from a storeless cold run\n  got  %s\n  want %s", goldenKey(c.spec), g, w)
+		}
 	}
 }
 

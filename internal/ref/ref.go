@@ -181,16 +181,33 @@ type Checksum struct {
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
+	// Folding a zero byte only multiplies by fnvPrime, so a run of k zero
+	// bytes is one multiplication by fnvPrime^k (mod 2^64).
+	fnvPrime5 = fnvPrime * fnvPrime * fnvPrime * fnvPrime * fnvPrime % (1 << 64)
+	fnvPrime8 = fnvPrime5 * fnvPrime * fnvPrime * fnvPrime % (1 << 64)
 )
 
-// Add absorbs one retired instruction.
+// Add absorbs one retired instruction: the FNV-1a byte fold of its PC,
+// opcode and result, each a little-endian 64-bit word. Folds whose high
+// bytes are known to be zero collapse into one multiplication: a PC below
+// 2^32 folds its four low bytes, the last one times fnvPrime^5, and the
+// opcode (one byte) folds as one multiplication by fnvPrime^8.
+// TestChecksumWordFold pins the result to the byte loop.
 func (c *Checksum) Add(pc uint64, op isa.Op, result uint64) {
 	h := c.h
 	if h == 0 {
 		h = fnvOffset
 	}
-	h = foldWord(foldWord(foldWord(h, pc), uint64(op)), result)
-	c.h = h
+	if pc>>32 == 0 {
+		h = (h ^ (pc & 0xff)) * fnvPrime
+		h = (h ^ (pc >> 8 & 0xff)) * fnvPrime
+		h = (h ^ (pc >> 16 & 0xff)) * fnvPrime
+		h = (h ^ (pc >> 24)) * fnvPrime5
+	} else {
+		h = foldWord(h, pc)
+	}
+	h = (h ^ uint64(op)) * fnvPrime8
+	c.h = foldWord(h, result)
 }
 
 // foldWord absorbs one 64-bit word byte-by-byte, little-endian — the FNV-1a

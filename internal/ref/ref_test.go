@@ -1,6 +1,7 @@
 package ref
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"regsim/internal/isa"
@@ -175,6 +176,45 @@ func TestChecksumOrderSensitivity(t *testing.T) {
 	b.Add(1, isa.OpAdd, 10)
 	if a.Value() == b.Value() {
 		t.Error("checksum insensitive to order")
+	}
+}
+
+// TestChecksumWordFold: Add's collapsed folds (a PC below 2^32, the
+// one-byte opcode) must equal the FNV-1a byte loop over the little-endian
+// (PC, opcode, result) words, on random triples a third of which carry a PC
+// of 2^32 or more, and on the boundary PCs.
+func TestChecksumWordFold(t *testing.T) {
+	byteLoop := func(h uint64, words ...uint64) uint64 {
+		if h == 0 {
+			h = fnvOffset
+		}
+		for _, w := range words {
+			for i := 0; i < 8; i++ {
+				h = (h ^ (w >> (8 * i) & 0xff)) * fnvPrime
+			}
+		}
+		return h
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	var c Checksum
+	want := uint64(0)
+	check := func(pc uint64, op isa.Op, result uint64) {
+		t.Helper()
+		c.Add(pc, op, result)
+		want = byteLoop(want, pc, uint64(op), result)
+		if c.Value() != want {
+			t.Fatalf("Add(%#x, %d, %#x) = %#x, byte loop %#x", pc, op, result, c.Value(), want)
+		}
+	}
+	for _, pc := range []uint64{0, 0xff, 1<<32 - 1, 1 << 32, 1<<64 - 1} {
+		check(pc, isa.Op(rng.Uint32()), rng.Uint64())
+	}
+	for i := 0; i < 300_000; i++ {
+		pc := uint64(rng.Uint32())
+		if i%3 == 0 {
+			pc = rng.Uint64() | 1<<32
+		}
+		check(pc, isa.Op(rng.Uint32()), rng.Uint64())
 	}
 }
 

@@ -518,6 +518,52 @@ func TestRescacheMetricsExported(t *testing.T) {
 	}
 }
 
+// TestSimulateSharesSiblings: served requests share pressure-free siblings
+// like a CLI sweep does, although every request is traced. A trunk then its
+// sibling on /v1/simulate give byte-identical Results from one simulation,
+// and the sibling's trace carries a "sibling" span instead of core.run.
+func TestSimulateSharesSiblings(t *testing.T) {
+	srv, base := newObsServer(t, nil)
+	result := func(body string) (json.RawMessage, string) {
+		t.Helper()
+		resp, raw := postSimulate(t, base, "", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d %s", body, resp.StatusCode, raw)
+		}
+		var reply struct {
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal([]byte(raw), &reply); err != nil {
+			t.Fatal(err)
+		}
+		return reply.Result, resp.Header.Get("X-Trace-Id")
+	}
+	trunk, _ := result(`{"bench":"tomcatv","width":8,"regs":256}`)
+	sibling, traceID := result(`{"bench":"tomcatv","width":8,"regs":160,"model":"imprecise"}`)
+	if !bytes.Equal(trunk, sibling) {
+		t.Errorf("sibling Result differs from its trunk's\n trunk:   %s\n sibling: %s", trunk, sibling)
+	}
+	resp, err := http.Get(base + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{"regsim_sweep_shared_total 1", "regsim_sweep_runs_total 1"} {
+		if !strings.Contains(string(raw), "\n"+want+"\n") {
+			t.Errorf("scrape missing %q:\n%s", want, grepLines(string(raw), "regsim_sweep"))
+		}
+	}
+	tree, ok := srv.Traces().Get(traceID)
+	if !ok {
+		t.Fatalf("trace %s not in the ring", traceID)
+	}
+	if tree.Find("sibling") == nil || tree.Find("core.run") != nil {
+		raw, _ := json.Marshal(tree)
+		t.Errorf("sibling answer's trace should hold a sibling span and no core.run: %s", raw)
+	}
+}
+
 func grepLines(s, substr string) string {
 	var out []string
 	for _, line := range strings.Split(s, "\n") {
