@@ -25,7 +25,8 @@
 // cmd/regsim): each configuration keeps one mid-run machine snapshot, the
 // deepest a run of it stored, and a later sweep at the same or a larger
 // budget fast-forwards each configuration from it, with bit-identical
-// output. A sweep at a smaller budget simulates in full.
+// output. A sweep at a smaller budget simulates in full. With -v, the
+// store's snapshot hits and misses print after the sweep's counters.
 //
 // -sample <rate in (0,1)> switches sweeps to sampled simulation: each run
 // simulates only that fraction of its budget and extrapolates the rest with
@@ -177,6 +178,10 @@ func main() {
 	}
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "%v\n", s.SweepStats())
+		if s.Checkpoints != nil {
+			st := s.Checkpoints.Stats()
+			fmt.Fprintf(os.Stderr, "ckpt: %d snapshot hits, %d misses\n", st.SnapshotHits, st.SnapshotMisses)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "\n[%s, budget %d instructions/run, %d jobs]\n", time.Since(start).Round(time.Millisecond), *budget, *jobs)
 }

@@ -5,13 +5,14 @@
 //
 // The store is deliberately dumb: keys are opaque strings the experiment
 // layer derives from config fingerprints, and the store never inspects what
-// a key means. It keeps nothing in memory; every entry lives on disk only.
+// a key means. Values stay on disk; the index holds their locations.
 //
 // Disk persistence writes each entry through rescache's raw-bytes path
-// (atomic write-rename, corruption-tolerant reads) in a compact binary
-// encoding (codec.go) whose header carries the format revision, entry kind
-// and key; Decode is total, so a corrupt or hostile file can only read as a
-// miss, and an entry from an older format revision is dropped as stale.
+// (records appended to the store's own segment, CRC-checked reads) in a
+// compact binary encoding (codec.go) whose header carries the format
+// revision, entry kind and key; Decode is total, so a corrupt or hostile
+// entry can only read as a miss, and an entry from an older format revision
+// is dropped as stale.
 package ckpt
 
 import (
@@ -71,8 +72,8 @@ func (e *Envelope) Validate() error {
 }
 
 // Store persists machine snapshots under a directory, sharing rescache's
-// durability properties (atomic writes, corruption-tolerant reads,
-// multi-process safe). All methods are safe for concurrent use.
+// durability properties (only complete records are read, corruption-tolerant
+// reads, multi-process safe). All methods are safe for concurrent use.
 type Store struct {
 	disk *rescache.Store
 
@@ -104,8 +105,8 @@ func (s *Store) PutSnapshot(key string, snap *core.Snapshot) error {
 }
 
 // Snapshot reads and decodes the snapshot stored under key. An entry that
-// fails to decode, or holds another key, is removed by the disk tier and
-// reads as a miss.
+// fails to decode, or holds another key, is dropped from the disk tier's
+// index and reads as a miss.
 func (s *Store) Snapshot(key string) (*core.Snapshot, bool) {
 	dk := diskKey(key)
 	var snap *core.Snapshot

@@ -68,13 +68,24 @@ func TestStoreRoundTrip(t *testing.T) {
 		if st := s.Stats(); st != (Stats{SnapshotHits: 1, SnapshotMisses: 1}) {
 			t.Errorf("stats %+v, want 1 hit and 1 miss", st)
 		}
-		// The store keeps nothing in memory: once the file is gone, so is the
-		// entry.
+		// Values stay on disk; the index holds only their locations. Once
+		// the directory is gone, a fresh store misses, and the open store's
+		// next refresh (on a miss) drops the vanished segment.
 		if err := os.RemoveAll(dir); err != nil {
 			t.Fatal(err)
 		}
+		fresh, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fresh.Snapshot("k1"); ok {
+			t.Error("a fresh store served an entry whose directory was removed")
+		}
+		if _, ok := s.Snapshot("k2"); ok {
+			t.Fatal("hit on a key never stored")
+		}
 		if _, ok := s.Snapshot("k1"); ok {
-			t.Error("entry served after its file was removed: the store holds it in memory")
+			t.Error("entry served after its segment was removed: the refresh kept it")
 		}
 	})
 }

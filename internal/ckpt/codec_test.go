@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -177,9 +175,9 @@ func TestDecodeStaleHeaders(t *testing.T) {
 	}
 }
 
-// TestPlantedJSONEntryIsAStaleMiss: a store directory populated before the
-// binary format holds JSON envelopes under the same paths. Reading one is a
-// miss, not an error, and the entry is removed so the slot heals.
+// TestPlantedJSONEntryIsAStaleMiss: a store populated before the binary
+// format holds JSON envelopes under the same keys. Reading one is a miss,
+// not an error, and the key leaves the index so the slot heals.
 func TestPlantedJSONEntryIsAStaleMiss(t *testing.T) {
 	snap := testSnapshot(t)
 	s, err := OpenStore(t.TempDir())
@@ -206,8 +204,10 @@ func TestPlantedJSONEntryIsAStaleMiss(t *testing.T) {
 	if _, ok := s.Snapshot("k1"); ok {
 		t.Error("format-1 JSON snapshot entry served as a hit")
 	}
-	if _, err := os.Stat(filepath.Join(s.disk.Dir(), sk[:2], sk+".json")); !os.IsNotExist(err) {
-		t.Errorf("stale entry %s was not removed (stat: %v)", sk, err)
+	for _, seg := range s.disk.Segments() {
+		if seg.Live != 0 {
+			t.Errorf("stale entry %s was not dropped from the index: segment %+v", sk, seg)
+		}
 	}
 	if st := s.disk.Stats(); st.Errors != 0 || st.Misses != 1 {
 		t.Errorf("disk tier stats %+v, want 1 quiet miss", st)

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -74,17 +75,23 @@ func TestCacheCorruptionIsResimulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt every entry on disk.
+	// Corrupt the record inside every segment on disk: the run stored one
+	// record, whose data ends its segment.
 	var corrupted int
-	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && filepath.Ext(path) == ".json" {
-			corrupted++
-			return os.WriteFile(path, []byte("{truncated"), 0o644)
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || filepath.Ext(path) != ".seg" {
+			return err
 		}
-		return err
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		corrupted++
+		b[len(b)-1] ^= 0xff
+		return os.WriteFile(path, b, 0o644)
 	})
 	if err != nil || corrupted == 0 {
-		t.Fatalf("corrupted %d entries (err %v)", corrupted, err)
+		t.Fatalf("corrupted %d segments (err %v)", corrupted, err)
 	}
 	store2, err := rescache.Open(dir)
 	if err != nil {

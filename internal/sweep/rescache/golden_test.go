@@ -33,10 +33,11 @@ func goldenResult() *core.Result {
 	return r
 }
 
-// TestPutGoldenBytes pins the result-cache file format: Put writes exactly
-// the committed golden bytes, which are also exactly what marshalling the
-// envelope struct around the value produces — so a store populated before
-// Put encoded its envelope in one pass stays valid byte for byte.
+// TestPutGoldenBytes pins the result-cache payload format: Put's record
+// carries exactly the committed golden bytes, which are also exactly what
+// marshalling the envelope struct around the value produces — so a payload
+// written before Put encoded its envelope in one pass stays valid byte for
+// byte.
 func TestPutGoldenBytes(t *testing.T) {
 	s := testStore(t)
 	key := Fingerprint("golden-result")
@@ -44,16 +45,17 @@ func TestPutGoldenBytes(t *testing.T) {
 	if err := s.Put(key, res); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(entryFile(t, s))
-	if err != nil {
-		t.Fatal(err)
+	rec := onlyRecord(t, s)
+	if rec.key != key {
+		t.Errorf("record key %q, want %q", rec.key, key)
 	}
+	got := rec.data
 	want, err := os.ReadFile(filepath.Join("testdata", "result-entry.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Errorf("Put bytes differ from the golden entry:\n got %s\nwant %s", got, want)
+		t.Errorf("Put payload differs from the golden entry:\n got %s\nwant %s", got, want)
 	}
 	val, err := json.Marshal(res)
 	if err != nil {
@@ -64,7 +66,7 @@ func TestPutGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(got) != string(twoPass) {
-		t.Errorf("Put bytes differ from the marshalled envelope:\n got %s\nwant %s", got, twoPass)
+		t.Errorf("Put payload differs from the marshalled envelope:\n got %s\nwant %s", got, twoPass)
 	}
 	var back core.Result
 	if !s.Get(key, &back) {

@@ -6,42 +6,127 @@
 // same durability with their own encoding write raw bytes through
 // PutBytes/GetBytes.
 //
+// On disk, a directory holds append-only segment files. Each Store appends
+// to one segment of its own, created at its first write; a record is
+// `magic | key len | data len | CRC-32C(key‖data) | key | data`, written
+// with one write call. Reads go through an in-memory index of record
+// locations (no payload stays in memory), which a miss refreshes from the
+// tails of the segments. A key's newest record wins: the one in the later
+// segment, or else at the later offset.
+//
 // Durability properties:
 //
-//   - writes are atomic (temp file in the same directory, then rename), so
-//     a crashed or concurrent writer can never leave a half-written entry
-//     visible;
-//   - reads are corruption tolerant: an entry that fails to parse, carries
-//     the wrong format version, or does not match its key is removed and
-//     reported as a miss — the caller re-simulates, nothing is fatal;
-//   - the store is safe for concurrent use by multiple goroutines and
-//     (thanks to write-rename and content addressing) by multiple
-//     processes sharing one directory.
+//   - a record becomes visible only once it is complete: a scan skips an
+//     incomplete tail (a write in progress, or a crash mid-write) until it
+//     is complete, and a bad header ends the scan of that segment;
+//   - reads are corruption tolerant: every read re-checks the record's
+//     header, CRC and key, and a record that fails them, or whose payload
+//     the caller rejects, drops its key from the index and reads as a miss
+//     — the caller re-simulates, nothing is fatal, and the next put heals
+//     the key;
+//   - a failed or short write abandons the writer's segment, and so does
+//     finding the segment removed, replaced or cut short; the next put
+//     starts a new one;
+//   - disk use stays bounded: at its first scan a store folds into its own
+//     segment every segment that holds more superseded than live bytes, and
+//     every segment when there are more than maxSegments, then removes
+//     them;
+//   - the store is safe for concurrent use by multiple goroutines and by
+//     multiple processes sharing one directory: no two stores append to one
+//     segment, and a refresh drops segments whose files are gone.
 package rescache
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// FormatVersion is the on-disk envelope format. Bumping it invalidates every
-// existing entry (old entries read as misses and are garbage-collected on
-// access).
+// FormatVersion is the envelope format of Put's JSON payloads. Bumping it
+// invalidates every existing entry (old entries read as quiet misses and
+// are superseded by the next put).
 const FormatVersion = 1
+
+const (
+	// recordMagic opens every record ("RSR1").
+	recordMagic = 0x31525352
+	// headerLen is the fixed record header: magic, key length, data length,
+	// CRC-32C of key‖data, each a little-endian uint32.
+	headerLen = 16
+	// segSuffix ends a segment's name; the name before it is the creation
+	// time as 16 hex digits of Unix nanoseconds, so names sort by age.
+	segSuffix = ".seg"
+	// maxSegments is the segment count above which a store's first scan
+	// folds every segment into its own.
+	maxSegments = 8
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Store is one cache directory. Construct with Open.
 type Store struct {
 	dir string
 
+	mu    sync.Mutex
+	index map[string]loc // nil until the first scan
+	segs  []*segment     // oldest first
+	own   *segment       // the segment this store appends to, if any
+	// ownInfo identifies own's file, to notice it was removed or replaced.
+	ownInfo os.FileInfo
+
 	hits   atomic.Int64
 	misses atomic.Int64
 	errs   atomic.Int64
+}
+
+// segment is one segment file, held open for reads (and, for the store's
+// own segment, appends).
+type segment struct {
+	name  string
+	stamp int64 // creation time in the name: orders segments
+	f     *os.File
+	// end is the end of the last complete record indexed; a refresh scans
+	// from there.
+	end int64
+	// bad is set once a bad header ends the scan.
+	bad bool
+	// records and bytes count the complete records indexed; live and
+	// liveBytes those that are still their key's index entry.
+	records, live    int
+	bytes, liveBytes int64
+}
+
+// loc locates one record.
+type loc struct {
+	seg        *segment
+	off        int64
+	klen, dlen uint32
+}
+
+func (l loc) size() int64 { return headerLen + int64(l.klen) + int64(l.dlen) }
+
+// newer reports whether l is a later record than m: in a later segment, or
+// else at a later offset.
+func (l loc) newer(m loc) bool {
+	if l.seg != m.seg {
+		return l.seg.stamp > m.seg.stamp
+	}
+	return l.off > m.off
 }
 
 // Open creates (if needed) and validates the cache directory, probing that
@@ -66,22 +151,12 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// envelope is the on-disk entry format. Key is stored redundantly so that a
-// renamed or mis-copied file cannot serve the wrong result.
+// envelope is the JSON payload Put stores. Key is stored redundantly so
+// that a payload filed under the wrong key cannot serve the wrong result.
 type envelope struct {
 	Format int             `json:"format"`
 	Key    string          `json:"key"`
 	Value  json.RawMessage `json:"value"`
-}
-
-// path shards entries by the first key byte to keep directory sizes sane for
-// multi-thousand-entry sweeps.
-func (s *Store) path(key string) string {
-	shard := "xx"
-	if len(key) >= 2 {
-		shard = key[:2]
-	}
-	return filepath.Join(s.dir, shard, key+".json")
 }
 
 // ErrStale marks an entry written under an older format revision. A decode
@@ -90,9 +165,9 @@ func (s *Store) path(key string) string {
 var ErrStale = errors.New("rescache: stale entry format")
 
 // Get loads the entry for key into v, reporting whether it was present and
-// intact. Any defect — unreadable file, bad JSON, format or key mismatch —
-// counts as a miss (plus an error counter tick) and removes the bad entry so
-// the slot heals on the next Put.
+// intact. Any defect — unreadable record, bad JSON, format or key mismatch —
+// counts as a miss (plus an error counter tick, except for a format
+// mismatch) and drops the entry from the index until the next Put heals it.
 func (s *Store) Get(key string, v any) bool {
 	return s.GetBytes(key, func(data []byte) error {
 		var env envelope
@@ -110,29 +185,73 @@ func (s *Store) Get(key string, v any) bool {
 }
 
 // GetBytes reads the raw entry stored under key and hands it to decode,
-// reporting whether the entry was present and decode accepted it. A decode
-// error removes the entry and counts as a miss: one wrapping ErrStale
-// quietly (a format bump), any other also ticks the error counter.
+// reporting whether the entry was present and decode accepted it. A record
+// that fails its checks, or that decode rejects, drops key from the index
+// and counts as a miss: a decode error wrapping ErrStale quietly (a format
+// bump), any other failure also ticks the error counter.
 func (s *Store) GetBytes(key string, decode func(data []byte) error) bool {
-	path := s.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			s.errs.Add(1)
-		}
-		s.misses.Add(1)
-		return false
+	data, l, found, err := s.fetch(key)
+	if found && err == nil {
+		err = decode(data)
 	}
-	if err := decode(data); err != nil {
-		os.Remove(path)
+	switch {
+	case !found:
+	case err == nil:
+		s.hits.Add(1)
+		return true
+	default:
+		s.mu.Lock()
+		s.drop(key, l)
+		s.mu.Unlock()
 		if !errors.Is(err, ErrStale) {
 			s.errs.Add(1)
 		}
-		s.misses.Add(1)
-		return false
 	}
-	s.hits.Add(1)
-	return true
+	s.misses.Add(1)
+	return false
+}
+
+// fetch reads the payload of key's indexed record, refreshing the index
+// first if key is not in it. found reports whether the index held key; err
+// whether its record failed to read or check.
+func (s *Store) fetch(key string) (data []byte, l loc, found bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if l, found = s.index[key]; !found {
+		s.refresh()
+		if l, found = s.index[key]; !found {
+			return nil, loc{}, false, nil
+		}
+	}
+	data, err = l.read(key)
+	return data, l, true, err
+}
+
+// read loads the record at l and returns its payload, re-checking the
+// header, the CRC and the key.
+func (l loc) read(key string) ([]byte, error) {
+	rec := make([]byte, l.size())
+	if _, err := l.seg.f.ReadAt(rec, l.off); err != nil {
+		return nil, fmt.Errorf("rescache: read %s: %w", key, err)
+	}
+	klen, dlen, ok := parseHeader(rec)
+	switch {
+	case !ok || klen != l.klen || dlen != l.dlen:
+		return nil, fmt.Errorf("rescache: record for %s has a changed header", key)
+	case crc32.Checksum(rec[headerLen:], castagnoli) != binary.LittleEndian.Uint32(rec[12:]):
+		return nil, fmt.Errorf("rescache: record for %s fails its CRC", key)
+	case string(rec[headerLen:headerLen+klen]) != key:
+		return nil, fmt.Errorf("rescache: record for %s holds another key", key)
+	}
+	return rec[headerLen+klen:], nil
+}
+
+// parseHeader checks a record header's magic and returns its lengths.
+func parseHeader(h []byte) (klen, dlen uint32, ok bool) {
+	if len(h) < headerLen || binary.LittleEndian.Uint32(h) != recordMagic {
+		return 0, 0, false
+	}
+	return binary.LittleEndian.Uint32(h[4:]), binary.LittleEndian.Uint32(h[8:]), true
 }
 
 // Put stores v under key as a JSON envelope. The envelope is assembled
@@ -150,32 +269,303 @@ func (s *Store) Put(key string, v any) error {
 	return s.PutBytes(key, data)
 }
 
-// PutBytes stores data under key atomically: the entry is written to a
-// temporary file in the destination directory and renamed into place, so
-// readers (in this or any other process) only ever observe complete entries.
+// PutBytes appends a record of data under key to the store's segment, in
+// one write, so readers (in this or any other process) only ever index
+// complete records.
 func (s *Store) PutBytes(key string, data []byte) error {
-	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("rescache: %w", err)
+	if uint64(len(key)) > math.MaxUint32 || uint64(len(data)) > math.MaxUint32 {
+		return fmt.Errorf("rescache: entry %s is too large", key)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".put-*")
-	if err != nil {
-		return fmt.Errorf("rescache: %w", err)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.index == nil {
+		s.refresh()
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	return s.appendRecord(key, data)
+}
+
+// appendRecord writes one record to the store's own segment and indexes it.
+// It starts a new segment if the store has none, or if its file is no
+// longer in place: removed (a fold), replaced, or not the length this store
+// wrote. s.mu must be held.
+func (s *Store) appendRecord(key string, data []byte) error {
+	if s.own != nil {
+		fi, err := os.Stat(filepath.Join(s.dir, s.own.name))
+		if err != nil || !os.SameFile(fi, s.ownInfo) || fi.Size() != s.own.end {
+			s.own = nil
+		}
+	}
+	if s.own == nil {
+		if err := s.newSegment(); err != nil {
+			return err
+		}
+	}
+	rec := encodeRecord(key, data)
+	seg := s.own
+	if n, err := seg.f.Write(rec); err != nil || n != len(rec) {
+		// The segment may now end in a torn record: nothing more may
+		// follow it.
+		s.own = nil
+		if err == nil {
+			err = io.ErrShortWrite
+		}
 		return fmt.Errorf("rescache: write %s: %w", key, err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("rescache: write %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("rescache: commit %s: %w", key, err)
-	}
+	l := loc{seg: seg, off: seg.end, klen: uint32(len(key)), dlen: uint32(len(data))}
+	seg.end += l.size()
+	s.add(key, l)
 	return nil
+}
+
+// encodeRecord lays out one record: header, key, data.
+func encodeRecord(key string, data []byte) []byte {
+	rec := make([]byte, headerLen, headerLen+len(key)+len(data))
+	binary.LittleEndian.PutUint32(rec, recordMagic)
+	binary.LittleEndian.PutUint32(rec[4:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(rec[8:], uint32(len(data)))
+	rec = append(append(rec, key...), data...)
+	binary.LittleEndian.PutUint32(rec[12:], crc32.Checksum(rec[headerLen:], castagnoli))
+	return rec
+}
+
+// newSegment creates the store's own segment, named after every segment it
+// knows so that its records win over theirs. s.mu must be held.
+func (s *Store) newSegment() error {
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return fmt.Errorf("rescache: %w", err)
+	}
+	stamp := time.Now().UnixNano()
+	if n := len(s.segs); n > 0 && stamp <= s.segs[n-1].stamp {
+		stamp = s.segs[n-1].stamp + 1
+	}
+	for ; ; stamp++ {
+		name := fmt.Sprintf("%016x%s", stamp, segSuffix)
+		f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+		if errors.Is(err, fs.ErrExist) {
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("rescache: %w", err)
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("rescache: %w", err)
+		}
+		s.own, s.ownInfo = &segment{name: name, stamp: stamp, f: f}, fi
+		s.segs = append(s.segs, s.own)
+		return nil
+	}
+}
+
+// add indexes the complete record l of key, unless the index already holds
+// a newer record of key. s.mu must be held.
+func (s *Store) add(key string, l loc) {
+	l.seg.records++
+	l.seg.bytes += l.size()
+	if old, ok := s.index[key]; ok {
+		if !l.newer(old) {
+			return
+		}
+		old.seg.live--
+		old.seg.liveBytes -= old.size()
+	}
+	s.index[key] = l
+	l.seg.live++
+	l.seg.liveBytes += l.size()
+}
+
+// drop removes key from the index if it still points at l. s.mu must be
+// held.
+func (s *Store) drop(key string, l loc) {
+	if cur, ok := s.index[key]; ok && cur == l {
+		delete(s.index, key)
+		l.seg.live--
+		l.seg.liveBytes -= l.size()
+	}
+}
+
+// refresh brings the index up to date with the directory: it drops
+// segments whose files are gone, opens new ones, and indexes the complete
+// records past each segment's scanned end. The first refresh then folds.
+// s.mu must be held.
+func (s *Store) refresh() {
+	first := s.index == nil
+	if first {
+		s.index = make(map[string]loc)
+	}
+	// A directory that cannot be listed holds no segments.
+	entries, _ := os.ReadDir(s.dir)
+	unknown := make(map[string]bool, len(entries))
+	for _, e := range entries {
+		unknown[e.Name()] = true
+	}
+	for _, seg := range append([]*segment(nil), s.segs...) {
+		if !unknown[seg.name] {
+			s.forget(seg)
+		}
+		delete(unknown, seg.name)
+	}
+	known := len(s.segs)
+	for _, e := range entries {
+		stamp, ok := segmentStamp(e.Name())
+		if !ok || !unknown[e.Name()] || !e.Type().IsRegular() {
+			continue
+		}
+		f, err := os.Open(filepath.Join(s.dir, e.Name()))
+		if err != nil {
+			continue // removed since the listing
+		}
+		s.segs = append(s.segs, &segment{name: e.Name(), stamp: stamp, f: f})
+	}
+	if len(s.segs) > known {
+		sort.Slice(s.segs, func(i, j int) bool { return s.segs[i].stamp < s.segs[j].stamp })
+	}
+	for _, seg := range s.segs {
+		s.scan(seg)
+	}
+	if first {
+		s.fold()
+	}
+}
+
+// segmentStamp parses a segment file name's creation time.
+func segmentStamp(name string) (int64, bool) {
+	hexStamp, ok := strings.CutSuffix(name, segSuffix)
+	if !ok || len(hexStamp) != 16 {
+		return 0, false
+	}
+	stamp, err := strconv.ParseInt(hexStamp, 16, 64)
+	return stamp, err == nil
+}
+
+// scan indexes the complete records past seg's scanned end. It reads
+// headers and keys only. s.mu must be held.
+func (s *Store) scan(seg *segment) {
+	if seg.bad {
+		return
+	}
+	fi, err := seg.f.Stat()
+	if err != nil {
+		return
+	}
+	size := fi.Size()
+	var buf [headerLen + 128]byte // a header and, usually, its key
+	for seg.end+headerLen <= size {
+		n, _ := seg.f.ReadAt(buf[:], seg.end)
+		if n < headerLen {
+			return // unreadable for now: look again at the next refresh
+		}
+		klen, dlen, ok := parseHeader(buf[:n])
+		if !ok {
+			seg.bad = true
+			return
+		}
+		l := loc{seg: seg, off: seg.end, klen: klen, dlen: dlen}
+		if seg.end+l.size() > size {
+			return // incomplete: look again at the next refresh
+		}
+		var key string
+		if headerLen+int(klen) <= n {
+			key = string(buf[headerLen : headerLen+klen])
+		} else {
+			kb := make([]byte, klen)
+			if _, err := seg.f.ReadAt(kb, seg.end+headerLen); err != nil {
+				return
+			}
+			key = string(kb)
+		}
+		s.add(key, l)
+		seg.end += l.size()
+	}
+}
+
+// fold bounds the directory: it folds every segment with more superseded
+// than live bytes, and every segment when there are more than maxSegments.
+// s.mu must be held.
+func (s *Store) fold() {
+	all := len(s.segs) > maxSegments
+	for _, seg := range append([]*segment(nil), s.segs...) {
+		if all || seg.bytes-seg.liveBytes > seg.liveBytes {
+			if s.foldSegment(seg) != nil {
+				return
+			}
+		}
+	}
+}
+
+// foldSegment appends seg's live records to the store's own segment, in
+// their order, then removes seg's file. A record that fails its checks is
+// dropped, not copied. s.mu must be held.
+func (s *Store) foldSegment(seg *segment) error {
+	type entry struct {
+		key string
+		l   loc
+	}
+	var live []entry
+	for key, l := range s.index {
+		if l.seg == seg {
+			live = append(live, entry{key, l})
+		}
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].l.off < live[j].l.off })
+	for _, e := range live {
+		data, err := e.l.read(e.key)
+		if err != nil {
+			s.drop(e.key, e.l)
+			continue
+		}
+		if err := s.appendRecord(e.key, data); err != nil {
+			return err
+		}
+	}
+	// Should the removal fail, the file holds only records superseded by
+	// the copies.
+	os.Remove(filepath.Join(s.dir, seg.name))
+	s.forget(seg)
+	return nil
+}
+
+// forget drops seg's index entries and closes its file. s.mu must be held.
+func (s *Store) forget(seg *segment) {
+	for key, l := range s.index {
+		if l.seg == seg {
+			s.drop(key, l)
+		}
+	}
+	for i, t := range s.segs {
+		if t == seg {
+			s.segs = append(s.segs[:i], s.segs[i+1:]...)
+			break
+		}
+	}
+	if seg == s.own {
+		s.own = nil
+	}
+	seg.f.Close()
+}
+
+// Segment describes one segment file as the store's index sees it.
+type Segment struct {
+	Name string
+	// Records and Bytes count the complete records indexed from the
+	// segment; Live and LiveBytes those that are still their key's entry.
+	// The rest are superseded, or failed a read.
+	Records, Live    int
+	Bytes, LiveBytes int64
+}
+
+// Segments refreshes the index (a store's first refresh also folds) and
+// describes each segment, oldest first.
+func (s *Store) Segments() []Segment {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.refresh()
+	out := make([]Segment, len(s.segs))
+	for i, seg := range s.segs {
+		out[i] = Segment{Name: seg.name, Records: seg.records, Live: seg.live, Bytes: seg.bytes, LiveBytes: seg.liveBytes}
+	}
+	return out
 }
 
 // Stats is a point-in-time snapshot of the store's counters.
@@ -185,8 +575,9 @@ type Stats struct {
 	// Misses counts Gets that found no usable entry (including every
 	// corrupt or stale one).
 	Misses int64
-	// Errors counts defective entries encountered (corrupt JSON, key
-	// mismatch, unreadable file) — always also counted as misses.
+	// Errors counts defective entries encountered (an unreadable record or
+	// one failing its checks, corrupt JSON, key mismatch) — always also
+	// counted as misses.
 	Errors int64
 }
 

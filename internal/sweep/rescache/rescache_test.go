@@ -1,6 +1,7 @@
 package rescache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -23,6 +24,81 @@ func testStore(t *testing.T) *Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// reopen returns a fresh store over s's directory, as another process sees
+// it.
+func reopen(t testing.TB, s *Store) *Store {
+	t.Helper()
+	fresh, err := Open(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fresh
+}
+
+// record is one complete record as a segment file holds it.
+type record struct {
+	off  int64
+	key  string
+	data []byte
+}
+
+// segmentFiles lists the segment files in dir, oldest first.
+func segmentFiles(t testing.TB, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, e := range entries {
+		if _, ok := segmentStamp(e.Name()); ok {
+			paths = append(paths, filepath.Join(dir, e.Name()))
+		}
+	}
+	return paths
+}
+
+// readRecords parses the complete records at the head of a segment file.
+func readRecords(t testing.TB, path string) []record {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []record
+	for off := 0; ; {
+		klen, dlen, ok := parseHeader(b[off:])
+		end := off + headerLen + int(klen) + int(dlen)
+		if !ok || end > len(b) {
+			return recs
+		}
+		recs = append(recs, record{int64(off), string(b[off+headerLen : off+headerLen+int(klen)]), b[off+headerLen+int(klen) : end]})
+		off = end
+	}
+}
+
+// onlyRecord returns the single record in the store's directory.
+func onlyRecord(t *testing.T, s *Store) record {
+	t.Helper()
+	segs := segmentFiles(t, s.Dir())
+	if len(segs) != 1 {
+		t.Fatalf("%d segments in %s, want 1", len(segs), s.Dir())
+	}
+	recs := readRecords(t, segs[0])
+	if len(recs) != 1 {
+		t.Fatalf("%d records in %s, want 1", len(recs), segs[0])
+	}
+	return recs[0]
+}
+
+// indexed reports whether the store's index holds key.
+func indexed(s *Store, key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.index[key]
+	return ok
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -56,56 +132,95 @@ func TestMiss(t *testing.T) {
 	}
 }
 
-// entryFile locates the single entry file in the store directory.
-func entryFile(t *testing.T, s *Store) string {
-	t.Helper()
-	var found string
-	err := filepath.Walk(s.Dir(), func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && filepath.Ext(path) == ".json" {
-			found = path
-		}
-		return err
-	})
-	if err != nil || found == "" {
-		t.Fatalf("no entry file in %s (err %v)", s.Dir(), err)
-	}
-	return found
-}
-
+// TestCorruptEntryIsAMissAndRemoved: a defective entry reads as a miss with
+// one error tick and leaves the index, the store's other entries still hit,
+// and a put heals the key. The defects are payloads the decoder rejects,
+// planted as records, and bytes flipped on disk in a record's data, key and
+// CRC.
 func TestCorruptEntryIsAMissAndRemoved(t *testing.T) {
-	for name, garbage := range map[string][]byte{
-		"truncated": []byte(`{"format":1,"key":`),
-		"garbage":   []byte("\x00\x01not json at all"),
-		"wrongKey":  []byte(`{"format":1,"key":"deadbeef","value":{}}`),
+	// planted files a payload the decoder rejects as the key's newest
+	// record.
+	planted := func(garbage string) func(s *Store, key string) {
+		return func(s *Store, key string) {
+			if err := s.PutBytes(key, []byte(garbage)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// flip changes one byte of the key's record on disk, at an offset into
+	// the record chosen from its data; a flip in the data keeps the payload
+	// valid JSON, so only the record checks can catch it.
+	flip := func(at func(r record) int64) func(s *Store, key string) {
+		return func(s *Store, key string) {
+			seg := segmentFiles(t, s.Dir())[0]
+			for _, r := range readRecords(t, seg) {
+				if r.key != key {
+					continue
+				}
+				f, err := os.OpenFile(seg, os.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				var b [1]byte
+				if _, err := f.ReadAt(b[:], r.off+at(r)); err != nil {
+					t.Fatal(err)
+				}
+				b[0] ^= 0x01
+				if _, err := f.WriteAt(b[:], r.off+at(r)); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			t.Fatalf("no record for %s", key)
+		}
+	}
+	for name, corrupt := range map[string]func(s *Store, key string){
+		"truncated": planted(`{"format":1,"key":`),
+		"garbage":   planted("\x00\x01not json at all"),
+		"wrongKey":  planted(`{"format":1,"key":"deadbeef","value":{}}`),
+		// "victim" → "vicuim" in the Name field.
+		"data": flip(func(r record) int64 {
+			return headerLen + int64(len(r.key)+bytes.Index(r.data, []byte("victim"))+3)
+		}),
+		"key": flip(func(r record) int64 { return headerLen + 5 }),
+		"crc": flip(func(record) int64 { return 12 }),
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := testStore(t)
-			in := payload{Name: "x", Cycles: 1}
-			key := Fingerprint(in)
-			if err := s.Put(key, in); err != nil {
-				t.Fatal(err)
+			entries := []payload{{Name: "a", Cycles: 1}, {Name: "victim", Cycles: 2}, {Name: "c", Cycles: 3}}
+			keys := make([]string, len(entries))
+			for i, in := range entries {
+				keys[i] = Fingerprint(in)
+				if err := s.Put(keys[i], in); err != nil {
+					t.Fatal(err)
+				}
 			}
-			path := entryFile(t, s)
-			if err := os.WriteFile(path, garbage, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			corrupt(s, keys[1])
 			var out payload
-			if s.Get(key, &out) {
-				t.Fatal("corrupt entry served as a hit")
+			if s.Get(keys[1], &out) {
+				t.Fatalf("corrupt entry served as a hit: %+v", out)
 			}
 			st := s.Stats()
 			if st.Errors != 1 || st.Misses != 1 {
 				t.Errorf("stats = %+v, want 1 error + 1 miss", st)
 			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Error("corrupt entry was not removed")
+			if indexed(s, keys[1]) {
+				t.Error("corrupt entry was not dropped from the index")
 			}
-			// The slot heals: a fresh Put then hits.
-			if err := s.Put(key, in); err != nil {
+			for _, i := range []int{0, 2} {
+				if !s.Get(keys[i], &out) || !reflect.DeepEqual(out, entries[i]) {
+					t.Errorf("intact entry %d did not read back: %+v", i, out)
+				}
+			}
+			// The slot heals: a fresh Put then hits, here and in a fresh store.
+			if err := s.Put(keys[1], entries[1]); err != nil {
 				t.Fatal(err)
 			}
-			if !s.Get(key, &out) || !reflect.DeepEqual(out, in) {
-				t.Error("healed slot did not round-trip")
+			for _, st := range []*Store{s, reopen(t, s)} {
+				if !st.Get(keys[1], &out) || !reflect.DeepEqual(out, entries[1]) {
+					t.Error("healed slot did not round-trip")
+				}
 			}
 		})
 	}
@@ -113,14 +228,9 @@ func TestCorruptEntryIsAMissAndRemoved(t *testing.T) {
 
 func TestFormatVersionMismatchIsAQuietMiss(t *testing.T) {
 	s := testStore(t)
-	in := payload{Name: "x"}
-	key := Fingerprint(in)
-	if err := s.Put(key, in); err != nil {
-		t.Fatal(err)
-	}
-	path := entryFile(t, s)
+	key := Fingerprint(payload{Name: "x"})
 	stale := []byte(`{"format":999,"key":"` + key + `","value":{}}`)
-	if err := os.WriteFile(path, stale, 0o644); err != nil {
+	if err := s.PutBytes(key, stale); err != nil {
 		t.Fatal(err)
 	}
 	var out payload
@@ -129,6 +239,9 @@ func TestFormatVersionMismatchIsAQuietMiss(t *testing.T) {
 	}
 	if st := s.Stats(); st.Errors != 0 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want a quiet miss (no error)", st)
+	}
+	if indexed(s, key) {
+		t.Error("stale entry was not dropped from the index")
 	}
 }
 
@@ -146,15 +259,14 @@ func TestGetBytesStaleVersusCorrupt(t *testing.T) {
 			if err := s.PutBytes(key, []byte{1, 2, 3}); err != nil {
 				t.Fatal(err)
 			}
-			path := entryFile(t, s)
 			if s.GetBytes(key, func([]byte) error { return c.err }) {
 				t.Fatal("rejected entry served as a hit")
 			}
 			if st := s.Stats(); st.Errors != c.errors || st.Misses != 1 {
 				t.Errorf("stats = %+v, want %d errors + 1 miss", st, c.errors)
 			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Error("rejected entry was not removed")
+			if indexed(s, key) {
+				t.Error("rejected entry was not dropped from the index")
 			}
 		})
 	}
@@ -198,6 +310,8 @@ func TestOpenRejectsUnusableDir(t *testing.T) {
 	}
 }
 
+// TestNoStrayTempFiles: the directory holds segments and nothing else — no
+// temp files, no shard directories.
 func TestNoStrayTempFiles(t *testing.T) {
 	s := testStore(t)
 	for i := 0; i < 10; i++ {
@@ -206,14 +320,17 @@ func TestNoStrayTempFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	err := filepath.Walk(s.Dir(), func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && filepath.Ext(path) != ".json" {
-			t.Errorf("stray non-entry file %s", path)
-		}
-		return err
-	})
+	entries, err := os.ReadDir(s.Dir())
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if _, ok := segmentStamp(e.Name()); !ok || !e.Type().IsRegular() {
+			t.Errorf("stray non-segment entry %s", e.Name())
+		}
+	}
+	if len(entries) != 1 {
+		t.Errorf("%d entries after one store's puts, want its one segment", len(entries))
 	}
 }
 
@@ -244,9 +361,10 @@ func TestConcurrentPutGet(t *testing.T) {
 
 // TestConcurrentWritersSameKeyAtomic is the stronger atomicity check: many
 // writers race distinct large payloads onto the same key while readers poll.
-// Because writes are temp-file-plus-rename, a reader must only ever observe
-// exactly one writer's complete payload — a Hist whose every word matches its
-// Cycles stamp — never an interleaving of two, and never a corruption tick.
+// Because a record is appended in one write and re-checked against its CRC
+// on every read, a reader must only ever observe exactly one writer's
+// complete payload — a Hist whose every word matches its Cycles stamp —
+// never an interleaving of two, and never a corruption tick.
 func TestConcurrentWritersSameKeyAtomic(t *testing.T) {
 	t.Parallel()
 	s := testStore(t)

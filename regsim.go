@@ -166,10 +166,10 @@ type SweepSpec = exper.Spec
 
 // ResultCache is the sweep subsystem's persistent, content-addressed
 // on-disk result store. Entries are keyed by a fingerprint of the spec, its
-// commit budget, and the simulator/workload version strings; writes are
-// atomic and corrupt entries are re-simulated, never fatal. A ResultCache
-// is safe for concurrent use, including by multiple processes sharing one
-// directory.
+// commit budget, and the simulator/workload version strings; each process
+// appends CRC-checked records to a segment file of its own, and torn or
+// corrupt entries are re-simulated, never fatal. A ResultCache is safe for
+// concurrent use, including by multiple processes sharing one directory.
 type ResultCache = rescache.Store
 
 // OpenResultCache creates (if needed) and validates a result-cache
