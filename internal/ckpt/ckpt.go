@@ -32,7 +32,7 @@ const Version = "ckpt-1"
 // FormatVersion is the on-disk encoding's revision (codec.go). Entries of
 // any other revision read as stale misses. Unlike Version it is not part of
 // any cache key, so bumping it leaves the result cache valid.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // Kind names an entry type on the wire.
 type Kind string

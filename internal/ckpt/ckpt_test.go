@@ -154,7 +154,7 @@ func TestDecodeRejects(t *testing.T) {
 // legacyResultEntry is a finished-result entry (wire kind 2) exactly as the
 // store wrote it before it kept only milestone snapshots: a 1000-commit
 // Result with watermarks [40 35], pressure-free, precise. Such entries
-// remain in older checkpoint directories under the same format revision.
+// remain in checkpoint directories of format revision 2.
 const legacyResultEntry = "RSCK\x02\x06ckpt-1\x03k-r\x02\xd5\x04{\"Cycles\":800,\"Committed\":1000,\"Issued\":0,\"IssuedLoads\":0,\"IssuedStores\":0,\"IssuedCondBr\":0,\"CommittedLoads\":0,\"CommittedCondBr\":0,\"LoadMisses\":0,\"ForwardedLoads\":0,\"Mispredicts\":0,\"NoFreeRegCycles\":0,\"DispatchRegStalls\":0,\"DispatchQueueFullStalls\":0,\"WriteBufferStalls\":0,\"Halted\":false,\"Checksum\":0,\"Live\":[{\"Cum\":[null,null,null,null]},{\"Cum\":[null,null,null,null]}],\"Ports\":[{\"Reads\":null,\"Writes\":null},{\"Reads\":null,\"Writes\":null}],\"DCache\":{\"LoadAccesses\":0,\"LoadMisses\":0,\"StoreProbes\":0,\"StoreHits\":0,\"FillsStarted\":0,\"FillsMerged\":0,\"FillsDropped\":0},\"ICacheAccesses\":0,\"ICacheMisses\":0}PF\x01\aprecise"
 
 // TestLegacyResultEntryRejected: a result entry left by an older store

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"regsim/internal/bpred"
@@ -26,9 +25,8 @@ import (
 //   - bool and 8-bit fields: one byte (bools strictly 0 or 1);
 //   - strings and predictor tables: uvarint length, then the bytes;
 //   - slices: uvarint count, then the elements; fixed arrays: the elements;
-//   - core.Result (the snapshot's running statistics): a length-prefixed
-//     JSON blob (small, and its JSON round trip is already pinned by core's
-//     tests).
+//   - core.Result (the snapshot's running statistics): a uvarint length,
+//     then its MarshalBinary bytes, the encoding the result cache stores.
 //
 // Decoding is total. The reader is sticky — after the first defect every
 // read returns zero and the error is reported once at the end — and every
@@ -39,8 +37,7 @@ import (
 const magic = "RSCK"
 
 // wireSnapshot is the snapshot kind byte. Kind byte 2 is retired: it held
-// finished results, which stores of this format revision may still contain,
-// so it must keep decoding as an error rather than be reassigned.
+// finished results in format-2 stores, and it keeps decoding as an error.
 const wireSnapshot = 1
 
 // Encode serializes an envelope (the inverse of Decode).
@@ -53,9 +50,7 @@ func Encode(e *Envelope) ([]byte, error) {
 	w.str(e.Version)
 	w.str(e.Key)
 	w.u8(wireSnapshot)
-	if err := w.snapshot(e.Snap); err != nil {
-		return nil, err
-	}
+	w.snapshot(e.Snap)
 	return w.b, nil
 }
 
@@ -124,16 +119,12 @@ func (w *writer) int64s(v []int64) {
 	}
 }
 
-func (w *writer) result(r *core.Result) error {
-	blob, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("ckpt: encode result: %w", err)
-	}
+func (w *writer) result(r *core.Result) {
+	blob, _ := r.MarshalBinary() // never fails
 	w.bytes(blob)
-	return nil
 }
 
-func (w *writer) snapshot(s *core.Snapshot) error {
+func (w *writer) snapshot(s *core.Snapshot) {
 	w.str(s.Version)
 	w.str(s.ProgID)
 	w.cfg(&s.Cfg)
@@ -171,7 +162,7 @@ func (w *writer) snapshot(s *core.Snapshot) error {
 	w.dcache(s.DC)
 	w.icache(s.IC)
 	w.mem(s.Mem)
-	return w.result(&s.Res)
+	w.result(&s.Res)
 }
 
 func (w *writer) cfg(c *core.CfgSnap) {
@@ -461,17 +452,16 @@ func (r *reader) int64s() []int64 {
 	return v
 }
 
-func (r *reader) result() *core.Result {
-	blob := r.bytes()
+func (r *reader) result(res *core.Result) {
+	n := r.count(1)
 	if r.err != nil {
-		return nil
+		return
 	}
-	var res core.Result
-	if err := json.Unmarshal(blob, &res); err != nil {
+	if err := res.UnmarshalBinary(r.b[:n]); err != nil {
 		r.fail("result: %v", err)
-		return nil
+		return
 	}
-	return &res
+	r.b = r.b[n:]
 }
 
 func (r *reader) snapshot() *core.Snapshot {
@@ -512,9 +502,7 @@ func (r *reader) snapshot() *core.Snapshot {
 	s.DC = r.dcache()
 	s.IC = r.icache()
 	s.Mem = r.mem()
-	if res := r.result(); res != nil {
-		s.Res = *res
-	}
+	r.result(&s.Res)
 	return s
 }
 

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -70,9 +71,7 @@ func TestCodecCarriesEveryField(t *testing.T) {
 	fill(t, reflect.ValueOf(&want).Elem(), "Snapshot", &n)
 
 	w := &writer{}
-	if err := w.snapshot(&want); err != nil {
-		t.Fatal(err)
-	}
+	w.snapshot(&want)
 	r := &reader{b: w.b}
 	got := r.snapshot()
 	if r.err != nil {
@@ -148,6 +147,11 @@ func TestHugeLengthPrefixRefusedBeforeAllocating(t *testing.T) {
 			r.mem()
 			return r.err
 		},
+		"result": func() error {
+			r := &reader{b: uv(huge)}
+			r.result(new(core.Result))
+			return r.err
+		},
 	}
 	for name, decode := range cases {
 		var err error
@@ -160,6 +164,29 @@ func TestHugeLengthPrefixRefusedBeforeAllocating(t *testing.T) {
 	}
 }
 
+// format2Entry is the entry format revision 2 wrote for snap under key:
+// this revision's layout with format 2 in the header and the Result as a
+// length-prefixed JSON blob.
+func format2Entry(t *testing.T, key string, snap *core.Snapshot) []byte {
+	t.Helper()
+	cur, err := Encode(&Envelope{Format: FormatVersion, Version: Version, Kind: KindSnapshot, Key: key, Snap: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _ := snap.Res.MarshalBinary()
+	blob, err := json.Marshal(&snap.Res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The format is one uvarint byte after the magic; the Result ends the
+	// entry.
+	resLen := len(binary.AppendUvarint(nil, uint64(len(res)))) + len(res)
+	w := &writer{b: append([]byte(magic), 2)}
+	w.b = append(w.b, cur[len(magic)+1:len(cur)-resLen]...)
+	w.bytes(blob)
+	return w.b
+}
+
 // TestDecodeStaleHeaders: entries that do not carry this format's header —
 // the JSON envelopes of format 1, or another binary revision — fail with
 // rescache.ErrStale, so the disk tier drops them quietly.
@@ -167,6 +194,7 @@ func TestDecodeStaleHeaders(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"json":          []byte(`{"format":1,"version":"ckpt-1","kind":"snapshot","key":"a"}`),
 		"older binary":  append([]byte(magic), 1),
+		"format 2":      format2Entry(t, "a", testSnapshot(t)),
 		"future binary": append([]byte(magic), FormatVersion+1),
 	} {
 		if _, err := Decode(data); !errors.Is(err, rescache.ErrStale) {
@@ -175,10 +203,11 @@ func TestDecodeStaleHeaders(t *testing.T) {
 	}
 }
 
-// TestPlantedJSONEntryIsAStaleMiss: a store populated before the binary
-// format holds JSON envelopes under the same keys. Reading one is a miss,
-// not an error, and the key leaves the index so the slot heals.
-func TestPlantedJSONEntryIsAStaleMiss(t *testing.T) {
+// checkStaleMiss plants data as an older build's entry for key k1 and
+// requires it to read as a quiet miss that leaves the index, and the slot
+// to heal on the next put.
+func checkStaleMiss(t *testing.T, plant func(sk string) []byte) {
+	t.Helper()
 	snap := testSnapshot(t)
 	s, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -188,21 +217,12 @@ func TestPlantedJSONEntryIsAStaleMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The format-1 layout: rescache's JSON envelope around a JSON ckpt
-	// envelope.
-	type jsonEnvelope struct {
-		Format  int            `json:"format"`
-		Version string         `json:"version"`
-		Kind    Kind           `json:"kind"`
-		Key     string         `json:"key"`
-		Snap    *core.Snapshot `json:"snap,omitempty"`
-	}
 	sk := diskKey("k1")
-	if err := old.Put(sk, jsonEnvelope{Format: 1, Version: Version, Kind: KindSnapshot, Key: sk, Snap: snap}); err != nil {
+	if err := old.PutBytes(sk, plant(sk)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Snapshot("k1"); ok {
-		t.Error("format-1 JSON snapshot entry served as a hit")
+		t.Error("stale snapshot entry served as a hit")
 	}
 	for _, seg := range s.disk.Segments() {
 		if seg.Live != 0 {
@@ -212,7 +232,7 @@ func TestPlantedJSONEntryIsAStaleMiss(t *testing.T) {
 	if st := s.disk.Stats(); st.Errors != 0 || st.Misses != 1 {
 		t.Errorf("disk tier stats %+v, want 1 quiet miss", st)
 	}
-	// The slot heals with a binary entry.
+	// The slot heals with an entry of this revision.
 	if err := s.PutSnapshot("k1", snap); err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +243,43 @@ func TestPlantedJSONEntryIsAStaleMiss(t *testing.T) {
 	if _, ok := fresh.Snapshot("k1"); !ok {
 		t.Error("healed slot did not read back")
 	}
+}
+
+// TestPlantedJSONEntryIsAStaleMiss: a store populated before the binary
+// format holds JSON envelopes under the same keys. Reading one is a miss,
+// not an error, and the key leaves the index so the slot heals.
+func TestPlantedJSONEntryIsAStaleMiss(t *testing.T) {
+	checkStaleMiss(t, func(sk string) []byte {
+		// The format-1 layout: rescache's JSON envelope around a JSON ckpt
+		// envelope.
+		type jsonEnvelope struct {
+			Format  int            `json:"format"`
+			Version string         `json:"version"`
+			Kind    Kind           `json:"kind"`
+			Key     string         `json:"key"`
+			Snap    *core.Snapshot `json:"snap,omitempty"`
+		}
+		type resultEnvelope struct {
+			Format int             `json:"format"`
+			Key    string          `json:"key"`
+			Value  json.RawMessage `json:"value"`
+		}
+		inner, err := json.Marshal(jsonEnvelope{Format: 1, Version: Version, Kind: KindSnapshot, Key: sk, Snap: testSnapshot(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outer, err := json.Marshal(resultEnvelope{Format: 1, Key: sk, Value: inner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outer
+	})
+}
+
+// TestPlantedFormat2EntryIsAStaleMiss: a store written by format revision
+// 2, which carried the Result as JSON, reads as quiet misses that heal.
+func TestPlantedFormat2EntryIsAStaleMiss(t *testing.T) {
+	checkStaleMiss(t, func(sk string) []byte { return format2Entry(t, sk, testSnapshot(t)) })
 }
 
 // TestEntryKeyMismatchIsCorrupt: a valid entry under the wrong path (a

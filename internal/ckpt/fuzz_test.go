@@ -20,9 +20,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(magic))
 	f.Add(append([]byte(magic), FormatVersion))
 
-	// Hostile inputs: a result entry older stores hold under this format
-	// revision, the format-1 JSON layout a pre-binary store holds, and plain
-	// garbage.
+	// Hostile inputs: a result entry format-2 stores hold, the format-1
+	// JSON layout a pre-binary store holds, and plain garbage.
 	f.Add([]byte(legacyResultEntry))
 	f.Add([]byte{})
 	f.Add([]byte("{"))

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+
 	"regsim/internal/cache"
 	"regsim/internal/rename"
 )
@@ -12,9 +16,10 @@ import (
 const Version = "core-1"
 
 // Result holds the statistics of one simulation run. Every field is
-// exported and JSON-encodable: the sweep subsystem's persistent cache
-// round-trips Results through JSON, so additions must remain losslessly
-// serialisable (see TestResultJSONRoundTrip).
+// exported and JSON-encodable: JSON is the wire format (HTTP responses,
+// paper -json). On disk, in the result cache and in checkpoints, a Result
+// is stored in its binary encoding (MarshalBinary), so a field added here
+// must also be added to binaryFields (see TestResultCodecCarriesEveryField).
 type Result struct {
 	// Cycles is the simulated run time.
 	Cycles int64
@@ -209,4 +214,157 @@ func (h *PortHist) record(reads, writes int) {
 	}
 	h.Reads[reads]++
 	h.Writes[writes]++
+}
+
+// MarshalBinary encodes r in the binary form both disk tiers store. It
+// never fails. The encoding carries r's fields in declaration order:
+//
+//   - the int64 counters as zigzag varints;
+//   - Halted as one byte, 0 or 1, and Checksum as a uvarint;
+//   - each histogram slice as a uvarint tag, 0 for nil or else 1 + its
+//     length, followed by its counts as zigzag varints.
+//
+// Nil and empty slices stay distinct, so a decoded Result marshals to the
+// same JSON as the one encoded. Varints must be minimal, so every Result
+// has one encoding and any input the decoder accepts re-encodes to itself.
+func (r *Result) MarshalBinary() ([]byte, error) {
+	head, hists, tail := r.binaryFields()
+	b := make([]byte, 0, 128)
+	for _, p := range head {
+		b = binary.AppendVarint(b, *p)
+	}
+	if r.Halted {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	b = binary.AppendUvarint(b, r.Checksum)
+	for _, p := range hists {
+		if *p == nil {
+			b = append(b, 0)
+			continue
+		}
+		b = binary.AppendUvarint(b, uint64(len(*p))+1)
+		for _, v := range *p {
+			b = binary.AppendVarint(b, v)
+		}
+	}
+	for _, p := range tail {
+		b = binary.AppendVarint(b, *p)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary replaces r with the Result data encodes (the inverse of
+// MarshalBinary). It is total: any input either decodes or returns an error
+// and leaves r zero. A slice is allocated only after its length is checked
+// against the remaining input (every count takes at least one byte), and
+// trailing bytes are an error.
+func (r *Result) UnmarshalBinary(data []byte) error {
+	*r = Result{}
+	d := resultDecoder{b: data}
+	head, hists, tail := r.binaryFields()
+	for _, p := range head {
+		*p = d.varint()
+	}
+	r.Halted = d.bool()
+	r.Checksum = d.uvarint()
+	for _, p := range hists {
+		*p = d.int64s()
+	}
+	for _, p := range tail {
+		*p = d.varint()
+	}
+	if d.err == nil && len(d.b) != 0 {
+		d.fail(fmt.Errorf("%d trailing bytes", len(d.b)))
+	}
+	if d.err != nil {
+		*r = Result{}
+		return fmt.Errorf("core: decode result: %w", d.err)
+	}
+	return nil
+}
+
+// binaryFields lists r's fields in the binary encoding's order: the
+// counters before Halted, then (after Halted and Checksum) the histogram
+// slices, then the cache counters.
+func (r *Result) binaryFields() (head [15]*int64, hists [12]*[]int64, tail [9]*int64) {
+	head = [...]*int64{&r.Cycles, &r.Committed, &r.Issued,
+		&r.IssuedLoads, &r.IssuedStores, &r.IssuedCondBr, &r.CommittedLoads, &r.CommittedCondBr,
+		&r.LoadMisses, &r.ForwardedLoads, &r.Mispredicts,
+		&r.NoFreeRegCycles, &r.DispatchRegStalls, &r.DispatchQueueFullStalls, &r.WriteBufferStalls}
+	i := 0
+	for f := range r.Live {
+		for c := range r.Live[f].Cum {
+			hists[i] = &r.Live[f].Cum[c]
+			i++
+		}
+	}
+	for f := range r.Ports {
+		hists[i], hists[i+1] = &r.Ports[f].Reads, &r.Ports[f].Writes
+		i += 2
+	}
+	dc := &r.DCache
+	tail = [...]*int64{&dc.LoadAccesses, &dc.LoadMisses, &dc.StoreProbes, &dc.StoreHits,
+		&dc.FillsStarted, &dc.FillsMerged, &dc.FillsDropped, &r.ICacheAccesses, &r.ICacheMisses}
+	return head, hists, tail
+}
+
+// resultDecoder reads the binary encoding from b with a sticky error: after
+// the first defect b is emptied, every read returns zero, and err holds the
+// defect.
+type resultDecoder struct {
+	b   []byte
+	err error
+}
+
+func (d *resultDecoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.b = nil
+}
+
+func (d *resultDecoder) bool() bool {
+	if len(d.b) == 0 || d.b[0] > 1 {
+		d.fail(errors.New("truncated input or a bool byte other than 0 or 1"))
+		return false
+	}
+	v := d.b[0] == 1
+	d.b = d.b[1:]
+	return v
+}
+
+// uvarint reads a minimal uvarint: a longer encoding of the same value
+// ends in a zero byte.
+func (d *resultDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 || n > 1 && d.b[n-1] == 0 {
+		d.fail(errors.New("bad, truncated or non-minimal varint"))
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// varint reads a minimal zigzag varint.
+func (d *resultDecoder) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+func (d *resultDecoder) int64s() []int64 {
+	tag := d.uvarint()
+	if tag == 0 {
+		return nil
+	}
+	if tag-1 > uint64(len(d.b)) {
+		d.fail(fmt.Errorf("slice length %d exceeds the remaining %d bytes", tag-1, len(d.b)))
+		return nil
+	}
+	v := make([]int64, tag-1)
+	for i := range v {
+		v[i] = d.varint()
+	}
+	return v
 }

@@ -8,9 +8,10 @@ import (
 	"regsim/internal/workload"
 )
 
-// TestResultJSONRoundTrip: the sweep subsystem's persistent cache stores
-// Results as JSON, so a Result must encode→decode→compare losslessly —
-// including the live-register and port histograms of tracked runs.
+// TestResultJSONRoundTrip: JSON is the wire format (HTTP responses, paper
+// -json), so a Result must encode→decode→compare losslessly — including the
+// live-register and port histograms of tracked runs. The disk tiers use the
+// binary encoding instead (resultcodec_test.go).
 func TestResultJSONRoundTrip(t *testing.T) {
 	p, err := workload.Build("compress")
 	if err != nil {
@@ -45,13 +46,13 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResultJSONAllFieldsExported guards the cache's serialisation contract
-// structurally: a future unexported field would silently drop data.
+// TestResultJSONAllFieldsExported guards the wire format structurally: a
+// future unexported field would silently drop out of every JSON response.
 func TestResultJSONAllFieldsExported(t *testing.T) {
 	typ := reflect.TypeOf(Result{})
 	for i := 0; i < typ.NumField(); i++ {
 		if f := typ.Field(i); !f.IsExported() {
-			t.Errorf("Result.%s is unexported; it would be lost in the persistent result cache", f.Name)
+			t.Errorf("Result.%s is unexported; it would be missing from JSON responses", f.Name)
 		}
 	}
 }

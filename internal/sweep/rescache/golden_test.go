@@ -1,9 +1,10 @@
 package rescache
 
 import (
-	"encoding/json"
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"regsim/internal/cache"
@@ -34,10 +35,8 @@ func goldenResult() *core.Result {
 }
 
 // TestPutGoldenBytes pins the result-cache payload format: Put's record
-// carries exactly the committed golden bytes, which are also exactly what
-// marshalling the envelope struct around the value produces — so a payload
-// written before Put encoded its envelope in one pass stays valid byte for
-// byte.
+// carries exactly the committed golden bytes, which are also exactly the
+// envelope laid out by hand around the Result's binary encoding.
 func TestPutGoldenBytes(t *testing.T) {
 	s := testStore(t)
 	key := Fingerprint("golden-result")
@@ -54,22 +53,45 @@ func TestPutGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != string(want) {
-		t.Errorf("Put payload differs from the golden entry:\n got %s\nwant %s", got, want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("Put payload differs from the golden entry:\n got %x\nwant %x", got, want)
 	}
-	val, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twoPass, err := json.Marshal(envelope{Format: FormatVersion, Key: key, Value: val})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(twoPass) {
-		t.Errorf("Put payload differs from the marshalled envelope:\n got %s\nwant %s", got, twoPass)
+	if byHand := envelope(FormatVersion, key, encoded(t, res)); !bytes.Equal(got, byHand) {
+		t.Errorf("Put payload differs from the envelope laid out by hand:\n got %x\nwant %x", got, byHand)
 	}
 	var back core.Result
-	if !s.Get(key, &back) {
-		t.Fatal("golden entry did not read back")
+	if !s.Get(key, &back) || !reflect.DeepEqual(&back, res) {
+		t.Fatalf("golden entry read back as %+v", back)
+	}
+}
+
+// TestPlantedFormat1EntryIsAStaleMiss: the golden Result's entry as format
+// 1 wrote it (a JSON envelope, kept as testdata) reads as a quiet miss,
+// leaves the index, and heals on the next put.
+func TestPlantedFormat1EntryIsAStaleMiss(t *testing.T) {
+	s := testStore(t)
+	key := Fingerprint("golden-result")
+	old, err := os.ReadFile(filepath.Join("testdata", "result-entry-format1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBytes(key, old); err != nil {
+		t.Fatal(err)
+	}
+	var back core.Result
+	if s.Get(key, &back) {
+		t.Fatal("format-1 entry served as a hit")
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Errors != 0 {
+		t.Errorf("stats = %+v, want 1 quiet miss", st)
+	}
+	if indexed(s, key) {
+		t.Error("format-1 entry was not dropped from the index")
+	}
+	if err := s.Put(key, goldenResult()); err != nil {
+		t.Fatal(err)
+	}
+	if !reopen(t, s).Get(key, &back) || !reflect.DeepEqual(&back, goldenResult()) {
+		t.Errorf("healed slot read back as %+v", back)
 	}
 }

@@ -2,9 +2,9 @@
 // on-disk, content-addressed result store. Entries are keyed by a
 // fingerprint of everything that could change a simulation's output (the
 // full machine spec, the commit budget, and the simulator/workload version
-// strings) and stored as versioned JSON envelopes. Other stores that need the
-// same durability with their own encoding write raw bytes through
-// PutBytes/GetBytes.
+// strings) and stored as versioned binary envelopes around the value's own
+// binary encoding (Put/Get). Other stores that need the same durability with
+// their own encoding write raw bytes through PutBytes/GetBytes.
 //
 // On disk, a directory holds append-only segment files. Each Store appends
 // to one segment of its own, created at its first write; a record is
@@ -37,7 +37,9 @@
 package rescache
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -57,12 +59,19 @@ import (
 	"time"
 )
 
-// FormatVersion is the envelope format of Put's JSON payloads. Bumping it
-// invalidates every existing entry (old entries read as quiet misses and
-// are superseded by the next put).
-const FormatVersion = 1
+// FormatVersion is the revision of the envelope Put writes:
+//
+//	"RSRC" | uvarint format | uvarint key length | key | value
+//
+// where value is the stored value's MarshalBinary bytes. Bumping it
+// invalidates every existing entry: entries of another revision, and the
+// JSON envelopes of format 1, read as quiet misses and are superseded by
+// the next put.
+const FormatVersion = 2
 
 const (
+	// envelopeMagic opens every envelope Put writes.
+	envelopeMagic = "RSRC"
 	// recordMagic opens every record ("RSR1").
 	recordMagic = 0x31525352
 	// headerLen is the fixed record header: magic, key length, data length,
@@ -151,37 +160,53 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// envelope is the JSON payload Put stores. Key is stored redundantly so
-// that a payload filed under the wrong key cannot serve the wrong result.
-type envelope struct {
-	Format int             `json:"format"`
-	Key    string          `json:"key"`
-	Value  json.RawMessage `json:"value"`
-}
-
 // ErrStale marks an entry written under an older format revision. A decode
 // function handed to GetBytes returns it (possibly wrapped) to have the entry
 // dropped quietly, as staleness rather than corruption.
 var ErrStale = errors.New("rescache: stale entry format")
 
 // Get loads the entry for key into v, reporting whether it was present and
-// intact. Any defect — unreadable record, bad JSON, format or key mismatch —
-// counts as a miss (plus an error counter tick, except for a format
-// mismatch) and drops the entry from the index until the next Put heals it.
-func (s *Store) Get(key string, v any) bool {
+// intact. Any defect — unreadable record, bad envelope, key mismatch, or
+// value bytes v rejects — counts as a miss plus an error counter tick, and
+// an entry of another format revision as a quiet miss; either way the
+// entry leaves the index until the next Put heals it.
+func (s *Store) Get(key string, v encoding.BinaryUnmarshaler) bool {
 	return s.GetBytes(key, func(data []byte) error {
-		var env envelope
-		if err := json.Unmarshal(data, &env); err != nil {
+		val, err := openEnvelope(data, key)
+		if err != nil {
 			return err
 		}
-		if env.Key != key {
-			return fmt.Errorf("rescache: entry holds key %q", env.Key)
-		}
-		if env.Format != FormatVersion {
-			return ErrStale
-		}
-		return json.Unmarshal(env.Value, v)
+		return v.UnmarshalBinary(val)
 	})
+}
+
+// openEnvelope checks the envelope of an entry stored under key and returns
+// the value bytes it holds.
+func openEnvelope(data []byte, key string) ([]byte, error) {
+	if len(data) > 0 && data[0] == '{' {
+		return nil, fmt.Errorf("%w: a format-1 JSON envelope", ErrStale)
+	}
+	rest, ok := bytes.CutPrefix(data, []byte(envelopeMagic))
+	if !ok {
+		return nil, errors.New("rescache: entry has no envelope header")
+	}
+	format, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return nil, errors.New("rescache: truncated envelope header")
+	}
+	if format != FormatVersion {
+		return nil, fmt.Errorf("%w: format %d, want %d", ErrStale, format, FormatVersion)
+	}
+	rest = rest[n:]
+	klen, n := binary.Uvarint(rest)
+	if n <= 0 || klen > uint64(len(rest)-n) {
+		return nil, errors.New("rescache: truncated envelope key")
+	}
+	rest = rest[n:]
+	if string(rest[:klen]) != key {
+		return nil, fmt.Errorf("rescache: entry holds key %q", rest[:klen])
+	}
+	return rest[klen:], nil
 }
 
 // GetBytes reads the raw entry stored under key and hands it to decode,
@@ -254,18 +279,18 @@ func parseHeader(h []byte) (klen, dlen uint32, ok bool) {
 	return binary.LittleEndian.Uint32(h[4:]), binary.LittleEndian.Uint32(h[8:]), true
 }
 
-// Put stores v under key as a JSON envelope. The envelope is assembled
-// around the value's encoding directly, in one pass: the bytes are exactly
-// what marshalling the envelope struct would produce.
-func (s *Store) Put(key string, v any) error {
-	val, err := json.Marshal(v)
+// Put stores v's binary encoding under key, in an envelope that repeats the
+// key so that an entry filed under the wrong key cannot serve the wrong
+// value.
+func (s *Store) Put(key string, v encoding.BinaryMarshaler) error {
+	val, err := v.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("rescache: encode %s: %w", key, err)
 	}
-	quoted, _ := json.Marshal(key) // a string always marshals
-	data := fmt.Appendf(make([]byte, 0, len(val)+len(quoted)+32),
-		`{"format":%d,"key":%s,"value":`, FormatVersion, quoted)
-	data = append(append(data, val...), '}')
+	data := make([]byte, 0, len(envelopeMagic)+1+binary.MaxVarintLen64+len(key)+len(val))
+	data = binary.AppendUvarint(append(data, envelopeMagic...), FormatVersion)
+	data = binary.AppendUvarint(data, uint64(len(key)))
+	data = append(append(data, key...), val...)
 	return s.PutBytes(key, data)
 }
 
@@ -576,8 +601,8 @@ type Stats struct {
 	// corrupt or stale one).
 	Misses int64
 	// Errors counts defective entries encountered (an unreadable record or
-	// one failing its checks, corrupt JSON, key mismatch) — always also
-	// counted as misses.
+	// one failing its checks, a bad envelope or value, key mismatch) —
+	// always also counted as misses.
 	Errors int64
 }
 

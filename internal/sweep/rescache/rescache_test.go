@@ -2,6 +2,8 @@ package rescache
 
 import (
 	"bytes"
+	"encoding"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -9,12 +11,78 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"regsim/internal/core"
 )
 
 type payload struct {
 	Name   string
 	Cycles int64
 	Hist   []int64
+}
+
+// MarshalBinary encodes p as its length-prefixed name (so a flipped byte in
+// the name leaves the payload decodable), its cycles as a varint, and its
+// histogram as a count and varints.
+func (p payload) MarshalBinary() ([]byte, error) {
+	b := binary.AppendUvarint(nil, uint64(len(p.Name)))
+	b = binary.AppendVarint(append(b, p.Name...), p.Cycles)
+	b = binary.AppendUvarint(b, uint64(len(p.Hist)))
+	for _, v := range p.Hist {
+		b = binary.AppendVarint(b, v)
+	}
+	return b, nil
+}
+
+var errPayload = errors.New("malformed payload")
+
+// UnmarshalBinary decodes MarshalBinary's encoding.
+func (p *payload) UnmarshalBinary(b []byte) error {
+	*p = payload{}
+	name, n := binary.Uvarint(b)
+	if n <= 0 || name > uint64(len(b)-n) {
+		return errPayload
+	}
+	p.Name, b = string(b[n:n+int(name)]), b[n+int(name):]
+	if p.Cycles, n = binary.Varint(b); n <= 0 {
+		return errPayload
+	}
+	b = b[n:]
+	words, n := binary.Uvarint(b)
+	if n <= 0 || words > uint64(len(b)-n) {
+		return errPayload
+	}
+	if b = b[n:]; words > 0 {
+		p.Hist = make([]int64, words)
+	}
+	for i := range p.Hist {
+		if p.Hist[i], n = binary.Varint(b); n <= 0 {
+			return errPayload
+		}
+		b = b[n:]
+	}
+	if len(b) != 0 {
+		return errPayload
+	}
+	return nil
+}
+
+// envelope lays out, by hand, the entry Put writes for key around val under
+// the given format revision.
+func envelope(format uint64, key string, val []byte) []byte {
+	b := binary.AppendUvarint([]byte(envelopeMagic), format)
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	return append(append(b, key...), val...)
+}
+
+// encoded returns v's binary encoding.
+func encoded(t testing.TB, v encoding.BinaryMarshaler) []byte {
+	t.Helper()
+	b, err := v.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func testStore(t *testing.T) *Store {
@@ -140,16 +208,17 @@ func TestMiss(t *testing.T) {
 func TestCorruptEntryIsAMissAndRemoved(t *testing.T) {
 	// planted files a payload the decoder rejects as the key's newest
 	// record.
-	planted := func(garbage string) func(s *Store, key string) {
+	planted := func(garbage func(key string) []byte) func(s *Store, key string) {
 		return func(s *Store, key string) {
-			if err := s.PutBytes(key, []byte(garbage)); err != nil {
+			if err := s.PutBytes(key, garbage(key)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	victim := encoded(t, payload{Name: "victim", Cycles: 2})
 	// flip changes one byte of the key's record on disk, at an offset into
 	// the record chosen from its data; a flip in the data keeps the payload
-	// valid JSON, so only the record checks can catch it.
+	// decodable, so only the record checks can catch it.
 	flip := func(at func(r record) int64) func(s *Store, key string) {
 		return func(s *Store, key string) {
 			seg := segmentFiles(t, s.Dir())[0]
@@ -176,9 +245,14 @@ func TestCorruptEntryIsAMissAndRemoved(t *testing.T) {
 		}
 	}
 	for name, corrupt := range map[string]func(s *Store, key string){
-		"truncated": planted(`{"format":1,"key":`),
-		"garbage":   planted("\x00\x01not json at all"),
-		"wrongKey":  planted(`{"format":1,"key":"deadbeef","value":{}}`),
+		"truncated": planted(func(key string) []byte {
+			e := envelope(FormatVersion, key, victim)
+			return e[:len(e)-1]
+		}),
+		"garbage": planted(func(string) []byte { return []byte("\x00\x01not an envelope at all") }),
+		"wrongKey": planted(func(string) []byte {
+			return envelope(FormatVersion, Fingerprint("another entry"), victim)
+		}),
 		// "victim" → "vicuim" in the Name field.
 		"data": flip(func(r record) int64 {
 			return headerLen + int64(len(r.key)+bytes.Index(r.data, []byte("victim"))+3)
@@ -226,22 +300,38 @@ func TestCorruptEntryIsAMissAndRemoved(t *testing.T) {
 	}
 }
 
+// TestFormatVersionMismatchIsAQuietMiss: an entry of another envelope
+// revision, binary or the JSON of format 1, reads as a quiet miss, leaves
+// the index, and heals on the next put.
 func TestFormatVersionMismatchIsAQuietMiss(t *testing.T) {
-	s := testStore(t)
-	key := Fingerprint(payload{Name: "x"})
-	stale := []byte(`{"format":999,"key":"` + key + `","value":{}}`)
-	if err := s.PutBytes(key, stale); err != nil {
-		t.Fatal(err)
-	}
-	var out payload
-	if s.Get(key, &out) {
-		t.Fatal("stale-format entry served as a hit")
-	}
-	if st := s.Stats(); st.Errors != 0 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want a quiet miss (no error)", st)
-	}
-	if indexed(s, key) {
-		t.Error("stale entry was not dropped from the index")
+	in := payload{Name: "x"}
+	key := Fingerprint(in)
+	for name, stale := range map[string][]byte{
+		"next revision": envelope(FormatVersion+1, key, encoded(t, in)),
+		"format-1 JSON": []byte(`{"format":1,"key":"` + key + `","value":{"Name":"x","Cycles":0,"Hist":null}}`),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := testStore(t)
+			if err := s.PutBytes(key, stale); err != nil {
+				t.Fatal(err)
+			}
+			var out payload
+			if s.Get(key, &out) {
+				t.Fatal("stale-format entry served as a hit")
+			}
+			if st := s.Stats(); st.Errors != 0 || st.Misses != 1 {
+				t.Errorf("stats = %+v, want a quiet miss (no error)", st)
+			}
+			if indexed(s, key) {
+				t.Error("stale entry was not dropped from the index")
+			}
+			if err := s.Put(key, in); err != nil {
+				t.Fatal(err)
+			}
+			if !reopen(t, s).Get(key, &out) || !reflect.DeepEqual(out, in) {
+				t.Errorf("healed slot read back as %+v", out)
+			}
+		})
 	}
 }
 
@@ -287,7 +377,7 @@ func TestValueTypeMismatchIsCorruption(t *testing.T) {
 	if err := s.Put(key, payload{Name: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	var wrong []string // cannot decode an object into a slice
+	var wrong core.Result // a payload's bytes are too short for a Result
 	if s.Get(key, &wrong) {
 		t.Fatal("mismatched value type served as a hit")
 	}
