@@ -16,11 +16,6 @@
 // the user cache directory), making reruns at the same budget near-instant.
 // -no-cache bypasses the store.
 //
-// -estimate switches fig10 to the twin-guided pruned sweep: the analytical
-// twin predicts BIPS for the whole register grid, and only the points
-// predicted within -prune-band of each curve's peak (plus a seeded audit
-// sample) are simulated exactly. The band must lie in (0, 1).
-//
 // -checkpoint-dir attaches the architectural checkpoint store (shared with
 // cmd/regsim): each configuration keeps one mid-run machine snapshot, the
 // deepest a run of it stored, and a later sweep at the same or a larger
@@ -29,14 +24,14 @@
 // store's snapshot hits and misses print after the sweep's counters.
 //
 // -sample <rate in (0,1)> switches sweeps to sampled simulation: each run
-// simulates only that fraction of its budget and extrapolates the rest with
-// help from the analytical twin, so figures render in a fraction of the
-// time but carry estimation error (bounds in EXPERIMENTS.md) and never
-// enter the result cache. Tracked (live-register) runs always run exactly.
+// simulates only that fraction of its budget and extrapolates the rest at
+// the measured prefix's steady-half IPC, exactly as cmd/regsim -sample does,
+// so figures render in a fraction of the time but carry estimation error
+// (bounds in EXPERIMENTS.md) and never enter the result cache. Tracked
+// (live-register) runs always run exactly.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -51,7 +46,6 @@ import (
 	"regsim/internal/exper"
 	"regsim/internal/sweep/rescache"
 	"regsim/internal/telemetry"
-	"regsim/internal/twin"
 )
 
 // defaultCacheDir places the persistent result cache under the OS user
@@ -73,13 +67,10 @@ func main() {
 	progress := flag.Bool("progress", false, "print in-run heartbeats (cycles, committed, IPC, ETA) for long sweeps")
 	plots := flag.Bool("plots", false, "also render figures as ASCII charts")
 	asJSON := flag.Bool("json", false, "emit the experiment's data as JSON instead of tables")
-	pruneDefaults := exper.DefaultPruneOptions(nil)
-	estimate := flag.Bool("estimate", false, "fig10 only: twin-guided pruned sweep (simulate just the predicted-competitive band)")
-	pruneBand := flag.Float64("prune-band", pruneDefaults.Band, "with -estimate: keep points predicted within this fraction of each curve's peak, in (0, 1)")
 	ckptDir := flag.String("checkpoint-dir", "", "architectural checkpoint directory shared with cmd/regsim: keep each configuration's deepest machine snapshot and fast-forward runs at the same or a larger budget from it, bit-identically (empty disables checkpointing)")
 	sample := flag.Float64("sample", 0, "sampled simulation: each run simulates this fraction of its budget, in (0,1), and extrapolates the rest (figures become estimates; 0 disables)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: paper [-n budget] [-jobs N] [-cache-dir dir] [-checkpoint-dir dir] [-sample rate] [-v] [-progress] [-estimate [-prune-band f]] table1|fig3|fig4|fig5|fig6|fig7|fig8|fig10|findings|regreq|ports|ablations|all\n")
+		fmt.Fprintf(os.Stderr, "usage: paper [-n budget] [-jobs N] [-cache-dir dir] [-checkpoint-dir dir] [-sample rate] [-v] [-progress] table1|fig3|fig4|fig5|fig6|fig7|fig8|fig10|findings|regreq|ports|ablations|all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -99,14 +90,6 @@ func main() {
 	// sweeping starts, so a typo cannot burn a long run first.
 	if !knownExperiment(flag.Arg(0)) {
 		fatalUsage("unknown experiment %q (want %s)", flag.Arg(0), strings.Join(experimentNames, "|"))
-	}
-	// The pruning band gates which points simulate at all, so a malformed
-	// value is a usage error, not something to clamp silently.
-	if *pruneBand <= 0 || *pruneBand >= 1 {
-		fatalUsage("invalid -prune-band %v: the band must lie in (0, 1)", *pruneBand)
-	}
-	if *estimate && flag.Arg(0) != "fig10" {
-		fatalUsage("-estimate applies to fig10 only, not %q", flag.Arg(0))
 	}
 	// The sampling rate gates how much of every run simulates at all, so a
 	// malformed value is a usage error, not something to clamp silently.
@@ -130,31 +113,7 @@ func main() {
 		}
 		s.Checkpoints = store
 	}
-	if *sample != 0 {
-		s.SampleRate = *sample
-		// The gap splicer prefers the analytical twin's steady-state IPC over
-		// the measured interval's own rate when it has one. The twin
-		// calibrates on a second, exact suite that shares this one's stores
-		// (its short calibration runs are legitimate exact results), capped
-		// at the sweep budget so calibration never outruns the runs it
-		// serves.
-		exact := exper.NewSuite(*budget)
-		exact.Jobs = *jobs
-		exact.Cache = s.Cache
-		exact.Checkpoints = s.Checkpoints
-		model := twin.New(exact)
-		model.CalibBudget = twin.DefaultCalibBudget
-		if *budget < model.CalibBudget {
-			model.CalibBudget = *budget
-		}
-		s.SampleEstimator = func(ctx context.Context, spec exper.Spec) (float64, error) {
-			est, err := model.EstimateContext(ctx, spec)
-			if err != nil {
-				return 0, err
-			}
-			return est.IPC, nil
-		}
-	}
+	s.SampleRate = *sample
 	if *verbose {
 		s.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
@@ -172,7 +131,7 @@ func main() {
 		}
 	}
 	start := time.Now()
-	if err := run(s, flag.Arg(0), *plots, *asJSON, *estimate, *pruneBand); err != nil {
+	if err := run(s, flag.Arg(0), *plots, *asJSON); err != nil {
 		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
 		os.Exit(1)
 	}
@@ -208,7 +167,7 @@ func knownExperiment(name string) bool {
 
 type printer interface{ Print(io.Writer) }
 
-func run(s *exper.Suite, what string, plots, asJSON bool, estimate bool, band float64) error {
+func run(s *exper.Suite, what string, plots, asJSON bool) error {
 	out := os.Stdout
 	emit := func(v printer) error {
 		if asJSON {
@@ -267,19 +226,6 @@ func run(s *exper.Suite, what string, plots, asJSON bool, estimate bool, band fl
 		}
 		return emit(f)
 	case "fig10":
-		if estimate {
-			tw := twin.New(s)
-			opts := exper.DefaultPruneOptions(func(spec exper.Spec) (float64, error) {
-				est, err := tw.Estimate(spec)
-				return est.IPC, err
-			})
-			opts.Band = band
-			f, err := s.Fig10Pruned(opts)
-			if err != nil {
-				return err
-			}
-			return emit(f)
-		}
 		f, err := s.Fig10(nil)
 		if err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"regsim/internal/cmdtest"
+	"regsim/internal/exper"
 )
 
 // TestExitCodes pins the process contract: malformed flags and arguments
@@ -39,10 +41,6 @@ func TestExitCodes(t *testing.T) {
 		{"sample rate one", []string{"-sample", "1", "-no-cache", "table1"}, 2},
 		{"sample rate negative", []string{"-sample", "-0.2", "-no-cache", "table1"}, 2},
 		{"sample rate over one", []string{"-sample", "1.5", "-no-cache", "table1"}, 2},
-		{"band too wide", []string{"-estimate", "-prune-band", "1.5", "fig10"}, 2},
-		{"band zero", []string{"-estimate", "-prune-band", "0", "fig10"}, 2},
-		{"band negative", []string{"-estimate", "-prune-band", "-0.1", "fig10"}, 2},
-		{"estimate off fig10", []string{"-estimate", "table1"}, 2},
 		{"success", []string{"-n", "500", "-no-cache", "table1"}, 0},
 	}
 	for _, tc := range cases {
@@ -128,40 +126,33 @@ func TestFig7MatchesUnsharedDigest(t *testing.T) {
 	}
 }
 
-// TestSampledSmoke: a sampled sweep completes and renders the same table
-// shape as the exact one (the values are estimates; accuracy is bounded by
-// internal/exper's TestSampledFig6Error, not here).
+// TestSampledSmoke: a sampled spec has one answer. The CLI's sampled fig6
+// JSON must be, byte for byte, what an in-process suite at the same budget
+// and rate renders, indented as the CLI indents it (the values are
+// estimates; accuracy is bounded by internal/exper's TestSampledFig6Error,
+// not here).
 func TestSampledSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a sampled fig6 sweep")
+		t.Skip("runs a sampled fig6 sweep twice")
 	}
 	bin := cmdtest.Build(t, "paper")
-	code, out := cmdtest.Run(t, bin, "-n", "4000", "-sample", "0.25", "-no-cache", "fig6")
-	if code != 0 {
-		t.Fatalf("exit %d\n%s", code, out)
+	got, err := exec.Command(bin, "-n", "4000", "-sample", "0.25", "-no-cache", "-json", "fig6").Output()
+	if err != nil {
+		t.Fatalf("paper -sample 0.25 -json fig6: %v", err)
 	}
-	for _, want := range []string{"Figure 6", "4-way issue", "8-way issue"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("sampled fig6 output missing %q:\n%s", want, out)
-		}
+	s := exper.NewSuite(4000)
+	s.SampleRate = 0.25
+	f, err := s.Fig6()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestEstimatePrunedSmoke runs the twin-guided fig10 end to end at a tiny
-// budget: exit 0, and the rendering names what was pruned, what was kept,
-// and the per-curve peaks.
-func TestEstimatePrunedSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full pruned sweep")
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(f); err != nil {
+		t.Fatal(err)
 	}
-	bin := cmdtest.Build(t, "paper")
-	code, out := cmdtest.Run(t, bin, "-n", "400", "-no-cache", "-estimate", "fig10")
-	if code != 0 {
-		t.Fatalf("exit %d\n%s", code, out)
-	}
-	for _, want := range []string{"twin-pruned", "peak:", "grid specs"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("pruned fig10 output missing %q:\n%s", want, out)
-		}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("the CLI's sampled fig6 differs from the in-process suite's\nCLI:\n%s\nsuite:\n%s", got, want.Bytes())
 	}
 }

@@ -141,11 +141,6 @@ type Suite struct {
 	// the checkpoint store entirely, and their accuracy is reported in
 	// EXPERIMENTS.md rather than promised.
 	SampleRate float64
-	// SampleEstimator, when non-nil, supplies the IPC used to splice the
-	// unsimulated gap of a sampled run (the analytical twin's closed form,
-	// wired up by cmd/paper -sample); when nil, the measured prefix's
-	// steady-half IPC is used.
-	SampleEstimator func(ctx context.Context, spec Spec) (float64, error)
 
 	engOnce sync.Once
 	eng     *sweep.Engine[Spec, *core.Result]
@@ -441,7 +436,7 @@ func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 	var meta siblingMeta
 	switch {
 	case sampled:
-		res, err = s.runSampled(ctx, spec, art, cfg)
+		res, err = s.runSampled(spec, art, cfg)
 	case s.Checkpoints != nil && unhooked(cfg):
 		res, meta, err = s.runCheckpointed(spec, art, cfg)
 	default:

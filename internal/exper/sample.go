@@ -1,7 +1,6 @@
 package exper
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -16,22 +15,22 @@ import (
 // The prefix is run in two legs — half, then full — so the gap can be
 // spliced with the steady-half IPC: the first half absorbs the cold-start
 // transient (empty window, cold caches and predictor), and the second half
-// approximates the machine's steady state. When the suite carries a
-// SampleEstimator (cmd/paper -sample wires the analytical twin's closed
-// form), its IPC estimate replaces the measured one for the gap.
+// approximates the machine's steady state.
 //
 // The extrapolated Result is an estimate, not a simulation: Cycles is
 // prefix cycles plus gap commits over gap IPC, the activity counters are
-// the prefix's scaled by total/measured commits, and Checksum remains the
-// measured prefix's checksum (there is nothing sound to extrapolate a
-// checksum to, and sampled results never enter the exact-result caches
-// where a checksum contract would matter). Measured accuracy against exact
-// runs is recorded in EXPERIMENTS.md and bounded by TestSampledFig6Error.
+// the prefix's scaled by total/measured commits, the stall counters (which
+// count cycles) are the prefix's scaled by total/measured cycles so none
+// exceeds Cycles, and Checksum remains the measured prefix's checksum
+// (there is nothing sound to extrapolate a checksum to, and sampled
+// results never enter the exact-result caches where a checksum contract
+// would matter). Measured accuracy against exact runs is recorded in
+// EXPERIMENTS.md and bounded by TestSampledFig6Error.
 
 // runSampled simulates the measured prefix of spec and extrapolates the
 // rest. The caller has already excluded tracking runs (histograms cannot be
 // extrapolated) and detached the persistent caches.
-func (s *Suite) runSampled(ctx context.Context, spec Spec, art *prog.Artifact, cfg core.Config) (*core.Result, error) {
+func (s *Suite) runSampled(spec Spec, art *prog.Artifact, cfg core.Config) (*core.Result, error) {
 	prefix := int64(math.Ceil(float64(spec.Budget) * s.SampleRate))
 	m, err := core.NewFromArtifact(cfg, art)
 	if err != nil {
@@ -59,18 +58,13 @@ func (s *Suite) runSampled(ctx context.Context, spec Spec, art *prog.Artifact, c
 	if meas.Cycles == warm.Cycles {
 		gapIPC = float64(meas.Committed) / float64(meas.Cycles)
 	}
-	if s.SampleEstimator != nil {
-		if est, eerr := s.SampleEstimator(ctx, spec); eerr == nil && est > 0 {
-			gapIPC = est
-		}
-	}
 	if !(gapIPC > 0) {
 		return nil, fmt.Errorf("exper: sampled run of %s measured non-positive IPC", spec.Bench)
 	}
 	return extrapolate(meas, spec.Budget, gapIPC), nil
 }
 
-// scaleCount scales an activity counter by the commit ratio.
+// scaleCount scales a counter by a total/measured ratio.
 func scaleCount(n int64, ratio float64) int64 {
 	return int64(math.Round(float64(n) * ratio))
 }
@@ -93,10 +87,6 @@ func extrapolate(meas *core.Result, budget int64, gapIPC float64) *core.Result {
 	res.LoadMisses = scaleCount(meas.LoadMisses, ratio)
 	res.ForwardedLoads = scaleCount(meas.ForwardedLoads, ratio)
 	res.Mispredicts = scaleCount(meas.Mispredicts, ratio)
-	res.NoFreeRegCycles = scaleCount(meas.NoFreeRegCycles, ratio)
-	res.DispatchRegStalls = scaleCount(meas.DispatchRegStalls, ratio)
-	res.DispatchQueueFullStalls = scaleCount(meas.DispatchQueueFullStalls, ratio)
-	res.WriteBufferStalls = scaleCount(meas.WriteBufferStalls, ratio)
 	res.ICacheAccesses = scaleCount(meas.ICacheAccesses, ratio)
 	res.ICacheMisses = scaleCount(meas.ICacheMisses, ratio)
 	res.DCache.LoadAccesses = scaleCount(meas.DCache.LoadAccesses, ratio)
@@ -106,5 +96,10 @@ func extrapolate(meas *core.Result, budget int64, gapIPC float64) *core.Result {
 	res.DCache.FillsStarted = scaleCount(meas.DCache.FillsStarted, ratio)
 	res.DCache.FillsMerged = scaleCount(meas.DCache.FillsMerged, ratio)
 	res.DCache.FillsDropped = scaleCount(meas.DCache.FillsDropped, ratio)
+	cycleRatio := float64(res.Cycles) / float64(meas.Cycles)
+	res.NoFreeRegCycles = scaleCount(meas.NoFreeRegCycles, cycleRatio)
+	res.DispatchRegStalls = scaleCount(meas.DispatchRegStalls, cycleRatio)
+	res.DispatchQueueFullStalls = scaleCount(meas.DispatchQueueFullStalls, cycleRatio)
+	res.WriteBufferStalls = scaleCount(meas.WriteBufferStalls, cycleRatio)
 	return &res
 }

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -34,34 +35,69 @@ func sampledProbeSpecs() []Spec {
 	return specs
 }
 
+// TestSampledFig6Error bounds sampled-mode error at each budget whose
+// error and wall time EXPERIMENTS.md records.
 func TestSampledFig6Error(t *testing.T) {
-	const budget = 20_000
-	exact := NewSuite(budget)
-	sampled := NewSuite(budget)
-	sampled.SampleRate = 0.2
+	for _, budget := range []int64{20_000, 50_000, 200_000} {
+		t.Run(fmt.Sprint(budget), func(t *testing.T) {
+			if testing.Short() && budget > 20_000 {
+				t.Skip("simulates the probe set exactly at a long budget")
+			}
+			exact := NewSuite(budget)
+			sampled := NewSuite(budget)
+			sampled.SampleRate = 0.2
 
-	worst := 0.0
-	for _, spec := range sampledProbeSpecs() {
-		want, err := exact.Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sampled.Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Committed != budget {
-			t.Errorf("%s: sampled result reports %d commits, want the full budget %d", goldenKey(spec), got.Committed, budget)
-		}
-		rel := math.Abs(got.CommitIPC()-want.CommitIPC()) / want.CommitIPC()
-		t.Logf("%-45s exact %.3f sampled %.3f err %.1f%%", goldenKey(spec), want.CommitIPC(), got.CommitIPC(), 100*rel)
-		if rel > worst {
-			worst = rel
-		}
+			worst := 0.0
+			for _, spec := range sampledProbeSpecs() {
+				want, err := exact.Run(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sampled.Run(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Committed != budget {
+					t.Errorf("%s: sampled result reports %d commits, want the full budget %d", goldenKey(spec), got.Committed, budget)
+				}
+				rel := math.Abs(got.CommitIPC()-want.CommitIPC()) / want.CommitIPC()
+				t.Logf("%-45s exact %.3f sampled %.3f err %.1f%%", goldenKey(spec), want.CommitIPC(), got.CommitIPC(), 100*rel)
+				if rel > worst {
+					worst = rel
+				}
+			}
+			t.Logf("worst relative IPC error: %.1f%% (ceiling %.0f%%)", 100*worst, 100*SampledIPCErrorCeiling)
+			if worst > SampledIPCErrorCeiling {
+				t.Errorf("sampled-mode worst relative IPC error %.1f%% exceeds the committed ceiling %.0f%%", 100*worst, 100*SampledIPCErrorCeiling)
+			}
+		})
 	}
-	t.Logf("worst relative IPC error: %.1f%% (ceiling %.0f%%)", 100*worst, 100*SampledIPCErrorCeiling)
-	if worst > SampledIPCErrorCeiling {
-		t.Errorf("sampled-mode worst relative IPC error %.1f%% exceeds the committed ceiling %.0f%%", 100*worst, 100*SampledIPCErrorCeiling)
+}
+
+// TestSampledStallsWithinCycles: the stall counters count cycles, so an
+// extrapolated result must never report more of them than it has cycles.
+// Register-starved runs, stalled for nearly the whole run, are where
+// scaling them by the commit ratio overshot.
+func TestSampledStallsWithinCycles(t *testing.T) {
+	s := NewSuite(20_000)
+	s.SampleRate = 0.2
+	for _, bench := range []string{"su2cor", "tomcatv", "gcc1"} {
+		spec := Spec{Bench: bench, Width: 4, Queue: 32, Regs: 32,
+			Model: rename.Precise, Cache: cache.LockupFree}
+		res, err := s.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, n := range map[string]int64{
+			"NoFreeRegCycles":         res.NoFreeRegCycles,
+			"DispatchRegStalls":       res.DispatchRegStalls,
+			"DispatchQueueFullStalls": res.DispatchQueueFullStalls,
+			"WriteBufferStalls":       res.WriteBufferStalls,
+		} {
+			if n > res.Cycles {
+				t.Errorf("%s: %s = %d exceeds the %d cycles of the run", goldenKey(spec), name, n, res.Cycles)
+			}
+		}
 	}
 }
 

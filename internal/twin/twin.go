@@ -54,8 +54,8 @@ import (
 
 // Calibration anchor points: Figure 3's whole queue axis, and the knee-heavy
 // span of Figure 6's register axis. The 96 and 128 anchors earn their runs:
-// the BIPS peaks of Figure 10 land there, and sub-percent accuracy at the
-// peaks is what lets the pruned sweep use a narrow band.
+// the BIPS peaks of Figure 10 land there, and anchoring them keeps an
+// estimate exact at the peaks.
 var queueAnchors = []int{8, 16, 32, 64, 128, 256}
 
 var regAnchors = []int{32, 48, 64, 80, 96, 128, 160}
@@ -75,17 +75,12 @@ const calQueue = 256
 const floorR = 31.0
 
 // DefaultCalibBudget is the per-run commit budget of calibration simulations
-// when neither the model nor its suite specifies one.
+// when the suite has no budget of its own.
 const DefaultCalibBudget = 50_000
 
 // Model is the analytical twin. Construct with New; safe for concurrent use.
 type Model struct {
 	suite *exper.Suite
-	// CalibBudget is the commit budget of calibration runs (0 = the suite's
-	// default budget, or DefaultCalibBudget if the suite has none). Set it
-	// before the first Estimate; calibrations are memoized per
-	// (bench, width) under the budget in effect at first use.
-	CalibBudget int64
 
 	mu    sync.Mutex
 	cells map[calibKey]*calibCell
@@ -410,11 +405,9 @@ func (m *Model) Stats(ctx context.Context, bench string, width int) (*WorkloadSt
 	return cell.stats, cell.err
 }
 
-// calibBudget resolves the calibration commit budget.
+// calibBudget resolves the calibration commit budget: the suite's default
+// budget, or DefaultCalibBudget if the suite has none.
 func (m *Model) calibBudget() int64 {
-	if m.CalibBudget > 0 {
-		return m.CalibBudget
-	}
 	if m.suite.Budget > 0 {
 		return m.suite.Budget
 	}

@@ -227,9 +227,9 @@ func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) { return cluste
 // Twin is the analytical fast path: a closed-form IPC/BIPS estimator
 // calibrated against a handful of anchor simulations per (benchmark, width)
 // pair and memoized thereafter. A warm estimate costs microseconds where a
-// simulation costs seconds, which is what makes twin-guided sweep pruning
-// (Suite.Fig10Pruned) and the POST /v1/estimate endpoint viable. Error bounds
-// are enforced per spec family by verify.TwinBounds.
+// simulation costs seconds, which is what makes the POST /v1/estimate
+// endpoint viable. Error bounds are enforced per spec family by
+// verify.TwinBounds.
 type Twin = twin.Model
 
 // NewTwin builds an analytical twin over a suite; calibration simulations go
