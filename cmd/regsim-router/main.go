@@ -13,10 +13,13 @@
 //	regsim-router -workers http://host1:8265,http://host2:8265 [-addr :8266] ...
 //
 // The router serves the same wire surface as a worker (POST /v1/simulate,
-// POST /v1/sweep, GET /v1/workloads, /v1/timing, /healthz, /metrics), so
-// clients point at either interchangeably, plus GET /v1/cluster (pool
-// status) and, with -allow-register, POST /v1/cluster/register so workers
-// can announce themselves at startup.
+// POST /v1/sweep, POST /v1/estimate, GET /v1/workloads, /v1/timing,
+// /healthz, /metrics) through the same HTTP shell, so clients point at
+// either interchangeably, plus GET /v1/cluster (pool status) and, with
+// -allow-register, POST /v1/cluster/register so workers can announce
+// themselves at startup. It has no debug listener and keeps no
+// recent-trace ring; a request's trace ID rides to the worker, whose
+// /debug/obs holds the tree.
 //
 // Failure handling: a background prober polls each worker's GET /v1/load;
 // saturated workers are spilled past, draining workers deprioritized, and a
@@ -53,7 +56,7 @@ func main() {
 	policy := flag.String("policy", string(cluster.PolicyAffinity), "routing policy: affinity (rendezvous-hash on the spec's sibling-group fingerprint) or roundrobin")
 	budget := flag.Int64("n", 200_000, "default committed-instruction budget for specs that omit one; must match the workers' -n or routing keys diverge from cache keys")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "health/load probe period (negative disables probing)")
-	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe deadline")
+	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe deadline; also bounds each attempt of a proxied GET /v1/workloads or /v1/timing")
 	deadAfter := flag.Int("dead-after", 3, "consecutive failures before a worker is considered dead")
 	spill := flag.Float64("spill-threshold", 0.9, "admission-occupancy fraction above which a worker is spilled past")
 	maxSweepSpecs := flag.Int("max-sweep-specs", 4096, "largest spec matrix one sweep request may carry")
@@ -62,7 +65,6 @@ func main() {
 	defaultTimeout := flag.Duration("default-timeout", 30*time.Second, "per-request deadline when the client sends no ?timeout=")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "upper clamp on client ?timeout= requests")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for in-flight requests")
-	traceBuffer := flag.Int("trace-buffer", 0, "recent request traces kept in the debug ring (0 = default)")
 	quiet := flag.Bool("quiet", false, "suppress the per-request access log")
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -88,9 +90,6 @@ func main() {
 	if *deadAfter <= 0 {
 		fatalUsage("invalid -dead-after %d: want at least one failure", *deadAfter)
 	}
-	if *traceBuffer < 0 {
-		fatalUsage("invalid -trace-buffer %d: want a non-negative ring size", *traceBuffer)
-	}
 
 	slogger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	logger := slog.NewLogLogger(slogger.Handler(), slog.LevelError)
@@ -109,7 +108,6 @@ func main() {
 		ProbeTimeout:   *probeTimeout,
 		DeadAfter:      *deadAfter,
 		SpillThreshold: *spill,
-		TraceBuffer:    *traceBuffer,
 	}
 	if !*quiet {
 		cfg.Logger = slogger

@@ -28,7 +28,6 @@ func TestExitCodes(t *testing.T) {
 		{"bad spill threshold", []string{workers, "-spill-threshold", "1.5"}, 2},
 		{"bad dead-after", []string{workers, "-dead-after", "0"}, 2},
 		{"timeouts inverted", []string{workers, "-default-timeout", "5m", "-max-timeout", "1m"}, 2},
-		{"negative trace buffer", []string{workers, "-trace-buffer", "-1"}, 2},
 		{"unusable listen address", []string{workers, "-addr", "256.256.256.256:0"}, 1},
 	}
 	for _, tc := range cases {

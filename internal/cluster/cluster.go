@@ -35,16 +35,21 @@
 // The router serves the same wire surface as a worker (simulate, sweep,
 // estimate, workloads, timing, healthz, metrics), so regsim.Client points at either
 // interchangeably, plus GET /v1/cluster (pool status) and optional worker
-// registration. Trace IDs propagate: the router stamps X-Trace-Id on every
-// upstream call and workers adopt it, so one trace covers
-// route → probe → worker.
+// registration. It mounts the worker's own HTTP layer, server.Shell:
+// routing with structured 404/405s, the middleware, deadlines, drain
+// refusal and GET /metrics are one implementation, so a request either
+// tier refuses before simulating gets the same answer from both. What this
+// package adds is what belongs to a router: the pool, the prober,
+// rendezvous routing, sweep sharding, the read-only proxy and
+// GET /v1/cluster. Trace IDs propagate: the router stamps X-Trace-Id on
+// every upstream call and workers adopt it, so one trace covers
+// route → probe → worker; the router itself keeps no recent-trace ring.
 package cluster
 
 import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"net/url"
 	"strings"
 	"sync/atomic"
@@ -114,13 +119,12 @@ type Config struct {
 	// workers as their ?timeout= hint.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// RetryAfter is the backoff hint on cluster-wide refusals when no
-	// worker supplied one (default 1s).
-	RetryAfter time.Duration
 
 	// ProbeInterval is the health/saturation probe period (default 2s;
 	// negative disables the background prober — tests drive probes
-	// directly). ProbeTimeout bounds one probe round trip (default 1s).
+	// directly). A load snapshot older than three intervals no longer
+	// drives spillover. ProbeTimeout bounds one probe round trip, and one
+	// attempt of a proxied read (default 1s).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 	// DeadAfter is the number of consecutive failures (probe or request)
@@ -131,38 +135,21 @@ type Config struct {
 	// ((inFlight+waiting)/capacity) above which a worker is spilled past
 	// while a less-loaded candidate exists (default 0.9).
 	SpillThreshold float64
-	// LoadMaxAge is how long a load snapshot stays fresh enough to base a
-	// spillover decision on (default 3×ProbeInterval); stale snapshots are
-	// ignored rather than acted on.
-	LoadMaxAge time.Duration
-	// MaxAttempts bounds how many distinct workers one request may try
-	// (default: the whole pool).
-	MaxAttempts int
 
 	// Logger, when non-nil, receives structured access and routing records.
 	Logger *slog.Logger
-	// Registry, when non-nil, receives the router's metric families; nil
-	// means a fresh private registry.
-	Registry *obs.Registry
-	// TraceBuffer is the recent-trace ring capacity (0 = default).
-	TraceBuffer int
-	// HTTPClient, when non-nil, overrides the upstream transport (tests).
-	HTTPClient *http.Client
 }
 
 // Router is the cluster frontend. Construct with New, expose with Handler,
 // stop with Close (which also stops the prober).
 type Router struct {
-	cfg      Config
-	pool     *pool
-	mux      *http.ServeMux
-	methods  map[string][]string
-	start    time.Time
-	draining atomic.Bool
-
-	reg     *obs.Registry
-	traces  *obs.Store
-	metrics map[string]*endpointMetrics
+	*server.Shell
+	cfg  Config
+	pool *pool
+	// loadMaxAge is how long a load snapshot stays fresh enough to base a
+	// spillover decision on (3×ProbeInterval); stale snapshots are ignored
+	// rather than acted on.
+	loadMaxAge time.Duration
 
 	rr atomic.Uint64 // round-robin cursor (PolicyRoundRobin only)
 
@@ -199,18 +186,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.MaxBudget <= 0 {
 		cfg.MaxBudget = 10_000_000
 	}
-	if cfg.DefaultTimeout <= 0 {
-		cfg.DefaultTimeout = 30 * time.Second
-	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = 2 * time.Minute
-	}
-	if cfg.DefaultTimeout > cfg.MaxTimeout {
-		return nil, fmt.Errorf("cluster: DefaultTimeout %v exceeds MaxTimeout %v", cfg.DefaultTimeout, cfg.MaxTimeout)
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
@@ -223,58 +198,33 @@ func New(cfg Config) (*Router, error) {
 	if cfg.SpillThreshold <= 0 || cfg.SpillThreshold > 1 {
 		cfg.SpillThreshold = 0.9
 	}
-	if cfg.LoadMaxAge <= 0 {
-		interval := cfg.ProbeInterval
-		if interval < 0 {
-			interval = 2 * time.Second
-		}
-		cfg.LoadMaxAge = 3 * interval
+	interval := cfg.ProbeInterval
+	if interval < 0 {
+		interval = 2 * time.Second
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
+	rt := &Router{cfg: cfg, pool: newPool(), loadMaxAge: 3 * interval}
+	reg := obs.NewRegistry()
+	sh, err := server.NewShell("router", "regsim_router_", reg, cfg.DefaultTimeout, cfg.MaxTimeout, cfg.Logger, rt.metricsDoc)
+	if err != nil {
+		return nil, err
 	}
-	rt := &Router{
-		cfg:     cfg,
-		pool:    newPool(cfg.HTTPClient),
-		mux:     http.NewServeMux(),
-		methods: make(map[string][]string),
-		start:   time.Now(),
-		reg:     reg,
-		traces:  obs.NewStore(cfg.TraceBuffer),
-		metrics: make(map[string]*endpointMetrics),
-	}
+	rt.Shell = sh
 	for _, raw := range cfg.Workers {
 		if _, err := rt.pool.add(raw); err != nil {
 			return nil, err
 		}
 	}
-	rt.registerMetrics()
-	rt.route("POST /v1/simulate", rt.handleSimulate)
-	rt.route("POST /v1/sweep", rt.handleSweep)
-	rt.route("POST /v1/estimate", rt.handleEstimate)
-	rt.route("GET /v1/workloads", rt.handleProxy)
-	rt.route("GET /v1/timing", rt.handleProxy)
-	rt.route("GET /v1/cluster", rt.handleCluster)
+	rt.registerMetrics(reg)
+	rt.Route("POST /v1/simulate", rt.handleSimulate)
+	rt.Route("POST /v1/sweep", rt.handleSweep)
+	rt.Route("POST /v1/estimate", rt.handleEstimate)
+	rt.Route("GET /v1/workloads", rt.handleProxy)
+	rt.Route("GET /v1/timing", rt.handleProxy)
+	rt.Route("GET /v1/cluster", rt.handleCluster)
 	if cfg.AllowRegister {
-		rt.route("POST /v1/cluster/register", rt.handleRegister)
+		rt.Route("POST /v1/cluster/register", rt.handleRegister)
 	}
-	rt.route("GET /healthz", rt.handleHealthz)
-	rt.route("GET /metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if allowed, ok := rt.methods[r.URL.Path]; ok {
-			w.Header().Set("Allow", strings.Join(allowed, ", "))
-			server.WriteError(w, &server.APIError{
-				Status: http.StatusMethodNotAllowed, Code: server.CodeInvalidArgument,
-				Message: fmt.Sprintf("%s not allowed on %s (allow %s)", r.Method, r.URL.Path, strings.Join(allowed, ", ")),
-			})
-			return
-		}
-		server.WriteError(w, &server.APIError{
-			Status: http.StatusNotFound, Code: server.CodeNotFound,
-			Message: fmt.Sprintf("no route for %s %s", r.Method, r.URL.Path),
-		})
-	})
+	rt.Route("GET /healthz", rt.handleHealthz)
 	if cfg.ProbeInterval > 0 {
 		rt.stopProber = make(chan struct{})
 		rt.proberDone = make(chan struct{})
@@ -282,27 +232,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	return rt, nil
 }
-
-// route registers a handler under the middleware stack and records the
-// method for 405 answers.
-func (rt *Router) route(pattern string, h http.HandlerFunc) {
-	m := &endpointMetrics{}
-	rt.metrics[pattern] = m
-	rt.mux.Handle(pattern, rt.wrap(pattern, m, h))
-	method, path, _ := strings.Cut(pattern, " ")
-	rt.methods[path] = append(rt.methods[path], method)
-}
-
-// Handler returns the router's root handler.
-func (rt *Router) Handler() http.Handler { return rt.mux }
-
-// Drain flips /healthz to 503 and refuses new simulation work, mirroring
-// the worker-side drain contract so load balancers treat routers and
-// workers uniformly.
-func (rt *Router) Drain() { rt.draining.Store(true) }
-
-// Draining reports whether Drain has been called.
-func (rt *Router) Draining() bool { return rt.draining.Load() }
 
 // Close stops the background prober (idempotent; safe when probing is
 // disabled).

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -109,8 +111,8 @@ func specsPreferring(t *testing.T, rt *Router, family []exper.Spec, wantEach int
 	t.Helper()
 	out := make(map[string][]exper.Spec)
 	for _, raw := range family {
-		spec, key := rt.finishSpec(raw)
-		head := rankByHRW(rt.pool.workers(), key)[0].name
+		spec := server.FinishSpec(raw, rt.cfg.DefaultBudget)
+		head := rankByHRW(rt.pool.workers(), groupKey(spec))[0].name
 		if len(out[head]) < wantEach {
 			out[head] = append(out[head], spec)
 		}
@@ -210,11 +212,11 @@ func TestSiblingGroupRouting(t *testing.T) {
 				for _, regs := range exper.RegSizes {
 					for _, model := range []rename.Model{rename.Precise, rename.Imprecise} {
 						specs++
-						spec, key := rt.finishSpec(exper.Spec{
+						spec := server.FinishSpec(exper.Spec{
 							Bench: bench, Width: width, Queue: exper.CostEffectiveQueue(width),
 							Regs: regs, Model: model, Cache: kind,
-						})
-						head := rankByHRW(rt.pool.workers(), key)[0].name
+						}, rt.cfg.DefaultBudget)
+						head := rankByHRW(rt.pool.workers(), groupKey(spec))[0].name
 						group := exper.SiblingGroup(spec)
 						prev, seen := home[group]
 						if !seen {
@@ -636,6 +638,158 @@ func TestProxyEndpoints(t *testing.T) {
 	}
 }
 
+// TestProxyRoutesPastStalledWorker: a worker that accepts a read and never
+// answers costs a proxied GET one ProbeTimeout, not the client's patience:
+// the router gives up on it, counts the timeout against it, and answers from
+// the next worker in the path's preference order.
+func TestProxyRoutesPastStalledWorker(t *testing.T) {
+	release := make(chan struct{})
+	stalls := make(map[string]*atomic.Bool)
+	var urls []string
+	for range 2 {
+		stall := new(atomic.Bool)
+		w := newTestWorker(t, func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				if !stall.Load() {
+					h.ServeHTTP(rw, r)
+					return
+				}
+				select {
+				case <-r.Context().Done():
+				case <-release:
+				}
+			})
+		})
+		stalls[w.url()] = stall
+		urls = append(urls, w.url())
+	}
+	t.Cleanup(func() { close(release) }) // runs before the listeners close
+	const probeTimeout = 200 * time.Millisecond
+	rt, ts := newTestRouter(t, urls, func(cfg *Config) { cfg.ProbeTimeout = probeTimeout })
+	order := rankByHRW(rt.pool.workers(), "/v1/workloads")
+	stalls[order[0].name].Store(true)
+
+	direct, err := http.Get(order[1].name + "/v1/workloads")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := io.ReadAll(direct.Body)
+	direct.Body.Close()
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	start := time.Now()
+	resp, err := client.Get(ts.URL + "/v1/workloads")
+	if err != nil {
+		t.Fatalf("proxied GET behind a stalled worker: %v", err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("routed past the stall: HTTP %d\n%.200s", resp.StatusCode, got)
+	}
+	if elapsed > 5*probeTimeout {
+		t.Errorf("answer took %v, want about one ProbeTimeout (%v)", elapsed, probeTimeout)
+	}
+	if f := order[0].failures.Load(); f != 1 {
+		t.Errorf("stalled worker charged %d failures, want 1", f)
+	}
+	if n := rt.reroutes.Load(); n != 1 {
+		t.Errorf("reroutes = %d, want 1", n)
+	}
+}
+
+// TestWorkerRouterParity pins the serving contract both daemons share: a
+// request refused before any simulation gets the same answer from a router
+// as from the worker behind it — status, Allow, Retry-After, Content-Type
+// and body, byte for byte. The requests are TestErrorPaths' (internal/server)
+// plus the shell's own refusals.
+func TestWorkerRouterParity(t *testing.T) {
+	suite := exper.NewSuite(testBudget)
+	srv, err := server.New(server.Config{Suite: suite, MaxSweepSpecs: 4, MaxBudget: 100_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := httptest.NewServer(srv.Handler())
+	t.Cleanup(worker.Close)
+	_, router := newTestRouter(t, []string{worker.URL}, func(cfg *Config) {
+		cfg.MaxSweepSpecs = 4
+		cfg.MaxBudget = 100_000
+	})
+	five := `{"specs":[{"bench":"ora"},{"bench":"ora"},{"bench":"ora"},{"bench":"ora"},{"bench":"ora"}]}`
+	oversized := fmt.Sprintf(`{"bench":"ora","width":4 %s}`, strings.Repeat(" ", 64<<10))
+	cases := []struct{ name, method, path, body string }{
+		{"bad json", "POST", "/v1/simulate", `{"bench":`},
+		{"empty body", "POST", "/v1/simulate", ``},
+		{"trailing garbage", "POST", "/v1/simulate", `{"bench":"ora"} extra`},
+		{"unknown field", "POST", "/v1/simulate", `{"bench":"ora","wdth":8}`},
+		{"wrong type", "POST", "/v1/simulate", `{"bench":"ora","width":"four"}`},
+		{"bad enum", "POST", "/v1/simulate", `{"bench":"ora","model":"sloppy"}`},
+		{"missing bench", "POST", "/v1/simulate", `{"width":4}`},
+		{"unknown workload", "POST", "/v1/simulate", `{"bench":"linpack"}`},
+		{"width out of range", "POST", "/v1/simulate", `{"bench":"ora","width":16}`},
+		{"queue out of range", "POST", "/v1/simulate", `{"bench":"ora","queue":100000}`},
+		{"regs too small", "POST", "/v1/simulate", `{"bench":"ora","regs":8}`},
+		{"regs too large", "POST", "/v1/simulate", `{"bench":"ora","regs":100000}`},
+		{"budget over limit", "POST", "/v1/simulate", `{"bench":"ora","budget":200000}`},
+		{"negative budget", "POST", "/v1/simulate", `{"bench":"ora","budget":-5}`},
+		{"bad timeout", "POST", "/v1/simulate?timeout=fast", `{"bench":"ora"}`},
+		{"empty sweep", "POST", "/v1/sweep", `{"specs":[]}`},
+		{"oversized sweep", "POST", "/v1/sweep", five},
+		{"bad spec in sweep", "POST", "/v1/sweep", `{"specs":[{"bench":"ora"},{"bench":"ora","width":5}]}`},
+		{"timing bad width", "GET", "/v1/timing?width=6", ""},
+		{"timing negative ports", "GET", "/v1/timing?read=-1&write=2", ""},
+		{"timing lone read", "GET", "/v1/timing?read=4", ""},
+		{"timing bad regs", "GET", "/v1/timing?regs=64,zero", ""},
+		{"unknown route", "GET", "/v2/simulate", ""},
+		{"method not allowed", "GET", "/v1/sweep", ""},
+		{"unknown route and method", "DELETE", "/v1/nothing", ""},
+		{"oversized body", "POST", "/v1/estimate", oversized},
+		{"bad estimate timeout", "POST", "/v1/estimate?timeout=-1s", `{"bench":"ora"}`},
+		{"bad sweep timeout", "POST", "/v1/sweep?timeout=soon", `{"specs":[{"bench":"ora"}]}`},
+		{"metrics format", "GET", "/metrics?format=xml", ""},
+	}
+	type answer struct {
+		status                       int
+		allow, retryAfter, mediaType string
+		body                         []byte
+	}
+	send := func(t *testing.T, base, method, path, body string) answer {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answer{resp.StatusCode, resp.Header.Get("Allow"), resp.Header.Get("Retry-After"),
+			resp.Header.Get("Content-Type"), raw}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			direct := send(t, worker.URL, tc.method, tc.path, tc.body)
+			routed := send(t, router.URL, tc.method, tc.path, tc.body)
+			if direct.status < 400 {
+				t.Fatalf("worker accepted the request (HTTP %d); the case tests nothing", direct.status)
+			}
+			if routed.status != direct.status || routed.allow != direct.allow ||
+				routed.retryAfter != direct.retryAfter || routed.mediaType != direct.mediaType ||
+				!bytes.Equal(routed.body, direct.body) {
+				t.Errorf("router answered differently from the worker\nworker: %d allow=%q retry=%q type=%q\n%s\nrouter: %d allow=%q retry=%q type=%q\n%s",
+					direct.status, direct.allow, direct.retryAfter, direct.mediaType, direct.body,
+					routed.status, routed.allow, routed.retryAfter, routed.mediaType, routed.body)
+			}
+		})
+	}
+}
+
 // TestTraceAdoptionAtRouter: a caller-supplied X-Trace-Id becomes the
 // router's trace (and therefore the one stamped on worker calls).
 func TestTraceAdoptionAtRouter(t *testing.T) {
@@ -724,6 +878,9 @@ func TestRouterDrain(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Code != server.CodeDraining || apiErr.RetryAfterSeconds <= 0 {
 		t.Fatalf("draining router: got %v, want 503 %s with a hint", err, server.CodeDraining)
 	}
+	if want := "router is draining; retry against another instance"; apiErr.Message != want {
+		t.Errorf("drain refusal message %q, want %q", apiErr.Message, want)
+	}
 	resp, err := http.Get(ts.URL + "/v1/cluster")
 	if err != nil {
 		t.Fatal(err)
@@ -732,6 +889,31 @@ func TestRouterDrain(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/cluster during drain: HTTP %d", resp.StatusCode)
+	}
+}
+
+// TestRouterPanicRecovery: a handler panic on the router is a structured
+// 500 naming the router's log, and the router keeps serving.
+func TestRouterPanicRecovery(t *testing.T) {
+	w1 := newTestWorker(t, nil)
+	rt, ts := newTestRouter(t, []string{w1.url()}, nil)
+	rt.Route("GET /boom", func(w http.ResponseWriter, r *http.Request) { panic("kaboom") })
+	resp, err := http.Get(ts.URL + "/boom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(body, []byte("panic recovered; see router log")) {
+		t.Fatalf("panic: HTTP %d\n%s", resp.StatusCode, body)
+	}
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("router unhealthy after panic: HTTP %d", resp.StatusCode)
 	}
 }
 

@@ -21,7 +21,7 @@ func TestEstimateRoutesByCalibrationPair(t *testing.T) {
 	w2 := newTestWorker(t, nil)
 	rt, ts := newTestRouter(t, []string{w1.url(), w2.url()}, nil)
 
-	spec, _ := rt.finishSpec(exper.Spec{Bench: "compress"})
+	spec := server.FinishSpec(exper.Spec{Bench: "compress"}, rt.cfg.DefaultBudget)
 	preferred := rankByHRW(rt.pool.workers(), estimateKey(spec))[0].name
 	byURL := map[string]*testWorker{w1.url(): w1, w2.url(): w2}
 	warm, cold := byURL[preferred], w1
@@ -122,7 +122,7 @@ func TestMultiRouterAgreement(t *testing.T) {
 	// ranking. Router B must compute the identical assignment.
 	wantOn := make(map[string]int64)
 	for _, raw := range family {
-		_, key := rtA.finishSpec(raw)
+		key := groupKey(server.FinishSpec(raw, rtA.cfg.DefaultBudget))
 		wantOn[rankByHRW(rtA.pool.workers(), key)[0].name]++
 	}
 

@@ -16,44 +16,6 @@ import (
 	"regsim/internal/server"
 )
 
-// requestContext applies the per-request deadline, mirroring the worker-side
-// rules (?timeout= override, clamped to MaxTimeout). The same duration is
-// forwarded to workers as their ?timeout= hint, so router and worker agree
-// on when the request is out of time.
-func (rt *Router) requestContext(r *http.Request) (context.Context, context.CancelFunc, time.Duration, *server.APIError) {
-	d := rt.cfg.DefaultTimeout
-	if raw := r.URL.Query().Get("timeout"); raw != "" {
-		parsed, err := time.ParseDuration(raw)
-		if err != nil || parsed <= 0 {
-			return nil, nil, 0, &server.APIError{
-				Status: http.StatusBadRequest, Code: server.CodeInvalidArgument,
-				Field:   "timeout",
-				Message: fmt.Sprintf("timeout %q is not a positive Go duration (e.g. 500ms, 30s)", raw),
-			}
-		}
-		d = parsed
-	}
-	if d > rt.cfg.MaxTimeout {
-		d = rt.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	return ctx, cancel, d, nil
-}
-
-// refuseIfDraining answers simulation endpoints during router drain, exactly
-// like a draining worker would.
-func (rt *Router) refuseIfDraining(w http.ResponseWriter) bool {
-	if !rt.draining.Load() {
-		return false
-	}
-	server.WriteError(w, &server.APIError{
-		Status: http.StatusServiceUnavailable, Code: server.CodeDraining,
-		Message:           "router is draining; retry against another instance",
-		RetryAfterSeconds: rt.retryAfterSeconds(),
-	})
-	return true
-}
-
 // ctxError maps a fired request deadline/cancellation to its wire form
 // (matching the worker-side mapping, so clients see one vocabulary).
 func ctxError(ctx context.Context) *server.APIError {
@@ -66,36 +28,58 @@ func ctxError(ctx context.Context) *server.APIError {
 	return &server.APIError{Status: 499, Code: server.CodeCanceled, Message: "request canceled by the client"}
 }
 
-// handleSimulate routes one spec: POST /v1/simulate. The spec is normalized
-// and its sibling group fingerprinted, that key's preference order
-// computed, and the candidates tried in order until one answers — a worker
-// that fails on the transport or refuses with 429/503 is routed past
-// (reroute), a worker that answers a terminal error (validation, simulator
-// failure) speaks for the cluster and its answer passes through unchanged.
+// handleSimulate routes one spec by its sibling group: POST /v1/simulate.
 func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if rt.refuseIfDraining(w) {
+	rt.routeSpec(w, r, groupKey, func(ctx context.Context, c *server.Client, spec exper.Spec) (any, error) {
+		return c.Simulate(ctx, spec)
+	})
+}
+
+// estimateKey is the routing key of an estimate request. Estimates are not
+// keyed by the sibling-group fingerprint: the twin's expensive state is its
+// per-(bench, width) calibration, shared by every spec on that pair, so
+// routing all of a pair's estimates to one worker means the pool calibrates
+// each pair once instead of everywhere — the same warm-concentration argument
+// as result-cache affinity, one level up.
+func estimateKey(spec exper.Spec) string {
+	return fmt.Sprintf("twin/%s/w%d", spec.Bench, spec.Width)
+}
+
+// handleEstimate routes one estimate by its calibration pair:
+// POST /v1/estimate.
+func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
+	rt.routeSpec(w, r, estimateKey, func(ctx context.Context, c *server.Client, spec exper.Spec) (any, error) {
+		return c.Estimate(ctx, spec)
+	})
+}
+
+// routeSpec is the candidate walk of a one-spec request. The spec is
+// decoded, defaulted and validated with the worker rules, its routing key's
+// preference order computed, and the candidates tried in order through call
+// until one answers — a worker that fails on the transport or refuses with
+// 429/503 is routed past (reroute), a worker that answers a terminal error
+// (validation, simulator failure) speaks for the cluster and its answer
+// passes through unchanged.
+func (rt *Router) routeSpec(w http.ResponseWriter, r *http.Request, key func(exper.Spec) string,
+	call func(context.Context, *server.Client, exper.Spec) (any, error)) {
+	if rt.RefuseIfDraining(w) {
 		return
 	}
-	var spec exper.Spec
-	if apiErr := server.DecodeJSON(w, r, maxSimulateBody, &spec); apiErr != nil {
+	spec, apiErr := server.DecodeSpec(w, r, rt.cfg.DefaultBudget, rt.cfg.MaxBudget)
+	if apiErr != nil {
 		server.WriteError(w, apiErr)
 		return
 	}
-	spec, key := rt.finishSpec(spec)
-	if apiErr := server.ValidateSpec(spec, rt.cfg.MaxBudget); apiErr != nil {
-		server.WriteError(w, apiErr)
-		return
-	}
-	ctx, cancel, timeout, apiErr := rt.requestContext(r)
+	ctx, cancel, timeout, apiErr := rt.RequestContext(r)
 	if apiErr != nil {
 		server.WriteError(w, apiErr)
 		return
 	}
 	defer cancel()
 
-	candidates, spilled := rt.pick(key, nil)
+	candidates, spilled := rt.pick(key(spec), nil)
 	if len(candidates) == 0 {
-		server.WriteError(w, rt.noWorkersError())
+		server.WriteError(w, noWorkersError())
 		return
 	}
 	if spilled {
@@ -114,7 +98,7 @@ func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		sp.Set("worker", wk.name)
 		sp.Set("attempt", i+1)
 		wk.requests.Add(1)
-		resp, err := wk.client.WithTimeout(timeout).Simulate(spCtx, spec)
+		resp, err := call(spCtx, wk.client.WithTimeout(timeout), spec)
 		if err == nil {
 			sp.End()
 			wk.noteSuccess()
@@ -129,9 +113,7 @@ func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			// The worker is alive but refusing (full queue, draining):
 			// not a health failure, just not this worker right now.
 			sawRefusal = true
-			if upstream.RetryAfterSeconds > refusalHint {
-				refusalHint = upstream.RetryAfterSeconds
-			}
+			refusalHint = max(refusalHint, upstream.RetryAfterSeconds)
 		case errors.As(err, &upstream):
 			// A terminal answer (validation drift, simulator failure,
 			// deadline inside the worker): retrying elsewhere would just
@@ -149,94 +131,7 @@ func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	server.WriteError(w, rt.exhaustedError(sawRefusal, refusalHint, lastErr))
-}
-
-// estimateKey is the routing key of an estimate request. Estimates are not
-// keyed by the sibling-group fingerprint: the twin's expensive state is its
-// per-(bench, width) calibration, shared by every spec on that pair, so
-// routing all of a pair's estimates to one worker means the pool calibrates
-// each pair once instead of everywhere — the same warm-concentration argument
-// as result-cache affinity, one level up.
-func estimateKey(spec exper.Spec) string {
-	return fmt.Sprintf("twin/%s/w%d", spec.Bench, spec.Width)
-}
-
-// handleEstimate routes one estimate: POST /v1/estimate. The candidate walk
-// mirrors handleSimulate — refusals and transport failures reroute, terminal
-// answers speak for the cluster — only the routing key differs (calibration
-// affinity instead of result-cache affinity).
-func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if rt.refuseIfDraining(w) {
-		return
-	}
-	var spec exper.Spec
-	if apiErr := server.DecodeJSON(w, r, maxSimulateBody, &spec); apiErr != nil {
-		server.WriteError(w, apiErr)
-		return
-	}
-	spec, _ = rt.finishSpec(spec)
-	if apiErr := server.ValidateSpec(spec, rt.cfg.MaxBudget); apiErr != nil {
-		server.WriteError(w, apiErr)
-		return
-	}
-	ctx, cancel, timeout, apiErr := rt.requestContext(r)
-	if apiErr != nil {
-		server.WriteError(w, apiErr)
-		return
-	}
-	defer cancel()
-
-	candidates, spilled := rt.pick(estimateKey(spec), nil)
-	if len(candidates) == 0 {
-		server.WriteError(w, rt.noWorkersError())
-		return
-	}
-	if spilled {
-		rt.spillovers.Add(1)
-	}
-	var (
-		sawRefusal  bool
-		refusalHint int
-		lastErr     error
-	)
-	for i, wk := range candidates {
-		if i > 0 {
-			rt.reroutes.Add(1)
-		}
-		sp, spCtx := obs.StartSpan(ctx, "route")
-		sp.Set("worker", wk.name)
-		sp.Set("attempt", i+1)
-		wk.requests.Add(1)
-		resp, err := wk.client.WithTimeout(timeout).Estimate(spCtx, spec)
-		if err == nil {
-			sp.End()
-			wk.noteSuccess()
-			server.WriteJSON(w, http.StatusOK, resp)
-			return
-		}
-		sp.Set("error", err.Error())
-		sp.End()
-		var upstream *server.APIError
-		switch {
-		case errors.As(err, &upstream) && upstream.IsRetryable():
-			sawRefusal = true
-			if upstream.RetryAfterSeconds > refusalHint {
-				refusalHint = upstream.RetryAfterSeconds
-			}
-		case errors.As(err, &upstream):
-			server.WriteError(w, upstream)
-			return
-		default:
-			wk.noteFailure(rt.cfg.DeadAfter, err)
-			lastErr = err
-		}
-		if ctx.Err() != nil {
-			server.WriteError(w, ctxError(ctx))
-			return
-		}
-	}
-	server.WriteError(w, rt.exhaustedError(sawRefusal, refusalHint, lastErr))
+	server.WriteError(w, exhaustedError(sawRefusal, refusalHint, lastErr))
 }
 
 // shard is one worker's portion of a sweep round: the original request
@@ -263,43 +158,20 @@ type shardOutcome struct {
 // worker that dies mid-sweep just means its specs re-shard onto the
 // survivors, and the completed sweep is byte-identical to a single-node run.
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if rt.refuseIfDraining(w) {
+	if rt.RefuseIfDraining(w) {
 		return
 	}
 	start := time.Now()
-	var req server.SweepRequest
-	if apiErr := server.DecodeJSON(w, r, maxSweepBody, &req); apiErr != nil {
+	specs, apiErr := server.DecodeSweep(w, r, rt.cfg.MaxSweepSpecs, rt.cfg.DefaultBudget, rt.cfg.MaxBudget)
+	if apiErr != nil {
 		server.WriteError(w, apiErr)
 		return
 	}
-	if len(req.Specs) == 0 {
-		server.WriteError(w, &server.APIError{
-			Status: http.StatusBadRequest, Code: server.CodeInvalidArgument,
-			Field: "specs", Message: "specs must name at least one simulation",
-		})
-		return
+	keys := make([]string, len(specs))
+	for i, spec := range specs {
+		keys[i] = groupKey(spec)
 	}
-	if len(req.Specs) > rt.cfg.MaxSweepSpecs {
-		server.WriteError(w, &server.APIError{
-			Status: http.StatusBadRequest, Code: server.CodeInvalidArgument,
-			Field:   "specs",
-			Message: fmt.Sprintf("sweep of %d specs exceeds the per-request limit %d; split the matrix", len(req.Specs), rt.cfg.MaxSweepSpecs),
-		})
-		return
-	}
-	specs := make([]exper.Spec, len(req.Specs))
-	keys := make([]string, len(req.Specs))
-	for i := range req.Specs {
-		spec, key := rt.finishSpec(req.Specs[i])
-		if apiErr := server.ValidateSpec(spec, rt.cfg.MaxBudget); apiErr != nil {
-			apiErr.Field = fmt.Sprintf("specs[%d].%s", i, apiErr.Field)
-			server.WriteError(w, apiErr)
-			return
-		}
-		specs[i] = spec
-		keys[i] = key
-	}
-	ctx, cancel, timeout, apiErr := rt.requestContext(r)
+	ctx, cancel, timeout, apiErr := rt.RequestContext(r)
 	if apiErr != nil {
 		server.WriteError(w, apiErr)
 		return
@@ -346,9 +218,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 			switch {
 			case errors.As(out.err, &upstream) && upstream.IsRetryable():
 				sawRefusal = true
-				if upstream.RetryAfterSeconds > refusalHint {
-					refusalHint = upstream.RetryAfterSeconds
-				}
+				refusalHint = max(refusalHint, upstream.RetryAfterSeconds)
 			case errors.As(out.err, &upstream):
 				upstream.Field = remapShardField(upstream.Field, out.shard.indices)
 				server.WriteError(w, upstream)
@@ -367,10 +237,10 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(pending) > 0 {
 		if len(rt.pool.workers()) == 0 {
-			server.WriteError(w, rt.noWorkersError())
+			server.WriteError(w, noWorkersError())
 			return
 		}
-		server.WriteError(w, rt.exhaustedError(sawRefusal, refusalHint, lastErr))
+		server.WriteError(w, exhaustedError(sawRefusal, refusalHint, lastErr))
 		return
 	}
 	server.WriteJSON(w, http.StatusOK, server.SweepResponse{
@@ -473,11 +343,13 @@ func remapShardField(field string, indices []int) string {
 // handleProxy forwards a read-only endpoint (GET /v1/workloads, /v1/timing)
 // to the first answering worker, byte-for-byte. These answers are
 // pool-invariant (every worker runs the same registry and timing model), so
-// any healthy worker speaks for the cluster.
+// any healthy worker speaks for the cluster. Each attempt gets ProbeTimeout,
+// the bound a worker's GET /v1/load gets: a stalled worker is routed past
+// like a dead one instead of hanging the request.
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	candidates, _ := rt.pick(r.URL.Path, nil)
 	if len(candidates) == 0 {
-		server.WriteError(w, rt.noWorkersError())
+		server.WriteError(w, noWorkersError())
 		return
 	}
 	var lastErr error
@@ -485,55 +357,54 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			rt.reroutes.Add(1)
 		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, wk.name+r.URL.RequestURI(), nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if id := obs.TraceIDFromContext(r.Context()); id != 0 {
-			req.Header.Set("X-Trace-Id", id.String())
-		}
 		wk.requests.Add(1)
-		resp, err := rt.httpClient().Do(req)
-		if err != nil {
-			wk.noteFailure(rt.cfg.DeadAfter, err)
-			lastErr = err
-			continue
+		if lastErr = rt.proxyTo(w, r, wk); lastErr == nil {
+			wk.noteSuccess()
+			return
 		}
-		wk.noteSuccess()
-		// Any HTTP answer — including a structured 4xx — is the cluster's
-		// answer; only transport failures reroute.
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body) // connection loss mid-copy is unrecoverable anyway
-		resp.Body.Close()
-		return
+		wk.noteFailure(rt.cfg.DeadAfter, lastErr)
 	}
-	server.WriteError(w, rt.exhaustedError(false, 0, lastErr))
+	server.WriteError(w, exhaustedError(false, 0, lastErr))
 }
 
-// httpClient returns the raw-proxy transport (the configured override or the
-// default client).
-func (rt *Router) httpClient() *http.Client {
-	if rt.cfg.HTTPClient != nil {
-		return rt.cfg.HTTPClient
+// proxyTo relays r to one worker under the per-attempt deadline. Any HTTP
+// answer — including a structured 4xx — is the cluster's answer and returns
+// nil; only a transport failure (a timeout included) returns an error,
+// with nothing written.
+func (rt *Router) proxyTo(w http.ResponseWriter, r *http.Request, wk *worker) error {
+	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ProbeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wk.name+r.URL.RequestURI(), nil)
+	if err != nil {
+		return err
 	}
-	return http.DefaultClient
+	if id := obs.TraceIDFromContext(r.Context()); id != 0 {
+		req.Header.Set("X-Trace-Id", id.String())
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "" {
+		w.Header().Set("Content-Type", ct)
+	}
+	w.WriteHeader(resp.StatusCode)
+	io.Copy(w, resp.Body) // connection loss mid-copy is unrecoverable anyway
+	return nil
 }
 
 // handleCluster reports the pool: GET /v1/cluster.
 func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, ClusterResponse{
 		Policy:        string(rt.cfg.Policy),
-		Draining:      rt.draining.Load(),
+		Draining:      rt.Draining(),
 		Workers:       rt.Workers(),
 		Spillovers:    rt.spillovers.Load(),
 		Reroutes:      rt.reroutes.Load(),
 		Probes:        rt.probes.Load(),
 		ProbeFailures: rt.probeFails.Load(),
-		UptimeSeconds: time.Since(rt.start).Seconds(),
+		UptimeSeconds: rt.UptimeSeconds(),
 	})
 }
 
@@ -579,7 +450,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 // draining or when the entire pool is dead (a router with no live workers is
 // down as far as a load balancer should care).
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if rt.draining.Load() {
+	if rt.Draining() {
 		server.WriteJSON(w, http.StatusServiceUnavailable, server.HealthResponse{Status: "draining"})
 		return
 	}
@@ -594,39 +465,4 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	server.WriteJSON(w, http.StatusOK, server.HealthResponse{Status: "ok"})
-}
-
-// handleMetrics: GET /metrics. JSON by default, ?format=prometheus for the
-// text exposition — the same contract as a worker, so one scrape config
-// covers both tiers.
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-	case "prometheus":
-		w.Header().Set("Content-Type", obs.ContentType)
-		rt.reg.WritePrometheus(w) // the connection is gone if this fails
-		return
-	default:
-		server.WriteError(w, &server.APIError{
-			Status: http.StatusBadRequest, Code: server.CodeInvalidArgument,
-			Field:   "format",
-			Message: fmt.Sprintf("unknown metrics format %q (want json or prometheus)", format),
-		})
-		return
-	}
-	resp := MetricsResponse{
-		UptimeSeconds: time.Since(rt.start).Seconds(),
-		Draining:      rt.draining.Load(),
-		Policy:        string(rt.cfg.Policy),
-		Workers:       rt.Workers(),
-		Spillovers:    rt.spillovers.Load(),
-		Reroutes:      rt.reroutes.Load(),
-		Probes:        rt.probes.Load(),
-		ProbeFailures: rt.probeFails.Load(),
-		Endpoints:     make(map[string]server.EndpointMetrics, len(rt.metrics)),
-	}
-	for pattern, m := range rt.metrics {
-		resp.Endpoints[pattern] = m.snapshot(false)
-	}
-	server.WriteJSON(w, http.StatusOK, resp)
 }

@@ -1,64 +1,16 @@
 package cluster
 
 import (
-	"sort"
-	"time"
-
 	"regsim/internal/obs"
 )
 
-// registerMetrics installs the router's metric families. The naming mirrors
-// the worker-side regsim_* families with a regsim_router_ prefix, and the
+// registerMetrics installs the router's own metric families, after the
+// shell's uptime, draining and HTTP families. The naming mirrors the
+// worker-side regsim_* families with a regsim_router_ prefix, and the
 // per-worker families are labelled by worker base URL — so a warm-hit
 // concentration dashboard can join the router's routing counters against
 // each worker's own regsim_rescache_hits_total.
-func (rt *Router) registerMetrics() {
-	r := rt.reg
-
-	r.GaugeFunc("regsim_router_uptime_seconds", "Seconds since the router was constructed.",
-		func() float64 { return time.Since(rt.start).Seconds() })
-	r.GaugeFunc("regsim_router_draining", "1 while the router is draining, else 0.",
-		func() float64 {
-			if rt.draining.Load() {
-				return 1
-			}
-			return 0
-		})
-
-	// HTTP serving, same shape as the worker-side families.
-	r.Register("regsim_router_http_requests_total", "Requests served by the router, by endpoint pattern and status code.",
-		obs.TypeCounter, func(emit func(obs.Sample)) {
-			for _, pattern := range rt.patterns() {
-				snap := rt.metrics[pattern].snapshot(false)
-				codes := make([]string, 0, len(snap.ByStatus))
-				for code := range snap.ByStatus {
-					codes = append(codes, code)
-				}
-				sort.Strings(codes)
-				for _, code := range codes {
-					emit(obs.Sample{
-						Labels: []obs.Label{{Name: "endpoint", Value: pattern}, {Name: "code", Value: code}},
-						Value:  float64(snap.ByStatus[code]),
-					})
-				}
-			}
-		})
-	r.HistogramFunc("regsim_router_http_request_duration_ms", "Router request latency in milliseconds, by endpoint pattern.",
-		func() []obs.LabeledHist {
-			var out []obs.LabeledHist
-			for _, pattern := range rt.patterns() {
-				snap := rt.metrics[pattern].snapshot(true)
-				if snap.LatencyMS.Count == 0 {
-					continue
-				}
-				out = append(out, obs.LabeledHist{
-					Labels: []obs.Label{{Name: "endpoint", Value: pattern}},
-					Stats:  snap.LatencyMS,
-				})
-			}
-			return out
-		})
-
+func (rt *Router) registerMetrics(r *obs.Registry) {
 	// Routing decisions: the counters that say whether affinity is holding
 	// (spillovers and reroutes should be rare against requests).
 	r.CounterFunc("regsim_router_spillovers_total", "Requests redirected off their cache-affine primary by load or health.",
@@ -109,7 +61,7 @@ func (rt *Router) registerMetrics() {
 	r.Register("regsim_router_worker_occupancy", "Admission occupancy fraction from the last fresh load snapshot, by worker base URL.",
 		obs.TypeGauge, func(emit func(obs.Sample)) {
 			for _, w := range rt.pool.workers() {
-				occ, ok := w.occupancy(rt.cfg.LoadMaxAge)
+				occ, ok := w.occupancy(rt.loadMaxAge)
 				if !ok {
 					continue
 				}
@@ -117,24 +69,20 @@ func (rt *Router) registerMetrics() {
 			}
 		})
 
-	r.CounterFunc("regsim_router_traces_total", "Request traces recorded (including ones evicted from the debug ring).",
-		func() float64 { return float64(rt.traces.Total()) })
 }
 
-// patterns returns the registered route patterns in stable order.
-func (rt *Router) patterns() []string {
-	out := make([]string, 0, len(rt.metrics))
-	for pattern := range rt.metrics {
-		out = append(out, pattern)
+// metricsDoc is the router's JSON GET /metrics document: the cluster
+// snapshot plus per-endpoint serving statistics.
+func (rt *Router) metricsDoc() any {
+	return MetricsResponse{
+		UptimeSeconds: rt.UptimeSeconds(),
+		Draining:      rt.Draining(),
+		Policy:        string(rt.cfg.Policy),
+		Workers:       rt.Workers(),
+		Spillovers:    rt.spillovers.Load(),
+		Reroutes:      rt.reroutes.Load(),
+		Probes:        rt.probes.Load(),
+		ProbeFailures: rt.probeFails.Load(),
+		Endpoints:     rt.Endpoints(),
 	}
-	sort.Strings(out)
-	return out
 }
-
-// Registry returns the router's metric registry (the daemon adds process
-// families, tests scrape it directly).
-func (rt *Router) Registry() *obs.Registry { return rt.reg }
-
-// Traces returns the recent-trace ring (served at /debug/obs by the
-// router binary).
-func (rt *Router) Traces() *obs.Store { return rt.traces }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,15 +177,13 @@ func (w *worker) status() WorkerStatus {
 // pool is the worker set: append-only at runtime (registration), read as a
 // snapshot on every routing decision.
 type pool struct {
-	hc *http.Client // optional transport override shared by all workers
-
 	mu     sync.RWMutex
 	list   []*worker
 	byName map[string]*worker
 }
 
-func newPool(hc *http.Client) *pool {
-	return &pool{hc: hc, byName: make(map[string]*worker)}
+func newPool() *pool {
+	return &pool{byName: make(map[string]*worker)}
 }
 
 // add normalizes and inserts one worker URL. Returns (nil, nil) when the
@@ -201,11 +198,7 @@ func (p *pool) add(rawURL string) (*worker, error) {
 	if _, ok := p.byName[name]; ok {
 		return nil, nil
 	}
-	c := server.NewClient(name)
-	if p.hc != nil {
-		c = c.WithHTTPClient(p.hc)
-	}
-	w := &worker{name: name, client: c}
+	w := &worker{name: name, client: server.NewClient(name)}
 	p.list = append(p.list, w)
 	p.byName[name] = w
 	return w, nil

@@ -4,31 +4,17 @@ import (
 	"regsim/internal/exper"
 )
 
-// finishSpec fills a request spec's omitted fields with the same baseline
-// defaults the workers apply (4-wide, cost-effective queue, 80 registers,
-// the configured commit budget), then returns its routing key: the
-// fingerprint of the spec's sibling group (exper.SiblingGroup, the spec
-// with register-file size and exception model cleared). Every spec of a
-// group thus prefers the worker whose sibling table holds the group's
-// pressure-free trunk, and since each spec still has exactly one preferred
-// worker, repeats keep their result-cache affinity too. Normalizing before
-// hashing matters: "bench only" and "bench plus explicit defaults" must
-// land on the same worker, or the affinity the router exists for
-// evaporates on cosmetic spec differences.
-func (rt *Router) finishSpec(spec exper.Spec) (exper.Spec, string) {
-	if spec.Width == 0 {
-		spec.Width = 4
-	}
-	if spec.Queue == 0 {
-		spec.Queue = exper.CostEffectiveQueue(spec.Width)
-	}
-	if spec.Regs == 0 {
-		spec.Regs = 80
-	}
-	if spec.Budget == 0 {
-		spec.Budget = rt.cfg.DefaultBudget
-	}
-	return spec, exper.Fingerprint(exper.SiblingGroup(spec))
+// groupKey is a spec's routing key: the fingerprint of its sibling group
+// (exper.SiblingGroup, the spec with register-file size and exception model
+// cleared). Every spec of a group thus prefers the worker whose sibling
+// table holds the group's pressure-free trunk, and since each spec still
+// has exactly one preferred worker, repeats keep their result-cache
+// affinity too. The spec must already carry server.FinishSpec's defaults:
+// "bench only" and "bench plus explicit defaults" must land on the same
+// worker, or the affinity the router exists for evaporates on cosmetic spec
+// differences.
+func groupKey(spec exper.Spec) string {
+	return exper.Fingerprint(exper.SiblingGroup(spec))
 }
 
 // pick computes the attempt order for one routing key: the policy's
@@ -72,7 +58,7 @@ func (rt *Router) pick(key string, excluded map[string]bool) ([]*worker, bool) {
 			dead = append(dead, w)
 		case w.getState() == stateDegraded:
 			degraded = append(degraded, w)
-		case w.saturated(rt.cfg.SpillThreshold, rt.cfg.LoadMaxAge):
+		case w.saturated(rt.cfg.SpillThreshold, rt.loadMaxAge):
 			loaded = append(loaded, w)
 		default:
 			fresh = append(fresh, w)
@@ -83,9 +69,5 @@ func (rt *Router) pick(key string, excluded map[string]bool) ([]*worker, bool) {
 	ordered = append(ordered, loaded...)
 	ordered = append(ordered, degraded...)
 	ordered = append(ordered, dead...)
-	spilled := ordered[0] != preferred[0]
-	if n := rt.cfg.MaxAttempts; n > 0 && n < len(ordered) {
-		ordered = ordered[:n]
-	}
-	return ordered, spilled
+	return ordered, ordered[0] != preferred[0]
 }

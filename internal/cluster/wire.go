@@ -8,13 +8,8 @@ import (
 	"regsim/internal/server"
 )
 
-// Body bounds, matching the worker-side limits so the router never accepts
-// a body a worker would refuse.
-const (
-	maxSimulateBody = 64 << 10
-	maxRegisterBody = 4 << 10
-	maxSweepBody    = 4 << 20
-)
+// maxRegisterBody bounds a POST /v1/cluster/register body.
+const maxRegisterBody = 4 << 10
 
 // ClusterResponse answers GET /v1/cluster: the routing policy, the pool with
 // per-worker health and load, and the router's routing counters.
@@ -62,16 +57,12 @@ type MetricsResponse struct {
 	Endpoints     map[string]server.EndpointMetrics `json:"endpoints"`
 }
 
-func (rt *Router) retryAfterSeconds() int {
-	return int(math.Ceil(rt.cfg.RetryAfter.Seconds()))
-}
-
 // noWorkersError: the pool has no member to try at all.
-func (rt *Router) noWorkersError() *server.APIError {
+func noWorkersError() *server.APIError {
 	return &server.APIError{
 		Status: http.StatusServiceUnavailable, Code: CodeNoWorkers,
 		Message:           "no workers available in the pool",
-		RetryAfterSeconds: rt.retryAfterSeconds(),
+		RetryAfterSeconds: server.RetryAfterSeconds,
 	}
 }
 
@@ -79,16 +70,12 @@ func (rt *Router) noWorkersError() *server.APIError {
 // worker answered with a retryable refusal the cluster is overloaded (503,
 // honouring the largest backoff hint any worker gave); when every attempt
 // died on the transport it is an upstream failure (502).
-func (rt *Router) exhaustedError(sawRefusal bool, refusalHint int, lastErr error) *server.APIError {
+func exhaustedError(sawRefusal bool, refusalHint int, lastErr error) *server.APIError {
 	if sawRefusal {
-		hint := refusalHint
-		if min := rt.retryAfterSeconds(); hint < min {
-			hint = min
-		}
 		return &server.APIError{
 			Status: http.StatusServiceUnavailable, Code: server.CodeOverloaded,
 			Message:           "every worker refused the request (overloaded or draining); retry later",
-			RetryAfterSeconds: hint,
+			RetryAfterSeconds: max(refusalHint, server.RetryAfterSeconds),
 		}
 	}
 	msg := "every worker failed"

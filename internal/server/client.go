@@ -49,13 +49,6 @@ func NewClient(baseURL string) *Client {
 	}
 }
 
-// WithHTTPClient replaces the underlying http.Client (custom transports,
-// test doubles) and returns the client for chaining.
-func (c *Client) WithHTTPClient(hc *http.Client) *Client {
-	c.hc = hc
-	return c
-}
-
 // WithRetry enables automatic retries of retryable refusals (429 overload,
 // 503 drain): up to maxAttempts total attempts, sleeping the server's
 // Retry-After hint between them with full jitter (a uniform draw from

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"time"
 
 	"regsim/internal/obs"
 	"regsim/internal/telemetry"
@@ -51,8 +50,8 @@ func (s *Server) handleDebugObs(w http.ResponseWriter, r *http.Request) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	WriteJSON(w, http.StatusOK, debugObsResponse{
-		UptimeSeconds:  time.Since(s.start).Seconds(),
-		Draining:       s.draining.Load(),
+		UptimeSeconds:  s.UptimeSeconds(),
+		Draining:       s.Draining(),
 		Goroutines:     runtime.NumGoroutine(),
 		HeapAllocBytes: ms.HeapAlloc,
 		Admission:      s.adm.stats(),

@@ -25,12 +25,15 @@ const (
 	maxSweepBody    = 4 << 20
 )
 
-// finishSpec fills a request spec's omitted (zero) fields with the paper's
+// FinishSpec fills a request spec's omitted (zero) fields with the paper's
 // baseline machine: 4-wide, the width's cost-effective queue, 80 registers
-// per file, the suite's default commit budget. The enum zero values already
-// mean the baseline (precise exceptions, lockup-free cache), so a spec
-// naming only a bench simulates the paper's default configuration.
-func (s *Server) finishSpec(spec exper.Spec) exper.Spec {
+// per file, and the given commit budget. The enum zero values already mean
+// the baseline (precise exceptions, lockup-free cache), so a spec naming
+// only a bench simulates the paper's default configuration. Both daemons
+// default specs with it, so a worker and a router resolve a partial spec
+// to the same machine (and the router's routing key to the workers' cache
+// key).
+func FinishSpec(spec exper.Spec, budget int64) exper.Spec {
 	if spec.Width == 0 {
 		spec.Width = 4
 	}
@@ -41,9 +44,48 @@ func (s *Server) finishSpec(spec exper.Spec) exper.Spec {
 		spec.Regs = 80
 	}
 	if spec.Budget == 0 {
-		spec.Budget = s.cfg.Suite.Budget
+		spec.Budget = budget
 	}
 	return spec
+}
+
+// DecodeSpec reads the body of a one-spec request (POST /v1/simulate,
+// POST /v1/estimate), fills its defaults with FinishSpec, and validates it.
+func DecodeSpec(w http.ResponseWriter, r *http.Request, budget, maxBudget int64) (exper.Spec, *APIError) {
+	var spec exper.Spec
+	if apiErr := DecodeJSON(w, r, maxSimulateBody, &spec); apiErr != nil {
+		return spec, apiErr
+	}
+	spec = FinishSpec(spec, budget)
+	return spec, validateSpec(spec, maxBudget)
+}
+
+// DecodeSweep reads the body of POST /v1/sweep, bounds its matrix at
+// maxSpecs, and fills and validates every spec, naming a failing one by its
+// index in the request.
+func DecodeSweep(w http.ResponseWriter, r *http.Request, maxSpecs int, budget, maxBudget int64) ([]exper.Spec, *APIError) {
+	var req SweepRequest
+	if apiErr := DecodeJSON(w, r, maxSweepBody, &req); apiErr != nil {
+		return nil, apiErr
+	}
+	if len(req.Specs) == 0 {
+		return nil, &APIError{Status: http.StatusBadRequest, Code: CodeInvalidArgument,
+			Field: "specs", Message: "specs must name at least one simulation"}
+	}
+	if len(req.Specs) > maxSpecs {
+		return nil, &APIError{Status: http.StatusBadRequest, Code: CodeInvalidArgument,
+			Field:   "specs",
+			Message: fmt.Sprintf("sweep of %d specs exceeds the per-request limit %d; split the matrix", len(req.Specs), maxSpecs)}
+	}
+	specs := make([]exper.Spec, len(req.Specs))
+	for i := range req.Specs {
+		specs[i] = FinishSpec(req.Specs[i], budget)
+		if apiErr := validateSpec(specs[i], maxBudget); apiErr != nil {
+			apiErr.Field = fmt.Sprintf("specs[%d].%s", i, apiErr.Field)
+			return nil, apiErr
+		}
+	}
+	return specs, nil
 }
 
 // DecodeJSON strictly decodes one JSON body into v, mapping the failure
@@ -89,43 +131,6 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) *API
 	}
 }
 
-// requestContext applies the per-request deadline: the ?timeout= override
-// (clamped to MaxTimeout) or the server default.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, *APIError) {
-	d := s.cfg.DefaultTimeout
-	if raw := r.URL.Query().Get("timeout"); raw != "" {
-		parsed, err := time.ParseDuration(raw)
-		if err != nil || parsed <= 0 {
-			return nil, nil, &APIError{Status: http.StatusBadRequest, Code: CodeInvalidArgument,
-				Field:   "timeout",
-				Message: fmt.Sprintf("timeout %q is not a positive Go duration (e.g. 500ms, 30s)", raw)}
-		}
-		d = parsed
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	return ctx, cancel, nil
-}
-
-// refuseIfDraining answers simulation endpoints during drain.
-func (s *Server) refuseIfDraining(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
-		return false
-	}
-	WriteError(w, &APIError{
-		Status: http.StatusServiceUnavailable, Code: CodeDraining,
-		Message:           "server is draining; retry against another instance",
-		RetryAfterSeconds: s.retryAfterSeconds(),
-	})
-	return true
-}
-
-func (s *Server) retryAfterSeconds() int {
-	return int(math.Ceil(s.cfg.RetryAfter.Seconds()))
-}
-
 // admit claims an admission slot, translating the failure modes. The wait is
 // a span on the request's trace and an observation in the admission wait-time
 // histogram, whichever way it ends.
@@ -146,7 +151,7 @@ func (s *Server) admit(ctx context.Context) (func(), *APIError) {
 			Status: http.StatusTooManyRequests, Code: CodeOverloaded,
 			Message: fmt.Sprintf("admission queue full (%d executing, %d waiting)",
 				s.adm.maxInFlight, s.adm.maxQueue),
-			RetryAfterSeconds: s.retryAfterSeconds(),
+			RetryAfterSeconds: RetryAfterSeconds,
 		}
 	}
 	return nil, simError(err)
@@ -170,21 +175,16 @@ func simError(err error) *APIError {
 
 // handleSimulate runs one spec: POST /v1/simulate.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if s.refuseIfDraining(w) {
+	if s.RefuseIfDraining(w) {
 		return
 	}
 	start := time.Now()
-	var spec exper.Spec
-	if apiErr := DecodeJSON(w, r, maxSimulateBody, &spec); apiErr != nil {
+	spec, apiErr := DecodeSpec(w, r, s.cfg.Suite.Budget, s.cfg.MaxBudget)
+	if apiErr != nil {
 		WriteError(w, apiErr)
 		return
 	}
-	spec = s.finishSpec(spec)
-	if apiErr := ValidateSpec(spec, s.cfg.MaxBudget); apiErr != nil {
-		WriteError(w, apiErr)
-		return
-	}
-	ctx, cancel, apiErr := s.requestContext(r)
+	ctx, cancel, _, apiErr := s.RequestContext(r)
 	if apiErr != nil {
 		WriteError(w, apiErr)
 		return
@@ -217,31 +217,26 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // fans into the suite's own bounded worker pool. Draining still refuses, since
 // a cold calibration is real simulation work.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if s.refuseIfDraining(w) {
+	if s.RefuseIfDraining(w) {
 		return
 	}
 	start := time.Now()
 	s.estimates.Add(1)
-	var spec exper.Spec
-	if apiErr := DecodeJSON(w, r, maxSimulateBody, &spec); apiErr != nil {
+	spec, apiErr := DecodeSpec(w, r, s.cfg.Suite.Budget, s.cfg.MaxBudget)
+	if apiErr != nil {
 		WriteError(w, apiErr)
 		return
 	}
-	spec = s.finishSpec(spec)
-	if apiErr := ValidateSpec(spec, s.cfg.MaxBudget); apiErr != nil {
-		WriteError(w, apiErr)
-		return
-	}
-	ctx, cancel, apiErr := s.requestContext(r)
+	ctx, cancel, _, apiErr := s.RequestContext(r)
 	if apiErr != nil {
 		WriteError(w, apiErr)
 		return
 	}
 	defer cancel()
-	warm := s.cfg.Twin.Warm(spec.Bench, spec.Width)
+	warm := s.twin.Warm(spec.Bench, spec.Width)
 	sp, estCtx := obs.StartSpan(ctx, "twin.estimate")
 	sp.Set("warm", warm)
-	est, err := s.cfg.Twin.EstimateContext(estCtx, spec)
+	est, err := s.twin.EstimateContext(estCtx, spec)
 	sp.End()
 	if err != nil {
 		WriteError(w, simError(err))
@@ -261,39 +256,16 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // concurrent requests, and across restarts (persistent cache) simulate at
 // most once.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if s.refuseIfDraining(w) {
+	if s.RefuseIfDraining(w) {
 		return
 	}
 	start := time.Now()
-	var req SweepRequest
-	if apiErr := DecodeJSON(w, r, maxSweepBody, &req); apiErr != nil {
+	specs, apiErr := DecodeSweep(w, r, s.cfg.MaxSweepSpecs, s.cfg.Suite.Budget, s.cfg.MaxBudget)
+	if apiErr != nil {
 		WriteError(w, apiErr)
 		return
 	}
-	if len(req.Specs) == 0 {
-		WriteError(w, &APIError{Status: http.StatusBadRequest, Code: CodeInvalidArgument,
-			Field: "specs", Message: "specs must name at least one simulation"})
-		return
-	}
-	if len(req.Specs) > s.cfg.MaxSweepSpecs {
-		WriteError(w, &APIError{Status: http.StatusBadRequest, Code: CodeInvalidArgument,
-			Field:   "specs",
-			Message: fmt.Sprintf("sweep of %d specs exceeds the per-request limit %d; split the matrix", len(req.Specs), s.cfg.MaxSweepSpecs)})
-		return
-	}
-	specs := make([]exper.Spec, len(req.Specs))
-	for i := range req.Specs {
-		// Partial specs mean the baseline machine, exactly like
-		// /v1/simulate.
-		spec := s.finishSpec(req.Specs[i])
-		if apiErr := ValidateSpec(spec, s.cfg.MaxBudget); apiErr != nil {
-			apiErr.Field = fmt.Sprintf("specs[%d].%s", i, apiErr.Field)
-			WriteError(w, apiErr)
-			return
-		}
-		specs[i] = spec
-	}
-	ctx, cancel, apiErr := s.requestContext(r)
+	ctx, cancel, _, apiErr := s.RequestContext(r)
 	if apiErr != nil {
 		WriteError(w, apiErr)
 		return
@@ -444,7 +416,7 @@ const (
 // handleHealthz: GET /healthz. 200 while serving, 503 while draining (load
 // balancers use it to pull the instance before shutdown).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+	if s.Draining() {
 		WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
 		return
 	}
@@ -459,7 +431,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	adm := s.adm.stats()
 	sw := s.cfg.Suite.SweepStats()
 	status := "ok"
-	draining := s.draining.Load()
+	draining := s.Draining()
 	if draining {
 		status = "draining"
 	}
@@ -471,39 +443,8 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		Capacity:      adm.MaxInFlight + adm.MaxQueue,
 		SweepActive:   sw.Active,
 		SweepWorkers:  sw.Workers,
-		UptimeSeconds: time.Since(s.start).Seconds(),
+		UptimeSeconds: s.UptimeSeconds(),
 	})
-}
-
-// handleMetrics: GET /metrics. Live counters: the sweep engine and
-// persistent cache (shared with every CLI using the same cache directory),
-// the admission controller, and per-endpoint request statistics. The default
-// document is JSON; ?format=prometheus renders the registry in Prometheus
-// text exposition format for scrapers.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-	case "prometheus":
-		w.Header().Set("Content-Type", obs.ContentType)
-		s.reg.WritePrometheus(w) // the connection is gone if this fails
-		return
-	default:
-		WriteError(w, &APIError{Status: http.StatusBadRequest, Code: CodeInvalidArgument,
-			Field:   "format",
-			Message: fmt.Sprintf("unknown metrics format %q (want json or prometheus)", format)})
-		return
-	}
-	resp := MetricsResponse{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Draining:      s.draining.Load(),
-		Sweep:         s.cfg.Suite.SweepStats(),
-		Admission:     s.adm.stats(),
-		Endpoints:     make(map[string]EndpointMetrics, len(s.metrics)),
-	}
-	for pattern, m := range s.metrics {
-		resp.Endpoints[pattern] = m.snapshot(false)
-	}
-	WriteJSON(w, http.StatusOK, resp)
 }
 
 func elapsedMS(start time.Time) float64 {

@@ -2,32 +2,19 @@ package server
 
 import (
 	"runtime"
-	"sort"
 	"time"
 
 	"regsim/internal/obs"
 	"regsim/internal/telemetry"
 )
 
-// registerMetrics installs the server's metric families into the registry
-// behind GET /metrics?format=prometheus. Everything is collected at scrape
-// time from the counters the subsystems already keep (the admission
-// controller's atomics, the sweep engine's singleflight counters, the
-// rescache store, the per-endpoint latency histograms), so serving a scrape
-// adds no cost to the request path.
-func (s *Server) registerMetrics() {
-	r := s.reg
-
-	// Process-level context first, so a scrape reads top-down.
-	r.GaugeFunc("regsim_uptime_seconds", "Seconds since the server was constructed.",
-		func() float64 { return time.Since(s.start).Seconds() })
-	r.GaugeFunc("regsim_draining", "1 while the server is draining, else 0.",
-		func() float64 {
-			if s.draining.Load() {
-				return 1
-			}
-			return 0
-		})
+// registerMetrics installs the server's own metric families into the
+// registry behind GET /metrics?format=prometheus, after the shell's uptime,
+// draining and HTTP families. Everything is collected at scrape time from
+// the counters the subsystems already keep (the admission controller's
+// atomics, the sweep engine's singleflight counters, the rescache store),
+// so serving a scrape adds no cost to the request path.
+func (s *Server) registerMetrics(r *obs.Registry) {
 	r.GaugeFunc("go_goroutines", "Number of goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	r.GaugeFunc("go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.",
@@ -35,42 +22,6 @@ func (s *Server) registerMetrics() {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			return float64(ms.HeapAlloc)
-		})
-
-	// HTTP serving: request counts per endpoint and status, latency
-	// histograms per endpoint (the same telemetry histograms /metrics JSON
-	// summarises, here with full cumulative buckets).
-	r.Register("regsim_http_requests_total", "Requests served, by endpoint pattern and status code.",
-		obs.TypeCounter, func(emit func(obs.Sample)) {
-			for _, pattern := range s.patterns() {
-				snap := s.metrics[pattern].snapshot(false)
-				codes := make([]string, 0, len(snap.ByStatus))
-				for code := range snap.ByStatus {
-					codes = append(codes, code)
-				}
-				sort.Strings(codes)
-				for _, code := range codes {
-					emit(obs.Sample{
-						Labels: []obs.Label{{Name: "endpoint", Value: pattern}, {Name: "code", Value: code}},
-						Value:  float64(snap.ByStatus[code]),
-					})
-				}
-			}
-		})
-	r.HistogramFunc("regsim_http_request_duration_ms", "Request latency in milliseconds, by endpoint pattern.",
-		func() []obs.LabeledHist {
-			var out []obs.LabeledHist
-			for _, pattern := range s.patterns() {
-				snap := s.metrics[pattern].snapshot(true)
-				if snap.LatencyMS.Count == 0 {
-					continue
-				}
-				out = append(out, obs.LabeledHist{
-					Labels: []obs.Label{{Name: "endpoint", Value: pattern}},
-					Stats:  snap.LatencyMS,
-				})
-			}
-			return out
 		})
 
 	// Admission control: the bounds as gauges (so queue-depth panels can
@@ -129,20 +80,10 @@ func (s *Server) registerMetrics() {
 	r.CounterFunc("regsim_estimate_requests_total", "Analytical-twin estimate requests received on POST /v1/estimate.",
 		func() float64 { return float64(s.estimates.Load()) })
 	r.CounterFunc("regsim_twin_calibration_runs_total", "Calibration simulations the twin has requested from the suite.",
-		func() float64 { return float64(s.cfg.Twin.CalibrationRuns()) })
+		func() float64 { return float64(s.twin.CalibrationRuns()) })
 
 	r.CounterFunc("regsim_traces_total", "Request traces recorded (including ones evicted from the debug ring).",
 		func() float64 { return float64(s.traces.Total()) })
-}
-
-// patterns returns the registered route patterns in stable order.
-func (s *Server) patterns() []string {
-	out := make([]string, 0, len(s.metrics))
-	for pattern := range s.metrics {
-		out = append(out, pattern)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // recordAdmissionWait feeds the admission wait-time histogram.
@@ -152,9 +93,17 @@ func (s *Server) recordAdmissionWait(d time.Duration) {
 	s.admWaitMu.Unlock()
 }
 
-// Registry returns the server's metric registry (the daemon registers its own
-// families into it, tests scrape it directly).
-func (s *Server) Registry() *obs.Registry { return s.reg }
+// metricsDoc is the JSON GET /metrics document: the suite's sweep/cache
+// counters, the admission controller, and per-endpoint request statistics.
+func (s *Server) metricsDoc() any {
+	return MetricsResponse{
+		UptimeSeconds: s.UptimeSeconds(),
+		Draining:      s.Draining(),
+		Sweep:         s.cfg.Suite.SweepStats(),
+		Admission:     s.adm.stats(),
+		Endpoints:     s.Endpoints(),
+	}
+}
 
 // Traces returns the recent-trace ring behind /debug/obs.
 func (s *Server) Traces() *obs.Store { return s.traces }

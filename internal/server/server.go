@@ -21,6 +21,11 @@
 //   - graceful drain: Drain() flips /healthz to 503 and refuses new
 //     simulation work while in-flight requests finish.
 //
+// The HTTP half of that — routing, middleware, deadlines, drain refusal,
+// GET /metrics — is the Shell, which internal/cluster's router mounts too;
+// the shared request decoding (DecodeSpec, DecodeSweep) and the wire types
+// live here as well, so both daemons speak one contract.
+//
 // Endpoints: POST /v1/simulate, POST /v1/sweep, POST /v1/estimate,
 // GET /v1/workloads, GET /v1/timing, GET /v1/load, GET /healthz,
 // GET /metrics.
@@ -28,12 +33,9 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"log"
 	"log/slog"
-	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,22 +54,12 @@ type Config struct {
 	// MaxInFlight bounds how many requests simulate at once.
 	Suite *exper.Suite
 
-	// Twin answers POST /v1/estimate: the analytical fast path predicting
-	// IPC/BIPS in microseconds instead of simulating. Nil means a fresh
-	// model over Suite (calibrations then share the suite's memoization and
-	// persistent cache with simulation traffic). Supplying one lets the
-	// embedding process pre-warm or share a model across servers.
-	Twin *twin.Model
-
 	// MaxInFlight is the admission bound on concurrently executing
 	// simulation requests (default GOMAXPROCS).
 	MaxInFlight int
 	// MaxQueue is the bounded wait queue in front of the slots (default
 	// 4×MaxInFlight). A request beyond slots+queue is refused with 429.
 	MaxQueue int
-	// RetryAfter is the backoff hint attached to 429/503 refusals
-	// (default 1s, rounded up to whole seconds on the wire).
-	RetryAfter time.Duration
 
 	// DefaultTimeout is the per-request deadline when the client sends no
 	// ?timeout= (default 30s). MaxTimeout clamps client requests
@@ -82,14 +74,12 @@ type Config struct {
 	// (default 10,000,000).
 	MaxBudget int64
 
-	// AccessLog, when non-nil, receives one structured line per request.
-	AccessLog *log.Logger
 	// ErrorLog, when non-nil, receives handler panics with stacks
 	// (default: log.Default so panics are never silent).
 	ErrorLog *log.Logger
 	// Logger, when non-nil, receives structured (slog) access lines — one
 	// record per request with the trace ID, endpoint, status, and span
-	// timings — alongside (not replacing) AccessLog.
+	// timings.
 	Logger *slog.Logger
 	// SlowRequest, when positive, is the latency above which a request's
 	// full span tree is inlined into a warn-level Logger record (0 disables
@@ -98,26 +88,15 @@ type Config struct {
 	// TraceBuffer is the capacity of the recent-trace ring served at
 	// /debug/obs (0 = obs.DefaultStoreCapacity).
 	TraceBuffer int
-	// Registry, when non-nil, is the metric registry the server installs
-	// its families into; nil means a fresh private registry. Supplying one
-	// lets the embedding process add its own families to the same
-	// /metrics?format=prometheus page.
-	Registry *obs.Registry
 }
 
 // Server is the HTTP serving layer. Construct with New, expose with
 // Handler, stop with Drain.
 type Server struct {
-	cfg      Config
-	mux      *http.ServeMux
-	adm      *admission
-	start    time.Time
-	draining atomic.Bool
-	metrics  map[string]*endpointMetrics
-	methods  map[string][]string // path → registered methods, for 405s
-
-	reg    *obs.Registry // Prometheus-format metric families
-	traces *obs.Store    // recent completed request traces, for /debug/obs
+	*Shell
+	cfg  Config
+	adm  *admission
+	twin *twin.Model // answers POST /v1/estimate, calibrating over Suite
 
 	// estimates counts POST /v1/estimate requests, scraped as
 	// regsim_estimate_requests_total.
@@ -142,101 +121,42 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 4 * cfg.MaxInFlight
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.DefaultTimeout <= 0 {
-		cfg.DefaultTimeout = 30 * time.Second
-	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = 2 * time.Minute
-	}
-	if cfg.DefaultTimeout > cfg.MaxTimeout {
-		return nil, fmt.Errorf("server: DefaultTimeout %v exceeds MaxTimeout %v", cfg.DefaultTimeout, cfg.MaxTimeout)
-	}
 	if cfg.MaxSweepSpecs <= 0 {
 		cfg.MaxSweepSpecs = 512
 	}
 	if cfg.MaxBudget <= 0 {
 		cfg.MaxBudget = 10_000_000
 	}
-	if cfg.ErrorLog == nil {
-		cfg.ErrorLog = log.Default()
-	}
-	if cfg.Twin == nil {
-		cfg.Twin = twin.New(cfg.Suite)
-	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	s := &Server{
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		adm:     newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		start:   time.Now(),
-		metrics: make(map[string]*endpointMetrics),
-		methods: make(map[string][]string),
-		reg:     reg,
-		traces:  obs.NewStore(cfg.TraceBuffer),
+		cfg:  cfg,
+		adm:  newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
+		twin: twin.New(cfg.Suite),
 	}
-	s.registerMetrics()
-	s.route("POST /v1/simulate", s.handleSimulate)
-	s.route("POST /v1/sweep", s.handleSweep)
-	s.route("POST /v1/estimate", s.handleEstimate)
-	s.route("GET /v1/workloads", s.handleWorkloads)
-	s.route("GET /v1/timing", s.handleTiming)
-	s.route("GET /v1/load", s.handleLoad)
-	s.route("GET /healthz", s.handleHealthz)
-	s.route("GET /metrics", s.handleMetrics)
-	// Catch-all so unrouted paths get the same structured JSON errors as
-	// everything else (ServeMux's own 404/405 are plain text — and its
-	// automatic 405 never fires once "/" is registered, because the
-	// catch-all matches first; hence the explicit methods table).
-	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if allowed, ok := s.methods[r.URL.Path]; ok {
-			w.Header().Set("Allow", strings.Join(allowed, ", "))
-			WriteError(w, &APIError{
-				Status: http.StatusMethodNotAllowed, Code: CodeInvalidArgument,
-				Message: fmt.Sprintf("%s not allowed on %s (allow %s)", r.Method, r.URL.Path, strings.Join(allowed, ", ")),
-			})
-			return
-		}
-		WriteError(w, &APIError{
-			Status: http.StatusNotFound, Code: CodeNotFound,
-			Message: fmt.Sprintf("no route for %s %s", r.Method, r.URL.Path),
-		})
-	})
+	reg := obs.NewRegistry()
+	sh, err := NewShell("server", "regsim_", reg, cfg.DefaultTimeout, cfg.MaxTimeout, cfg.Logger, s.metricsDoc)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.ErrorLog != nil {
+		sh.errorLog = cfg.ErrorLog
+	}
+	sh.slowRequest = cfg.SlowRequest
+	sh.traces = obs.NewStore(cfg.TraceBuffer)
+	s.Shell = sh
+	s.registerMetrics(reg)
+	s.Route("POST /v1/simulate", s.handleSimulate)
+	s.Route("POST /v1/sweep", s.handleSweep)
+	s.Route("POST /v1/estimate", s.handleEstimate)
+	s.Route("GET /v1/workloads", s.handleWorkloads)
+	s.Route("GET /v1/timing", s.handleTiming)
+	s.Route("GET /v1/load", s.handleLoad)
+	s.Route("GET /healthz", s.handleHealthz)
 	return s, nil
 }
-
-// route registers a handler under the middleware stack (recovery, metrics,
-// access log), creates its metrics slot, and records the method for the
-// catch-all's 405 answers. Patterns are always "METHOD /path".
-func (s *Server) route(pattern string, h http.HandlerFunc) {
-	m := &endpointMetrics{}
-	s.metrics[pattern] = m
-	s.mux.Handle(pattern, s.wrap(pattern, m, h))
-	method, path, _ := strings.Cut(pattern, " ")
-	s.methods[path] = append(s.methods[path], method)
-}
-
-// Handler returns the root handler.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Drain puts the server into drain mode: /healthz reports 503 (so load
-// balancers stop sending traffic), new simulation requests are refused with
-// a structured 503, and in-flight requests run to completion. Read-only
-// endpoints keep answering so operators can watch the drain in /metrics.
-// Drain is idempotent and safe to call from signal handlers.
-func (s *Server) Drain() { s.draining.Store(true) }
-
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Suite exposes the underlying experiment suite (tests and the daemon's
 // shutdown path use it to report final sweep statistics).
 func (s *Server) Suite() *exper.Suite { return s.cfg.Suite }
 
 // Twin exposes the analytical model behind POST /v1/estimate.
-func (s *Server) Twin() *twin.Model { return s.cfg.Twin }
+func (s *Server) Twin() *twin.Model { return s.twin }

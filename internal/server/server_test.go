@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -131,6 +132,9 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != CodeDraining {
 		t.Errorf("drain refusal: got status %d code %q, want 503 %q", apiErr.Status, apiErr.Code, CodeDraining)
+	}
+	if want := "server is draining; retry against another instance"; apiErr.Message != want {
+		t.Errorf("drain refusal message %q, want %q", apiErr.Message, want)
 	}
 	if apiErr.RetryAfterSeconds <= 0 {
 		t.Errorf("drain refusal carries no Retry-After hint: %+v", apiErr)
@@ -288,19 +292,21 @@ func TestPanicRecovery(t *testing.T) {
 	srv, client := newTestServer(t, func(cfg *Config) {
 		cfg.ErrorLog = log.New(io.Discard, "", 0) // the stack dump is expected; keep test output clean
 	})
-	boom := &endpointMetrics{}
-	srv.metrics["GET /boom"] = boom
-	srv.mux.Handle("GET /boom", srv.wrap("GET /boom", boom, func(w http.ResponseWriter, r *http.Request) {
+	srv.Route("GET /boom", func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
-	}))
+	})
 
 	resp, err := http.Get(clientBase(client) + "/boom")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Errorf("panic returned status %d, want 500", resp.StatusCode)
+	}
+	if !strings.Contains(string(body), "panic recovered; see server log") {
+		t.Errorf("panic body does not name the server: %s", body)
 	}
 	// Still alive.
 	if err := client.Health(context.Background()); err != nil {

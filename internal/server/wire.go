@@ -219,12 +219,12 @@ const (
 	maxRegsLimit = 4096
 )
 
-// ValidateSpec checks a fully-defaulted spec, returning a structured
-// validation error naming the offending field. Exported because the cluster
-// router pre-validates sweep shards with the same rules the workers enforce,
-// so a validation failure is reported once with the caller's spec index
-// intact instead of surfacing from a worker with a shard-relative index.
-func ValidateSpec(spec exper.Spec, maxBudget int64) *APIError {
+// validateSpec checks a fully-defaulted spec, returning a structured
+// validation error naming the offending field. The router validates through
+// the same DecodeSpec/DecodeSweep as the workers, so a validation failure is
+// reported once with the caller's spec index intact instead of surfacing
+// from a worker with a shard-relative index.
+func validateSpec(spec exper.Spec, maxBudget int64) *APIError {
 	fail := func(field, format string, args ...any) *APIError {
 		return &APIError{
 			Status: http.StatusBadRequest, Code: CodeInvalidArgument,

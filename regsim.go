@@ -200,7 +200,9 @@ type APIError = server.APIError
 // Server is the embeddable HTTP serving layer behind cmd/regsimd —
 // bounded admission, request coalescing through the sweep engine,
 // per-request deadlines, and live metrics. Mount Handler() anywhere an
-// http.Handler goes.
+// http.Handler goes. Its HTTP shell (routing, middleware, deadlines, drain,
+// GET /metrics) is the same one ClusterRouter mounts, so a request refused
+// before any simulation gets the same bytes from either.
 type Server = server.Server
 
 // ServerConfig configures NewServer; only Suite is required.
@@ -213,7 +215,9 @@ func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 // cache-affinity (rendezvous-hash) routing of simulate and sweep traffic
 // over a pool of serving instances, with health probing, saturation-aware
 // spillover, and retry-with-reroute failover. It serves the same wire
-// surface as a single server, so a Client points at either interchangeably.
+// surface as a single server, through the same HTTP shell, so a Client
+// points at either interchangeably. Unlike a Server it keeps no
+// recent-trace ring.
 type ClusterRouter = cluster.Router
 
 // ClusterConfig configures NewClusterRouter; Workers (or AllowRegister) is
@@ -339,16 +343,6 @@ func StartSpan(ctx context.Context, name string) (*Span, context.Context) {
 
 // SpanFromContext returns the context's active span, or nil when untraced.
 func SpanFromContext(ctx context.Context) *Span { return obs.FromContext(ctx) }
-
-// MetricsRegistry is the serving layer's hand-rolled Prometheus-style metric
-// registry (counters, gauges, histograms; text exposition via
-// WritePrometheus). Pass one in ServerConfig.Registry to add your own
-// families to the server's /metrics?format=prometheus page, or read the
-// server's own via Server.Registry.
-type MetricsRegistry = obs.Registry
-
-// NewMetricsRegistry returns an empty metric registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // Verify runs the differential oracle: it simulates p under cfg and checks
 // the committed instruction stream (count and checksum), the final
