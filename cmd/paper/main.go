@@ -131,7 +131,7 @@ func main() {
 		}
 	}
 	start := time.Now()
-	if err := run(s, flag.Arg(0), *plots, *asJSON); err != nil {
+	if err := run(os.Stdout, s, flag.Arg(0), *plots, *asJSON); err != nil {
 		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
 		os.Exit(1)
 	}
@@ -167,8 +167,7 @@ func knownExperiment(name string) bool {
 
 type printer interface{ Print(io.Writer) }
 
-func run(s *exper.Suite, what string, plots, asJSON bool) error {
-	out := os.Stdout
+func run(out io.Writer, s *exper.Suite, what string, plots, asJSON bool) error {
 	emit := func(v printer) error {
 		if asJSON {
 			enc := json.NewEncoder(out)

@@ -259,17 +259,17 @@ func TestKindStrings(t *testing.T) {
 
 func TestICache(t *testing.T) {
 	ic := NewICache(16)
-	hit, readyAt := ic.Fetch(0x1_0000, 5)
-	if hit {
+	readyAt := ic.Fetch(0x1_0000, 5)
+	if readyAt == 0 {
 		t.Fatal("cold instruction fetch hit")
 	}
 	if readyAt != 21 {
 		t.Errorf("miss readyAt = %d, want 21", readyAt)
 	}
-	if hit, _ := ic.Fetch(0x1_0008, 21); !hit {
+	if ic.Fetch(0x1_0008, 21) != 0 {
 		t.Error("same-line fetch missed after fill")
 	}
-	if hit, _ := ic.Fetch(0x1_0020, 22); hit {
+	if ic.Fetch(0x1_0020, 22) == 0 {
 		t.Error("next-line fetch hit without fill")
 	}
 	if ic.Accesses != 3 || ic.Misses != 2 {
@@ -285,10 +285,10 @@ func TestICacheLRU(t *testing.T) {
 	ic.Fetch(stride, 2)
 	ic.Fetch(0, 3) // touch
 	ic.Fetch(2*stride, 4)
-	if hit, _ := ic.Fetch(0, 5); !hit {
+	if ic.Fetch(0, 5) != 0 {
 		t.Error("icache evicted MRU line")
 	}
-	if hit, _ := ic.Fetch(stride, 6); hit {
+	if ic.Fetch(stride, 6) == 0 {
 		t.Error("icache kept LRU line")
 	}
 }

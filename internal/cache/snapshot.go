@@ -122,7 +122,10 @@ type ISnap struct {
 
 // Snapshot captures the instruction cache's state.
 func (c *ICache) Snapshot() *ISnap {
-	s := &ISnap{UseClock: c.useClock, LastLA: c.lastLA, LastOK: c.lastOK, Accesses: c.Accesses, Misses: c.Misses}
+	s := &ISnap{UseClock: c.useClock, Accesses: c.Accesses, Misses: c.Misses}
+	if c.lastLA != noLine {
+		s.LastLA, s.LastOK = c.lastLA, true
+	}
 	for i := range c.lines {
 		if c.lines[i].valid {
 			s.Lines = append(s.Lines, LineSnap{Index: i, Tag: c.lines[i].tag, LastUse: c.lines[i].lastUse})
@@ -142,7 +145,9 @@ func RestoreICache(missPenalty int, s *ISnap) (*ICache, error) {
 		c.lines[l.Index] = line{valid: true, tag: l.Tag, lastUse: l.LastUse}
 	}
 	c.useClock = s.UseClock
-	c.lastLA, c.lastOK = s.LastLA, s.LastOK
+	if s.LastOK {
+		c.lastLA = s.LastLA
+	}
 	c.Accesses, c.Misses = s.Accesses, s.Misses
 	return c, nil
 }

@@ -699,6 +699,79 @@ func TestProxyRoutesPastStalledWorker(t *testing.T) {
 	}
 }
 
+// TestOwnDeadlineSparesWorker: a request that ends because its own deadline
+// fired or its client went away says nothing about the worker it was waiting
+// on. On each routed path — one-spec routing, sweep shards and the read-only
+// proxy — DeadAfter such requests against a worker slower than the caller's
+// patience must leave it healthy with no failure charged.
+func TestOwnDeadlineSparesWorker(t *testing.T) {
+	// setup builds a router over one worker that answers probes but is
+	// slower than any caller below on every other path.
+	setup := func(t *testing.T) (*Router, *httptest.Server, func()) {
+		release := make(chan struct{})
+		w := newTestWorker(t, func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/load" {
+					h.ServeHTTP(rw, r)
+					return
+				}
+				select {
+				case <-r.Context().Done():
+				case <-release:
+				}
+			})
+		})
+		t.Cleanup(func() { close(release) }) // runs before the listener closes
+		rt, ts := newTestRouter(t, []string{w.url()}, func(cfg *Config) { cfg.ProbeTimeout = time.Minute })
+		rt.ProbeAll(context.Background())
+		wk := rt.pool.workers()[0]
+		spared := func() {
+			t.Helper()
+			if st := wk.status(); st.State != "healthy" || st.ConsecutiveFailures != 0 || st.Failures != 0 {
+				t.Errorf("worker after %d requests that outlived their own deadline: %s, %d consecutive failures (%d in all); want healthy with none",
+					rt.cfg.DeadAfter, st.State, st.ConsecutiveFailures, st.Failures)
+			}
+		}
+		return rt, ts, spared
+	}
+
+	t.Run("simulate", func(t *testing.T) {
+		rt, ts, spared := setup(t)
+		for range rt.cfg.DeadAfter {
+			status, body := postJSON(t, ts.URL+"/v1/simulate?timeout=50ms", exper.Spec{Bench: "compress"})
+			if status != http.StatusGatewayTimeout {
+				t.Fatalf("HTTP %d, want 504\n%s", status, body)
+			}
+		}
+		spared()
+	})
+	t.Run("sweep", func(t *testing.T) {
+		rt, ts, spared := setup(t)
+		for range rt.cfg.DeadAfter {
+			status, body := postJSON(t, ts.URL+"/v1/sweep?timeout=50ms", server.SweepRequest{Specs: specFamily(3)})
+			if status != http.StatusGatewayTimeout {
+				t.Fatalf("HTTP %d, want 504\n%s", status, body)
+			}
+		}
+		spared()
+	})
+	t.Run("proxy", func(t *testing.T) {
+		// The proxy has no ?timeout=: its caller's patience is the request
+		// context, cut here as a client going away would cut it.
+		rt, _, spared := setup(t)
+		for range rt.cfg.DeadAfter {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			rec := httptest.NewRecorder()
+			rt.handleProxy(rec, httptest.NewRequest(http.MethodGet, "/v1/workloads", nil).WithContext(ctx))
+			cancel()
+			if rec.Code != http.StatusGatewayTimeout {
+				t.Fatalf("HTTP %d, want 504\n%s", rec.Code, rec.Body)
+			}
+		}
+		spared()
+	})
+}
+
 // TestWorkerRouterParity pins the serving contract both daemons share: a
 // request refused before any simulation gets the same answer from a router
 // as from the worker behind it — status, Allow, Retry-After, Content-Type

@@ -122,8 +122,11 @@ func (rt *Router) routeSpec(w http.ResponseWriter, r *http.Request, key func(exp
 			return
 		default:
 			// Transport-level death: count it toward the worker's demise
-			// and move on.
-			wk.noteFailure(rt.cfg.DeadAfter, err)
+			// and move on — unless the request's own deadline fired or its
+			// client went away, which says nothing about the worker.
+			if ctx.Err() == nil {
+				wk.noteFailure(rt.cfg.DeadAfter, err)
+			}
 			lastErr = err
 		}
 		if ctx.Err() != nil {
@@ -224,7 +227,9 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 				server.WriteError(w, upstream)
 				return
 			default:
-				out.shard.worker.noteFailure(rt.cfg.DeadAfter, out.err)
+				if ctx.Err() == nil { // as in routeSpec
+					out.shard.worker.noteFailure(rt.cfg.DeadAfter, out.err)
+				}
 				lastErr = out.err
 			}
 			excluded[out.shard.worker.name] = true
@@ -360,6 +365,12 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		wk.requests.Add(1)
 		if lastErr = rt.proxyTo(w, r, wk); lastErr == nil {
 			wk.noteSuccess()
+			return
+		}
+		if r.Context().Err() != nil {
+			// The client went away: the attempt's failure is not the
+			// worker's, and nobody is left to answer.
+			server.WriteError(w, ctxError(r.Context()))
 			return
 		}
 		wk.noteFailure(rt.cfg.DeadAfter, lastErr)

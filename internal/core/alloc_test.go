@@ -24,12 +24,17 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		model rename.Model
+		track bool
 	}{
-		// Precise + untracked disables the kill queue entirely
-		// (DisableKills); Imprecise exercises the full redefine-kill and
-		// frontier machinery. Both must be allocation-free.
-		{"precise", rename.Precise},
-		{"imprecise", rename.Imprecise},
+		// Each (model, track) pair keeps different rename bookkeeping:
+		// untracked precise keeps no categories, kills or chains; untracked
+		// imprecise keeps kills and chains, its freeing rule; tracked runs
+		// keep everything plus the live and port histograms. Every one must
+		// be allocation-free.
+		{"precise", rename.Precise, false},
+		{"imprecise", rename.Imprecise, false},
+		{"precise-tracked", rename.Precise, true},
+		{"imprecise-tracked", rename.Imprecise, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := workload.Build("compress")
@@ -41,6 +46,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			cfg.QueueSize = 32
 			cfg.RegsPerFile = 64
 			cfg.Model = tc.model
+			cfg.TrackLiveRegisters = tc.track
 			cfg.DCache = cfg.DCache.WithKind(cache.Perfect)
 			m, err := New(cfg, p)
 			if err != nil {

@@ -21,6 +21,9 @@ import (
 type Machine struct {
 	cfg    Config
 	limits dispatch.Limits
+	// slots is the issue stage's slot tracker, built once over limits and
+	// reset every cycle.
+	slots dispatch.Slots
 	// art is the immutable predecoded executable this machine runs. text and
 	// dec alias its (shared, read-only) segments: the instruction words and
 	// the per-PC predecoded form, so the fetch/dispatch loop does not
@@ -70,8 +73,9 @@ type Machine struct {
 	brIssueIdx int
 	// skipFrontier: the branch queue and completion frontier exist to arm
 	// the rename unit's redefine kills (and the InOrderBranches ablation).
-	// When kills are disabled and branches issue freely, both are dead
-	// machinery and the per-cycle frontier advance is skipped.
+	// When the unit keeps no kills (an untracked precise run) and branches
+	// issue freely, both are dead machinery and the per-cycle frontier
+	// advance is skipped.
 	skipFrontier bool
 
 	// Completion buckets: a circular calendar of issue completions.
@@ -156,13 +160,14 @@ func NewFromArtifact(cfg Config, art *prog.Artifact) (*Machine, error) {
 	if cfg.WriteBufferEntries > 0 && cfg.WriteBufferDrain == 0 {
 		cfg.WriteBufferDrain = 4
 	}
-	ren, err := rename.NewUnit(cfg.RegsPerFile, cfg.Model)
+	ren, err := rename.NewUnit(cfg.RegsPerFile, cfg.Model, cfg.TrackLiveRegisters)
 	if err != nil {
 		return nil, err
 	}
 	m := &Machine{
 		cfg:           cfg,
 		limits:        limits,
+		slots:         dispatch.NewSlots(limits),
 		art:           art,
 		text:          p.Text,
 		dec:           art.Dec(),
@@ -177,14 +182,7 @@ func NewFromArtifact(cfg Config, art *prog.Artifact) (*Machine, error) {
 		lastCommitSeq: noSeq,
 	}
 	m.ren.SetWakeFunc(m.wake)
-	// Under the precise model with per-category live statistics unwanted,
-	// redefine kills influence nothing observable (freeing is commit-driven)
-	// — turn off the kill queue, and with it the branch-frontier machinery
-	// that exists to arm it.
-	if cfg.Model == rename.Precise && !cfg.TrackLiveRegisters {
-		m.ren.DisableKills()
-	}
-	m.skipFrontier = m.ren.KillsDisabled() && !cfg.InOrderBranches
+	m.skipFrontier = !ren.Kills() && !cfg.InOrderBranches
 	for _, dw := range p.Data {
 		m.mem.Write64(dw.Addr, dw.Value)
 	}

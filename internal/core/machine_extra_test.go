@@ -207,3 +207,42 @@ func TestMinimumRegistersMakeProgress(t *testing.T) {
 		}
 	}
 }
+
+// TestMisrollCaughtUntracked: an untracked precise run keeps no mapping
+// chains, so the rename audit cannot compare the map table against them;
+// a misprediction rollback that restores a wrong mapping must still be
+// caught, in the recovery's own cycle, by the map table's liveness check.
+func TestMisrollCaughtUntracked(t *testing.T) {
+	p, err := workload.Build("gcc1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.CheckInvariants = true
+	var m *Machine
+	var misrolledAt int64
+	cfg.Tracer = func(ev Event) {
+		if ev.Kind == EvRecover && misrolledAt == 0 && m.now > 1000 {
+			if m.ren.MisrollForTest(isa.IntFile, 5) != rename.PhysZero {
+				misrolledAt = m.now
+			}
+		}
+	}
+	if m, err = New(cfg, p); err != nil {
+		t.Fatal(err)
+	}
+	if m.ren.Kills() {
+		t.Fatal("an untracked precise run keeps redefine kills")
+	}
+	_, err = m.Run(50_000)
+	if misrolledAt == 0 {
+		t.Fatal("mutation never fired: no recovery after cycle 1000")
+	}
+	inv, ok := err.(*InvariantError)
+	if !ok {
+		t.Fatalf("misrolled map table not caught: err = %v", err)
+	}
+	if inv.Check != "rename audit" || inv.Cycle != misrolledAt || !strings.Contains(inv.Detail, "map table v5") {
+		t.Fatalf("misroll at cycle %d reported as %v; want the rename audit's map-table check in that cycle", misrolledAt, inv)
+	}
+}

@@ -16,7 +16,11 @@ import (
 // into every snapshot and folded into checkpoint-store fingerprints; bump it
 // whenever the serialized state's layout OR the machine state it must cover
 // changes (a new mutable Machine field means old snapshots are incomplete).
-const SnapVersion = "core-snap-1"
+//
+// Revision 2: an untracked run's rename state carries only the bookkeeping
+// it keeps (no live-register categories; under the precise model, no kills
+// or mapping chains).
+const SnapVersion = "core-snap-2"
 
 // CfgSnap is the subset of Config that determines simulation behaviour —
 // every field except the hooks (which carry no simulation state) and
@@ -400,7 +404,7 @@ func Resume(cfg Config, art *prog.Artifact, s *Snapshot) (*Machine, error) {
 	if len(s.DivBusyUntil) != limits.FPDivUnits() {
 		return nil, fmt.Errorf("core snapshot: %d divider units, config wants %d", len(s.DivBusyUntil), limits.FPDivUnits())
 	}
-	ren, err := rename.RestoreUnit(s.Ren, cfg.RegsPerFile, cfg.Model)
+	ren, err := rename.RestoreUnit(s.Ren, cfg.RegsPerFile, cfg.Model, cfg.TrackLiveRegisters)
 	if err != nil {
 		return nil, err
 	}
@@ -423,6 +427,7 @@ func Resume(cfg Config, art *prog.Artifact, s *Snapshot) (*Machine, error) {
 	m := &Machine{
 		cfg:           cfg,
 		limits:        limits,
+		slots:         dispatch.NewSlots(limits),
 		art:           art,
 		text:          art.Program().Text,
 		dec:           art.Dec(),
@@ -449,10 +454,7 @@ func Resume(cfg Config, art *prog.Artifact, s *Snapshot) (*Machine, error) {
 	}
 	m.sum.SetState(s.SumState)
 	m.ren.SetWakeFunc(m.wake)
-	if cfg.Model == rename.Precise && !cfg.TrackLiveRegisters {
-		m.ren.DisableKills()
-	}
-	m.skipFrontier = m.ren.KillsDisabled() && !cfg.InOrderBranches
+	m.skipFrontier = !ren.Kills() && !cfg.InOrderBranches
 	// Completion calendar: same sizing derivation as NewFromArtifact, then
 	// the captured buckets drop back into place.
 	maxLat := int64(cfg.DCache.HitLatency + cfg.DCache.FetchLatency + 2)

@@ -302,14 +302,14 @@ func (m *Machine) issueStage() {
 	if remaining == 0 {
 		return
 	}
-	slots := dispatch.NewSlots(m.limits)
+	m.slots.Reset()
 	// The ready bitmap in slot order starting at headSeq is sequence order:
 	// slots [head&mask, len) hold the oldest instructions, [0, head&mask)
 	// the wrap.
 	n := int64(len(m.win.buf))
 	h := m.win.headSeq & m.win.mask
-	if m.issueScan(&slots, &remaining, h, n, m.win.headSeq-h) {
-		m.issueScan(&slots, &remaining, 0, h, m.win.headSeq+(n-h))
+	if m.issueScan(&m.slots, &remaining, h, n, m.win.headSeq-h) {
+		m.issueScan(&m.slots, &remaining, 0, h, m.win.headSeq+(n-h))
 	}
 }
 
@@ -494,7 +494,7 @@ func (m *Machine) dispatchStage() {
 			m.stallQueue = true
 			return
 		}
-		if hit, readyAt := m.ic.Fetch(prog.PCByteAddr(m.specPC), m.now); !hit && readyAt > m.now {
+		if readyAt := m.ic.Fetch(prog.PCByteAddr(m.specPC), m.now); readyAt > m.now {
 			m.fetchResumeAt = readyAt
 			m.icacheStallUntil = readyAt
 			return

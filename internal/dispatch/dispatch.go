@@ -74,6 +74,12 @@ type Slots struct {
 // NewSlots returns an empty slot tracker for one cycle.
 func NewSlots(l Limits) Slots { return Slots{limits: l} }
 
+// Reset empties the tracker for a new cycle, keeping its limits, so a
+// caller can keep one tracker instead of copying the limits every cycle.
+func (s *Slots) Reset() {
+	s.total, s.intOps, s.fpOps, s.fpDiv, s.mem, s.ctrl = 0, 0, 0, 0, 0, 0
+}
+
 // TryIssue consumes the slots needed by an instruction of class c, reporting
 // whether capacity remained. A rejected call consumes nothing.
 func (s *Slots) TryIssue(c isa.Class) bool {

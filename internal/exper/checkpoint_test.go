@@ -306,9 +306,9 @@ func TestConfigKeyPinned(t *testing.T) {
 		want string
 	}{
 		{Spec{Bench: "compress", Width: 4, Queue: 32, Regs: 64, Model: rename.Imprecise, Cache: cache.LockupFree, Budget: 50_000},
-			"5ac47c41e732347a95f46d6cd2102a06ea614e5ff896cd4460667950ffe114a6"},
+			"ff51e2d62006dc76d6f5d5104dc1fb55466e5751b52c07521db447640636133e"},
 		{Spec{Bench: "compress", Width: 4, Queue: 32, Regs: MeasureRegs, Model: rename.Precise, Cache: cache.LockupFree, Track: true, Budget: 50_000},
-			"9be05a6c53ba2b4913a902afb17f9abe924e7b7413ae3ef7ed459a124cc92d3f"},
+			"4eee8f12d05b2c0bf894cf9701929363250e323839bf850b465c4e6d8ffca640"},
 	}
 	for _, c := range cases {
 		got := configKey(c.spec, art)

@@ -9,7 +9,7 @@ import (
 // BenchmarkRenameLifecycle measures a full dispatch→complete→commit cycle
 // for one instruction under the precise model.
 func BenchmarkRenameLifecycle(b *testing.B) {
-	u, err := NewUnit(128, Precise)
+	u, err := NewUnit(128, Precise, true)
 	if err != nil {
 		b.Fatal(err)
 	}

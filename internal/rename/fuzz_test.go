@@ -2,6 +2,7 @@ package rename
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"regsim/internal/isa"
@@ -50,13 +51,47 @@ type fuzzInst struct {
 // out-of-order completion, in-order commit, and branch-triggered squashes
 // that respect the machine's structural rules (a squash boundary is a branch
 // completing *now*, so the frontier has not passed it).
+//
+// Every unit in units receives the same operation stream. units[0] decides
+// the stream; any others must agree with it at every step — the same Rename
+// returns, free-list order, free counts and Frees — which is how a unit
+// keeping less bookkeeping is checked against one keeping all of it.
 type fuzzMachine struct {
-	t   *testing.T
-	src opSource
-	u   *Unit
+	t     *testing.T
+	src   opSource
+	units []*Unit
 
 	seq      int64
 	inflight []*fuzzInst // dispatched, not committed, program order
+}
+
+// each applies one operation to every unit.
+func (m *fuzzMachine) each(op func(u *Unit)) {
+	for _, u := range m.units {
+		op(u)
+	}
+}
+
+// agree checks every unit against units[0] and each unit's own invariants.
+func (m *fuzzMachine) agree(when string) {
+	m.t.Helper()
+	ref := m.units[0]
+	for i, u := range m.units {
+		if err := u.CheckInvariants(); err != nil {
+			m.t.Fatalf("%s: unit %d: %v", when, i, err)
+		}
+		if u.Frees != ref.Frees {
+			m.t.Fatalf("%s: unit %d freed %d registers, reference %d", when, i, u.Frees, ref.Frees)
+		}
+		for f := range u.files {
+			if got, want := u.files[f].freeList, ref.files[f].freeList; !slices.Equal(got, want) {
+				m.t.Fatalf("%s: unit %d file %d free list %v, reference %v", when, i, f, got, want)
+			}
+			if got, want := u.FreeCount(isa.RegFile(f)), ref.FreeCount(isa.RegFile(f)); got != want {
+				m.t.Fatalf("%s: unit %d file %d FreeCount %d, reference %d", when, i, f, got, want)
+			}
+		}
+	}
 }
 
 func (m *fuzzMachine) frontier() int64 {
@@ -78,8 +113,13 @@ func (m *fuzzMachine) dispatch() {
 	// Sources: up to two random architectural registers (including zero).
 	for n := m.src.intn(3); n > 0; n-- {
 		r := isa.Reg{File: file, Idx: uint8(m.src.intn(isa.NumArchRegs))}
-		p := m.u.Lookup(r)
-		m.u.AddReader(r.File, p)
+		p := m.units[0].Lookup(r)
+		m.each(func(u *Unit) {
+			if got := u.Lookup(r); got != p {
+				m.t.Fatalf("seq %d: %v maps to phys %d, reference %d", in.seq, r, got, p)
+			}
+			u.AddReader(r.File, p)
+		})
 		in.srcs = append(in.srcs, p)
 		in.srcFiles = append(in.srcFiles, r.File)
 	}
@@ -89,18 +129,25 @@ func (m *fuzzMachine) dispatch() {
 	default:
 		in.hasDst = true
 		in.dst = isa.Reg{File: file, Idx: uint8(m.src.intn(isa.NumArchRegs - 1))}
-		if !m.u.HasFree(in.dst.File) {
+		if !m.units[0].HasFree(in.dst.File) {
 			// Roll the sources back (the real dispatch checks HasFree
 			// before renaming anything; this driver checks after, so it
 			// must undo its reader bumps).
-			for i, p := range in.srcs {
-				m.u.OnReaderDone(in.srcFiles[i], p)
-			}
+			m.each(func(u *Unit) {
+				for i, p := range in.srcs {
+					u.OnReaderDone(in.srcFiles[i], p)
+				}
+			})
 			m.seq--
 			return
 		}
-		in.newP, in.oldP = m.u.Rename(in.seq, in.dst)
-		m.u.OnIssue(in.dst.File, in.newP)
+		in.newP, in.oldP = m.units[0].Rename(in.seq, in.dst)
+		for i, u := range m.units[1:] {
+			if newP, oldP := u.Rename(in.seq, in.dst); newP != in.newP || oldP != in.oldP {
+				m.t.Fatalf("seq %d: unit %d renamed %v to (%d, %d), reference (%d, %d)", in.seq, i+1, in.dst, newP, oldP, in.newP, in.oldP)
+			}
+		}
+		m.each(func(u *Unit) { u.OnIssue(in.dst.File, in.newP) })
 	}
 	m.inflight = append(m.inflight, in)
 }
@@ -121,12 +168,14 @@ func (m *fuzzMachine) completeOne() {
 }
 
 func (m *fuzzMachine) complete(in *fuzzInst) {
-	for i, p := range in.srcs {
-		m.u.OnReaderDone(in.srcFiles[i], p)
-	}
-	if in.hasDst {
-		m.u.OnWriterDone(in.dst.File, in.newP, in.dst.Idx, in.seq)
-	}
+	m.each(func(u *Unit) {
+		for i, p := range in.srcs {
+			u.OnReaderDone(in.srcFiles[i], p)
+		}
+		if in.hasDst {
+			u.OnWriterDone(in.dst.File, in.newP, in.dst.Idx, in.seq)
+		}
+	})
 	in.completed = true
 }
 
@@ -137,7 +186,7 @@ func (m *fuzzMachine) commitOne() {
 	in := m.inflight[0]
 	m.inflight = m.inflight[1:]
 	if in.hasDst {
-		m.u.OnCommitRetire(in.dst.File, in.oldP)
+		m.each(func(u *Unit) { u.OnCommitRetire(in.dst.File, in.oldP) })
 	}
 }
 
@@ -156,11 +205,13 @@ func (m *fuzzMachine) mispredict() {
 	}
 	m.complete(m.inflight[idx])
 	boundary := m.inflight[idx].seq
-	for i := len(m.inflight) - 1; i > idx; i-- {
-		in := m.inflight[i]
-		m.u.OnSquash(in.dst.File, in.dst.Idx, in.newP, in.oldP, in.hasDst, in.completed, in.srcFiles, in.srcs)
-	}
-	m.u.DropKillsAfter(boundary)
+	m.each(func(u *Unit) {
+		for i := len(m.inflight) - 1; i > idx; i-- {
+			in := m.inflight[i]
+			u.OnSquash(in.dst.File, in.dst.Idx, in.newP, in.oldP, in.hasDst, in.completed, in.srcFiles, in.srcs)
+		}
+		u.DropKillsAfter(boundary)
+	})
 	m.inflight = m.inflight[:idx+1]
 }
 
@@ -175,34 +226,62 @@ func (m *fuzzMachine) step() {
 	case 9:
 		m.mispredict()
 	}
-	m.u.SetFrontier(m.frontier())
-	m.u.EndCycle()
-	if err := m.u.CheckInvariants(); err != nil {
-		m.t.Fatalf("seed step %d: %v", m.seq, err)
-	}
+	m.endCycle()
+	m.agree("step")
+}
+
+func (m *fuzzMachine) endCycle() {
+	frontier := m.frontier()
+	m.each(func(u *Unit) {
+		u.SetFrontier(frontier)
+		u.EndCycle()
+	})
 }
 
 // drain completes and commits everything in flight; all transient registers
 // must eventually return to the free list.
-func (m *fuzzMachine) drain() error {
+func (m *fuzzMachine) drain() {
 	for _, in := range m.inflight {
 		if !in.completed {
 			m.complete(in)
 		}
 	}
-	m.u.SetFrontier(NoFrontier)
+	m.each(func(u *Unit) { u.SetFrontier(NoFrontier) })
 	for len(m.inflight) > 0 {
 		m.commitOne()
-		m.u.SetFrontier(m.frontier())
-		m.u.EndCycle()
+		m.endCycle()
 	}
-	return m.u.CheckInvariants()
+	m.agree("after drain")
+	for i, u := range m.units {
+		if u.Live(isa.IntFile) < 31 {
+			m.t.Fatalf("unit %d: fewer than 31 live mappings after drain", i)
+		}
+	}
+}
+
+// newFuzzMachine builds the op-stream machine for one model and file size
+// over the two units the core builds for that model: the tracked one, which
+// keeps every piece of bookkeeping and is the reference, and the untracked
+// one (under the precise model no categories, kills or chains; under the
+// imprecise model no categories).
+func newFuzzMachine(t *testing.T, src opSource, model Model, regs int) *fuzzMachine {
+	m := &fuzzMachine{t: t, src: src}
+	for _, track := range []bool{true, false} {
+		u, err := NewUnit(regs, model, track)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.units = append(m.units, u)
+	}
+	return m
 }
 
 // TestFuzzRenameUnit drives random but structurally legal operation
 // sequences against both freeing models and small register files, checking
 // the unit's invariants after every step. Panics inside the unit (double
-// free, reader underflow, chain mismatch) fail the test too.
+// free, reader underflow, chain mismatch) fail the test too. Each stream
+// also drives the untracked unit the core builds for the model, which must
+// allocate and free exactly as the fully kept one does (see fuzzMachine).
 func TestFuzzRenameUnit(t *testing.T) {
 	seeds := 30
 	steps := 3000
@@ -212,24 +291,12 @@ func TestFuzzRenameUnit(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		for _, model := range []Model{Precise, Imprecise} {
 			for _, regs := range []int{32, 34, 48} {
-				u, err := NewUnit(regs, model)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m := &fuzzMachine{
-					t:   t,
-					src: rngSource{rand.New(rand.NewSource(int64(seed)*1000 + int64(regs)))},
-					u:   u,
-				}
+				src := rngSource{rand.New(rand.NewSource(int64(seed)*1000 + int64(regs)))}
+				m := newFuzzMachine(t, src, model, regs)
 				for i := 0; i < steps; i++ {
 					m.step()
 				}
-				if err := m.drain(); err != nil {
-					t.Fatalf("seed %d %s regs %d after drain: %v", seed, model, regs, err)
-				}
-				if u.Live(isa.IntFile) < 31 {
-					t.Fatalf("fewer than 31 live mappings after drain")
-				}
+				m.drain()
 			}
 		}
 	}
@@ -247,19 +314,10 @@ func FuzzRenameOps(f *testing.F) {
 		src := &byteSource{data: data}
 		model := []Model{Precise, Imprecise}[src.intn(2)]
 		regs := []int{32, 34, 48}[src.intn(3)]
-		u, err := NewUnit(regs, model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := &fuzzMachine{t: t, src: src, u: u}
+		m := newFuzzMachine(t, src, model, regs)
 		for src.pos < len(src.data) {
 			m.step()
 		}
-		if err := m.drain(); err != nil {
-			t.Fatalf("%s regs %d after drain: %v", model, regs, err)
-		}
-		if u.Live(isa.IntFile) < 31 {
-			t.Fatal("fewer than 31 live mappings after drain")
-		}
+		m.drain()
 	})
 }

@@ -38,8 +38,21 @@
 // queue; assigned to an in-flight (issued, uncompleted) instruction; waiting
 // for the imprecise freeing requirements; or waiting for the additional
 // precise requirements (imprecise conditions already met). The
-// classification machinery runs in both models; only the freeing trigger
-// differs.
+// classification works in both models; only the freeing trigger differs.
+//
+// # Bookkeeping
+//
+// A unit keeps only the state its configuration reads, decided once by
+// NewUnit from the model and whether the caller tracks live registers:
+//
+//   - the live-register categories (LiveByCat) only when tracking;
+//   - the redefine kills, and the per-register mapping chains they walk,
+//     when they decide something: always under the imprecise model (they
+//     are its freeing rule), and under the precise model only when
+//     tracking (there they only split wait-imprecise from wait-precise).
+//
+// None of it changes which registers are allocated or freed, or in what
+// order, so a lean unit and a full one run identical timing.
 package rename
 
 import (
@@ -165,6 +178,12 @@ type fileState struct {
 	live     int
 	pending  []Phys // frees to apply at EndCycle
 
+	// killedN[v] is the length of the killed prefix of chains[v]. Kills
+	// take every mapping older than the killer, and a chain is in creation
+	// order, so the killed mappings are always a prefix; a kill walk
+	// resumes after it instead of re-walking it.
+	killedN [isa.NumArchRegs]int32
+
 	// maxPhys is the allocation watermark: the highest physical register
 	// number ever handed out by Rename (numRenameable-1 at reset, when only
 	// the architectural mappings exist). Registers above it are untouched
@@ -202,8 +221,10 @@ type Unit struct {
 	files    [2]fileState
 	frontier int64
 	kills    []pendingKill
-	// killsOff suppresses redefine-kill tracking entirely (see DisableKills).
-	killsOff bool
+	// cats: maintain the live-register categories. killsOn: maintain the
+	// redefine kills and the mapping chains. See emptyUnit.
+	cats    bool
+	killsOn bool
 	// killsMin is a lower bound on the seqs in kills (NoFrontier when the
 	// view is empty), letting the per-cycle SetFrontier scan exit without
 	// touching the list when no pending kill can be armed yet.
@@ -222,11 +243,14 @@ type Unit struct {
 
 // NewUnit builds a rename unit with regsPerFile physical registers in each
 // of the integer and floating-point files (the paper keeps the two equal).
-func NewUnit(regsPerFile int, model Model) (*Unit, error) {
+// track says whether the caller reads the live-register categories
+// (LiveByCat); with the model it fixes the unit's bookkeeping for its whole
+// life (see the package doc).
+func NewUnit(regsPerFile int, model Model, track bool) (*Unit, error) {
 	if regsPerFile < MinRegsPerFile {
 		return nil, fmt.Errorf("rename: %d registers per file; fewer than %d deadlocks (31 renameable virtual registers)", regsPerFile, MinRegsPerFile)
 	}
-	u := &Unit{model: model, frontier: NoFrontier, killsMin: NoFrontier}
+	u := emptyUnit(model, track)
 	for f := range u.files {
 		fs := &u.files[f]
 		fs.n = regsPerFile
@@ -236,11 +260,18 @@ func NewUnit(regsPerFile int, model Model) (*Unit, error) {
 		// any other mapping.
 		for v := 0; v < numRenameable; v++ {
 			fs.mapTable[v] = Phys(v)
-			fs.regs[v] = physReg{live: true, cat: CatWaitImprecise, writerDone: true, virt: uint8(v)}
-			fs.chains[v] = append(fs.chains[v], chainEntry{seq: -1, phys: Phys(v)})
+			fs.regs[v] = physReg{live: true, writerDone: true, virt: uint8(v)}
+			if u.cats {
+				fs.regs[v].cat = CatWaitImprecise
+			}
+			if u.killsOn {
+				fs.chains[v] = append(fs.chains[v], chainEntry{seq: -1, phys: Phys(v)})
+			}
 		}
 		fs.mapTable[isa.ZeroReg] = PhysZero
-		fs.liveCat[CatWaitImprecise] = numRenameable
+		if u.cats {
+			fs.liveCat[CatWaitImprecise] = numRenameable
+		}
 		fs.live = numRenameable
 		fs.freeList = make([]Phys, 0, regsPerFile-numRenameable)
 		for p := regsPerFile - 1; p >= numRenameable; p-- {
@@ -278,26 +309,26 @@ func (u *Unit) AddWaiter(f isa.RegFile, p Phys, token int64) (next int64) {
 	return next
 }
 
+// emptyUnit is the configuration half of NewUnit and RestoreUnit: it fixes
+// the bookkeeping the unit keeps. Categories are kept only when tracking.
+// Under the precise model a kill never frees anything — OnCommitRetire
+// does — so its only effect is the wait-imprecise/wait-precise split of
+// LiveByCat: an untracked precise unit keeps no kill queue and no mapping
+// chains, and its caller can skip the branch frontier that arms kills (see
+// Kills).
+func emptyUnit(model Model, track bool) *Unit {
+	return &Unit{
+		model: model, frontier: NoFrontier, killsMin: NoFrontier,
+		cats: track, killsOn: model == Imprecise || track,
+	}
+}
+
 // Model returns the freeing discipline in use.
 func (u *Unit) Model() Model { return u.model }
 
-// DisableKills turns off redefine-kill tracking. Under the precise model a
-// kill never frees anything — freeing is driven by OnCommitRetire — and never
-// affects timing; its only observable effect is splitting the live-register
-// count between the wait-imprecise and wait-precise categories. A caller that
-// does not consume LiveByCat can therefore disable the per-writer kill queue,
-// the per-cycle frontier scan, and the mapping-chain kill walks wholesale.
-// It must not be called under the imprecise model (kills are its freeing
-// rule) or when per-category statistics are wanted.
-func (u *Unit) DisableKills() {
-	if u.model != Precise {
-		panic("rename: DisableKills under the imprecise model would leak every register")
-	}
-	u.killsOff = true
-}
-
-// KillsDisabled reports whether DisableKills was applied.
-func (u *Unit) KillsDisabled() bool { return u.killsOff }
+// Kills reports whether the unit keeps redefine kills, which SetFrontier
+// arms: when it does not, the caller need not compute the frontier.
+func (u *Unit) Kills() bool { return u.killsOn }
 
 // fs returns the state of file f. Masking the index (files has exactly two
 // entries) drops the bounds check from every rename-unit entry point.
@@ -313,7 +344,8 @@ func (u *Unit) HasFree(f isa.RegFile) bool { return len(u.fs(f).freeList) > 0 }
 // excluding the hardwired zero register.
 func (u *Unit) Live(f isa.RegFile) int { return u.fs(f).live }
 
-// LiveByCat returns the per-category live counts for a file.
+// LiveByCat returns the per-category live counts for a file. They are kept
+// only by a unit built to track (all zero otherwise).
 func (u *Unit) LiveByCat(f isa.RegFile) [NumCategories]int { return u.fs(f).liveCat }
 
 // Lookup returns the current physical mapping of an architectural register.
@@ -355,7 +387,9 @@ func (u *Unit) Rename(seq int64, dst isa.Reg) (newPhys, oldPhys Phys) {
 	}
 	*r = physReg{live: true, cat: CatInQueue, virt: dst.Idx}
 	fs.live++
-	fs.liveCat[CatInQueue]++
+	if u.cats {
+		fs.liveCat[CatInQueue]++
+	}
 	// Reset the waiter chain for the register's new lifetime. A chain
 	// still attached here belongs to consumers of a squashed previous
 	// mapping (a completed writer drains its chain, so only a squash can
@@ -365,7 +399,9 @@ func (u *Unit) Rename(seq int64, dst isa.Reg) (newPhys, oldPhys Phys) {
 
 	oldPhys = fs.mapTable[dst.Idx]
 	fs.mapTable[dst.Idx] = newPhys
-	fs.chains[dst.Idx] = append(fs.chains[dst.Idx], chainEntry{seq: seq, phys: newPhys})
+	if u.killsOn {
+		fs.chains[dst.Idx] = append(fs.chains[dst.Idx], chainEntry{seq: seq, phys: newPhys})
+	}
 	return newPhys, oldPhys
 }
 
@@ -405,10 +441,9 @@ func (u *Unit) ReadSource(r isa.Reg) (Phys, bool) {
 // OnIssue moves a destination register from the in-queue to the in-flight
 // category when its writing instruction issues.
 func (u *Unit) OnIssue(f isa.RegFile, p Phys) {
-	if p == PhysZero {
-		return
+	if u.cats && p != PhysZero {
+		u.fs(f).setCat(p, CatInFlight)
 	}
-	u.fs(f).setCat(p, CatInFlight)
 }
 
 // OnReaderDone records the completion of a dispatched reader.
@@ -437,7 +472,9 @@ func (u *Unit) OnWriterDone(f isa.RegFile, p Phys, virt uint8, seq int64) {
 	fs := u.fs(f)
 	r := &fs.regs[p]
 	r.writerDone = true
-	fs.setCat(p, CatWaitImprecise)
+	if u.cats {
+		fs.setCat(p, CatWaitImprecise)
+	}
 	// Broadcast wakeup: hand the waiter chain to the scheduler and detach
 	// it. Detaching before the callback is safe — the callback never
 	// re-registers on an already-ready register.
@@ -447,8 +484,8 @@ func (u *Unit) OnWriterDone(f isa.RegFile, p Phys, virt uint8, seq int64) {
 			u.wake(h)
 		}
 	}
-	// Queue the kill (unless kills are disabled — see DisableKills).
-	if !u.killsOff {
+	// Queue the kill, if the unit keeps kills (see emptyUnit).
+	if u.killsOn {
 		u.kills = append(u.kills, pendingKill{file: f, virt: virt, seq: seq})
 		if seq < u.killsMin {
 			u.killsMin = seq
@@ -488,25 +525,25 @@ func (u *Unit) SetFrontier(frontier int64) {
 	u.killsMin = min
 }
 
-// killOlder marks every mapping of virt older than seq as killed. The kill
-// targets are collected before any state changes: freeing a register removes
-// its chain entry, which must not perturb the scan.
+// killOlder marks every mapping of virt older than seq as killed. The walk
+// starts after the chain's killed prefix, which holds nothing left to kill.
+// The kill targets are collected before any state changes: freeing a
+// register removes its chain entry, which must not perturb the scan.
 func (u *Unit) killOlder(f isa.RegFile, virt uint8, seq int64) {
 	fs := u.fs(f)
 	ch := fs.chains[virt]
-	if len(ch) == 0 || ch[0].seq >= seq {
-		return // no older mapping outstanding: the walk would find nothing
+	i := int(fs.killedN[virt])
+	if i >= len(ch) || ch[i].seq >= seq {
+		return // no unkilled older mapping outstanding
 	}
 	var buf [8]Phys
 	toKill := buf[:0]
-	for _, e := range ch {
-		if e.seq >= seq {
-			break
-		}
-		if !fs.regs[e.phys].killed {
-			toKill = append(toKill, e.phys)
+	for ; i < len(ch) && ch[i].seq < seq; i++ {
+		if p := ch[i].phys; !fs.regs[p].killed {
+			toKill = append(toKill, p)
 		}
 	}
+	fs.killedN[virt] = int32(i)
 	for _, p := range toKill {
 		r := &fs.regs[p]
 		r.killed = true
@@ -552,9 +589,13 @@ func (u *Unit) free(f isa.RegFile, p Phys) {
 		panic(fmt.Sprintf("rename: double free of %s phys %d", f, p))
 	}
 	r.pendFree = true
-	fs.liveCat[r.cat]--
+	if u.cats {
+		fs.liveCat[r.cat]--
+	}
 	fs.live--
-	fs.removeChainEntry(r.virt, p)
+	if u.killsOn {
+		fs.removeChainEntry(r.virt, p)
+	}
 	fs.pending = append(fs.pending, p)
 }
 
@@ -563,6 +604,9 @@ func (fs *fileState) removeChainEntry(virt uint8, p Phys) {
 	for i := range ch {
 		if ch[i].phys == p {
 			fs.chains[virt] = append(ch[:i], ch[i+1:]...)
+			if int32(i) < fs.killedN[virt] {
+				fs.killedN[virt]--
+			}
 			return
 		}
 	}
@@ -580,20 +624,28 @@ func (u *Unit) OnSquash(dstFile isa.RegFile, virt uint8, newPhys, oldPhys Phys, 
 			panic("rename: out-of-order squash (map table mismatch)")
 		}
 		fs.mapTable[virt] = oldPhys
-		// The squashed register frees unconditionally; remove its chain
-		// entry (it must be the newest for this virtual register).
-		ch := fs.chains[virt]
-		if len(ch) == 0 || ch[len(ch)-1].phys != newPhys {
-			panic("rename: out-of-order squash (chain mismatch)")
-		}
 		r := &fs.regs[newPhys]
 		if r.pendFree {
 			panic("rename: squashed register already freed")
 		}
+		// The squashed register frees unconditionally; remove its chain
+		// entry (it must be the newest for this virtual register).
+		if u.killsOn {
+			ch := fs.chains[virt]
+			n := len(ch) - 1
+			if n < 0 || ch[n].phys != newPhys {
+				panic("rename: out-of-order squash (chain mismatch)")
+			}
+			fs.chains[virt] = ch[:n]
+			if fs.killedN[virt] > int32(n) {
+				fs.killedN[virt] = int32(n)
+			}
+		}
 		r.pendFree = true
-		fs.liveCat[r.cat]--
+		if u.cats {
+			fs.liveCat[r.cat]--
+		}
 		fs.live--
-		fs.chains[virt] = ch[:len(ch)-1]
 		fs.pending = append(fs.pending, newPhys)
 	}
 	if !completed {
@@ -616,8 +668,18 @@ func (u *Unit) DropKillsAfter(seq int64) {
 }
 
 // EndCycle returns this cycle's freed registers to the free lists, making
-// them allocatable from the next cycle on.
+// them allocatable from the next cycle on. Most cycles free nothing; that
+// check is small enough to inline into the caller's cycle loop.
 func (u *Unit) EndCycle() {
+	if len(u.files[0].pending)+len(u.files[1].pending) != 0 {
+		u.applyFrees()
+	}
+}
+
+// applyFrees is kept out of line so that EndCycle's empty check inlines.
+//
+//go:noinline
+func (u *Unit) applyFrees() {
 	for f := range u.files {
 		fs := &u.files[f]
 		for _, p := range fs.pending {
@@ -638,8 +700,14 @@ func (u *Unit) EndCycle() {
 
 // CheckInvariants verifies internal consistency (used by tests): free + live
 // + pending-free registers account for every physical register exactly once,
-// category counts sum to the live count, and map-table entries are live.
+// map-table entries are live, and completed writers hold no waiters. Of the
+// optional bookkeeping it checks what the unit keeps: category counts sum to
+// the live count, and each mapping chain is in order, ends at the map-table
+// entry and opens with its killed prefix.
 func (u *Unit) CheckInvariants() error {
+	if !u.killsOn && len(u.kills) != 0 {
+		return fmt.Errorf("%d pending kills in a unit that keeps none", len(u.kills))
+	}
 	for f := range u.files {
 		fs := &u.files[f]
 		seen := make(map[Phys]bool, fs.n)
@@ -671,7 +739,7 @@ func (u *Unit) CheckInvariants() error {
 		if liveCount-pendCount != fs.live {
 			return fmt.Errorf("file %d: live count %d != tracked %d (pending %d)", f, liveCount-pendCount, fs.live, pendCount)
 		}
-		if catSum != fs.live {
+		if u.cats && catSum != fs.live {
 			return fmt.Errorf("file %d: category sum %d != live %d", f, catSum, fs.live)
 		}
 		// A register whose writer has completed must have an empty waiter
@@ -689,18 +757,28 @@ func (u *Unit) CheckInvariants() error {
 			if p == PhysZero || !fs.regs[p].live {
 				return fmt.Errorf("file %d: map table v%d -> dead phys %d", f, v, p)
 			}
+			ch := fs.chains[v]
+			if !u.killsOn {
+				if len(ch) != 0 {
+					return fmt.Errorf("file %d: v%d has a mapping chain in a unit that keeps none", f, v)
+				}
+				continue
+			}
 			// The map table must agree with the newest outstanding mapping:
 			// this is what misprediction rollback (OnSquash, newest-first)
 			// must restore exactly.
-			ch := fs.chains[v]
 			if len(ch) == 0 {
 				return fmt.Errorf("file %d: v%d has no mapping chain", f, v)
 			}
 			if tail := ch[len(ch)-1].phys; tail != p {
 				return fmt.Errorf("file %d: map table v%d -> phys %d but newest mapping is phys %d", f, v, p, tail)
 			}
+			killedN := int(fs.killedN[v])
+			if killedN > len(ch) {
+				return fmt.Errorf("file %d: v%d killed prefix %d longer than its chain (%d)", f, v, killedN, len(ch))
+			}
 			lastSeq := int64(math.MinInt64)
-			for _, e := range ch {
+			for i, e := range ch {
 				if e.seq < lastSeq {
 					return fmt.Errorf("file %d: v%d mapping chain out of order at seq %d", f, v, e.seq)
 				}
@@ -710,6 +788,9 @@ func (u *Unit) CheckInvariants() error {
 				}
 				if got := fs.regs[e.phys].virt; got != uint8(v) {
 					return fmt.Errorf("file %d: chain of v%d holds phys %d backing v%d", f, v, e.phys, got)
+				}
+				if fs.regs[e.phys].killed != (i < killedN) {
+					return fmt.Errorf("file %d: v%d chain entry %d (phys %d) killed=%v, but the killed prefix is %d long", f, v, i, e.phys, fs.regs[e.phys].killed, killedN)
 				}
 			}
 		}

@@ -8,7 +8,7 @@ import (
 
 func newUnit(t *testing.T, regs int, model Model) *Unit {
 	t.Helper()
-	u, err := NewUnit(regs, model)
+	u, err := NewUnit(regs, model, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func check(t *testing.T, u *Unit) {
 }
 
 func TestNewUnitMinimum(t *testing.T) {
-	if _, err := NewUnit(31, Precise); err == nil {
+	if _, err := NewUnit(31, Precise, true); err == nil {
 		t.Error("31 registers accepted (deadlocks)")
 	}
 	u := newUnit(t, 32, Precise)

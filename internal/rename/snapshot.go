@@ -158,17 +158,23 @@ func (s *Snapshot) Validate() error {
 	return nil
 }
 
-// RestoreUnit rebuilds a rename unit from a snapshot. regsPerFile and model
-// must match the snapshot's: a snapshot resumes only under the
-// configuration it was taken in.
-func RestoreUnit(s *Snapshot, regsPerFile int, model Model) (*Unit, error) {
+// RestoreUnit rebuilds a rename unit from a snapshot. regsPerFile, model
+// and track must match the snapshot's: a snapshot resumes only under the
+// configuration it was taken in, and carries only the bookkeeping that
+// configuration keeps (no kills or mapping chains from an untracked precise
+// unit).
+func RestoreUnit(s *Snapshot, regsPerFile int, model Model, track bool) (*Unit, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if model != s.Model {
 		return nil, fmt.Errorf("rename: cannot restore a %s snapshot into a %s unit", s.Model, model)
 	}
-	u := &Unit{model: model, frontier: s.Frontier, killsMin: s.KillsMin, Frees: s.Frees}
+	u := emptyUnit(model, track)
+	u.frontier, u.killsMin, u.Frees = s.Frontier, s.KillsMin, s.Frees
+	if !u.killsOn && len(s.Kills) != 0 {
+		return nil, fmt.Errorf("rename: snapshot carries %d pending kills for a unit that keeps none", len(s.Kills))
+	}
 	for _, k := range s.Kills {
 		u.kills = append(u.kills, pendingKill{file: isa.RegFile(k.File & 1), virt: k.Virt, seq: k.Seq})
 	}
@@ -188,8 +194,17 @@ func RestoreUnit(s *Snapshot, regsPerFile int, model Model) (*Unit, error) {
 			}
 		}
 		for v := range fsn.Chains {
+			if !u.killsOn && len(fsn.Chains[v]) != 0 {
+				return nil, fmt.Errorf("rename: file %d snapshot carries a mapping chain for v%d in a unit that keeps none", f, v)
+			}
 			for _, e := range fsn.Chains[v] {
 				fs.chains[v] = append(fs.chains[v], chainEntry{seq: e.Seq, phys: e.Phys})
+			}
+			for _, e := range fs.chains[v] {
+				if !fs.regs[e.phys].killed {
+					break
+				}
+				fs.killedN[v]++
 			}
 		}
 		fs.liveCat = fsn.LiveCat
