@@ -21,7 +21,9 @@
 // deepest a run of it stored, and a later sweep at the same or a larger
 // budget fast-forwards each configuration from it, with bit-identical
 // output. A sweep at a smaller budget simulates in full. With -v, the
-// store's snapshot hits and misses print after the sweep's counters.
+// store's counters print after the sweep's: snapshot hits (runs that
+// resumed), misses, and, when there are any, stored states deeper than the
+// budget, which a run cannot resume from.
 //
 // -sample <rate in (0,1)> switches sweeps to sampled simulation: each run
 // simulates only that fraction of its budget and extrapolates the rest at
@@ -139,7 +141,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%v\n", s.SweepStats())
 		if s.Checkpoints != nil {
 			st := s.Checkpoints.Stats()
-			fmt.Fprintf(os.Stderr, "ckpt: %d snapshot hits, %d misses\n", st.SnapshotHits, st.SnapshotMisses)
+			fmt.Fprintf(os.Stderr, "ckpt: %d snapshot hits, %d misses", st.SnapshotHits, st.SnapshotMisses)
+			if st.SnapshotDeeper > 0 {
+				fmt.Fprintf(os.Stderr, ", %d deeper than the budget", st.SnapshotDeeper)
+			}
+			fmt.Fprintln(os.Stderr)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "\n[%s, budget %d instructions/run, %d jobs]\n", time.Since(start).Round(time.Millisecond), *budget, *jobs)

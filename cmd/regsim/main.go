@@ -355,8 +355,11 @@ func run(bench string, o runOpts) error {
 				fmt.Fprintln(os.Stderr, "regsim: result served from the cache")
 			}
 			if o.ckpts != nil {
-				if st := o.ckpts.Stats(); st.SnapshotHits > 0 {
+				switch st := o.ckpts.Stats(); {
+				case st.SnapshotHits > 0:
 					fmt.Fprintf(os.Stderr, "regsim: checkpoint store: %d snapshot hit(s)\n", st.SnapshotHits)
+				case st.SnapshotDeeper > 0:
+					fmt.Fprintln(os.Stderr, "regsim: checkpoint store: the stored state lies past the budget; simulated in full")
 				}
 			}
 			if o.sample != 0 {

@@ -122,6 +122,15 @@ func TestCheckpointFlag(t *testing.T) {
 	if !strings.Contains(warm, "checkpoint store:") {
 		t.Errorf("warm run never reported a checkpoint hit:\n%s", warm)
 	}
+	// A smaller budget cannot resume from the deeper stored state: the run
+	// simulates in full and must not report a hit.
+	code, smaller := cmdtest.Run(t, bin, "-n", "2000", "-checkpoint-dir", dir, "compress")
+	if code != 0 {
+		t.Fatalf("smaller-budget run: exit %d\n%s", code, smaller)
+	}
+	if strings.Contains(smaller, "snapshot hit") || !strings.Contains(smaller, "lies past the budget") {
+		t.Errorf("smaller-budget run misreported the deeper stored state:\n%s", smaller)
+	}
 }
 
 // TestSampleFlagOutput: a sampled run must say its statistics are estimates

@@ -13,15 +13,12 @@ type Snapshot struct {
 	Hist     History `json:"hist"`
 }
 
-// Snapshot captures the predictor state.
-func (p *Predictor) Snapshot() *Snapshot {
-	return &Snapshot{
-		Kind:     p.kind,
-		Bimodal:  append([]uint8(nil), p.bimodal[:]...),
-		Global:   append([]uint8(nil), p.global[:]...),
-		Selector: append([]uint8(nil), p.selector[:]...),
-		Hist:     p.hist,
-	}
+// SnapshotInto captures the predictor state into s, reusing its tables.
+func (p *Predictor) SnapshotInto(s *Snapshot) {
+	s.Kind, s.Hist = p.kind, p.hist
+	s.Bimodal = append(s.Bimodal[:0], p.bimodal[:]...)
+	s.Global = append(s.Global[:0], p.global[:]...)
+	s.Selector = append(s.Selector[:0], p.selector[:]...)
 }
 
 // Validate checks a decoded snapshot's structural sanity.

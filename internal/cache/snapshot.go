@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"regsim/internal/reuse"
+)
 
 // LineSnap is one valid tag-store line. Invalid lines are omitted: a cold
 // 64 KiB cache is mostly empty, and the LRU clock value of an invalid line
@@ -31,18 +35,25 @@ type DSnap struct {
 	Stats     Stats      `json:"stats"`
 }
 
-// Snapshot captures the data cache's state.
-func (c *DCache) Snapshot() *DSnap {
-	s := &DSnap{BusyUntil: c.busyUntil, UseClock: c.useClock, Stats: c.stats}
-	for i := range c.lines {
-		if c.lines[i].valid {
-			s.Lines = append(s.Lines, LineSnap{Index: i, Tag: c.lines[i].tag, LastUse: c.lines[i].lastUse})
+// SnapshotInto captures the data cache's state into s, reusing its slices.
+func (c *DCache) SnapshotInto(s *DSnap) {
+	s.BusyUntil, s.UseClock, s.Stats = c.busyUntil, c.useClock, c.stats
+	s.Lines = validLines(s.Lines, c.lines)
+	s.Arrivals = reuse.Slice(s.Arrivals, len(c.arrivals))
+	for i, f := range c.arrivals {
+		s.Arrivals[i] = FillSnap{LineAddr: f.lineAddr, ArriveAt: f.arriveAt, Waiters: f.waiters}
+	}
+}
+
+// validLines returns the valid lines of a tag store, filled into ls.
+func validLines(ls []LineSnap, lines []line) []LineSnap {
+	ls = ls[:0]
+	for i := range lines {
+		if l := &lines[i]; l.valid {
+			ls = append(ls, LineSnap{Index: i, Tag: l.tag, LastUse: l.lastUse})
 		}
 	}
-	for _, f := range c.arrivals {
-		s.Arrivals = append(s.Arrivals, FillSnap{LineAddr: f.lineAddr, ArriveAt: f.arriveAt, Waiters: f.waiters})
-	}
-	return s
+	return reuse.Slice(ls, len(ls))
 }
 
 // Validate checks a decoded snapshot against a cache geometry.
@@ -120,18 +131,15 @@ type ISnap struct {
 	Misses   int64      `json:"misses"`
 }
 
-// Snapshot captures the instruction cache's state.
-func (c *ICache) Snapshot() *ISnap {
-	s := &ISnap{UseClock: c.useClock, Accesses: c.Accesses, Misses: c.Misses}
+// SnapshotInto captures the instruction cache's state into s, reusing its
+// slice.
+func (c *ICache) SnapshotInto(s *ISnap) {
+	s.UseClock, s.Accesses, s.Misses = c.useClock, c.Accesses, c.Misses
+	s.LastLA, s.LastOK = 0, false
 	if c.lastLA != noLine {
 		s.LastLA, s.LastOK = c.lastLA, true
 	}
-	for i := range c.lines {
-		if c.lines[i].valid {
-			s.Lines = append(s.Lines, LineSnap{Index: i, Tag: c.lines[i].tag, LastUse: c.lines[i].lastUse})
-		}
-	}
-	return s
+	s.Lines = validLines(s.Lines, c.lines)
 }
 
 // RestoreICache rebuilds an instruction cache with the given miss penalty

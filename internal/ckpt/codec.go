@@ -9,6 +9,7 @@ import (
 	"regsim/internal/core"
 	"regsim/internal/mem"
 	"regsim/internal/rename"
+	"regsim/internal/reuse"
 	"regsim/internal/sweep/rescache"
 )
 
@@ -42,10 +43,19 @@ const wireSnapshot = 1
 
 // Encode serializes an envelope (the inverse of Decode).
 func Encode(e *Envelope) ([]byte, error) {
-	if err := e.Validate(); err != nil {
+	data, err := appendEntry(make([]byte, 0, 64<<10), e) // tens of KiB for a real machine
+	if err != nil {
 		return nil, err
 	}
-	w := &writer{b: append(make([]byte, 0, 64<<10), magic...)} // tens of KiB for a real machine
+	return data, nil
+}
+
+// appendEntry appends e's encoding to b: Encode into a caller's buffer.
+func appendEntry(b []byte, e *Envelope) ([]byte, error) {
+	if err := e.Validate(); err != nil {
+		return b, err
+	}
+	w := &writer{b: append(b, magic...)}
 	w.uint(FormatVersion)
 	w.str(e.Version)
 	w.str(e.Key)
@@ -59,18 +69,34 @@ func Encode(e *Envelope) ([]byte, error) {
 // and a nil error guarantees the envelope passed full structural validation
 // (for snapshots, down through every component's Validate). Input that does
 // not open with this format's header (an older revision's entry) yields an
-// error wrapping rescache.ErrStale.
+// error wrapping rescache.ErrStale. The envelope shares no memory with data.
 func Decode(data []byte) (*Envelope, error) {
+	e := new(Envelope)
+	if err := decodeInto(data, e); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// decodeInto is Decode into e. It overwrites every field of e and reuses
+// the snapshot graph e holds, slices included, so decoding entry after
+// entry into one scratch envelope stops allocating once the graph has grown
+// to its working size. The result equals a fresh Decode's; after an error,
+// e holds garbage until the next decode.
+func decodeInto(data []byte, e *Envelope) error {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("ckpt: decode: %w: no binary checkpoint header", rescache.ErrStale)
+		return fmt.Errorf("ckpt: decode: %w: no binary checkpoint header", rescache.ErrStale)
 	}
 	r := &reader{b: data[len(magic):]}
 	if f := r.uint(); r.err == nil && f != FormatVersion {
-		return nil, fmt.Errorf("ckpt: decode: %w: format %d, want %d", rescache.ErrStale, f, FormatVersion)
+		return fmt.Errorf("ckpt: decode: %w: format %d, want %d", rescache.ErrStale, f, FormatVersion)
 	}
-	e := &Envelope{Format: FormatVersion, Version: r.str(), Key: r.str(), Kind: KindSnapshot}
+	e.Format, e.Kind = FormatVersion, KindSnapshot
+	r.str(&e.Version)
+	r.str(&e.Key)
+	e.Snap = reuse.OrNew(e.Snap)
 	if k := r.u8(); k == wireSnapshot {
-		e.Snap = r.snapshot()
+		r.snapshot(e.Snap)
 	} else {
 		r.fail("unknown kind byte %d", k)
 	}
@@ -78,12 +104,9 @@ func Decode(data []byte) (*Envelope, error) {
 		r.fail("%d trailing bytes", len(r.b))
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return e.Validate()
 }
 
 // writer appends the wire encoding to b.
@@ -119,9 +142,17 @@ func (w *writer) int64s(v []int64) {
 	}
 }
 
+// result writes r's MarshalBinary bytes with their length in front: it
+// appends them, then shifts them right by the length prefix's size.
 func (w *writer) result(r *core.Result) {
-	blob, _ := r.MarshalBinary() // never fails
-	w.bytes(blob)
+	start := len(w.b)
+	w.b, _ = r.AppendBinary(w.b) // never fails
+	n := len(w.b) - start
+	var pre [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(pre[:], uint64(n))
+	w.b = append(w.b, pre[:k]...)
+	copy(w.b[start+k:], w.b[start:start+n])
+	copy(w.b[start:], pre[:k])
 }
 
 func (w *writer) snapshot(s *core.Snapshot) {
@@ -428,24 +459,26 @@ func (r *reader) count(size int) int {
 	return int(n)
 }
 
-func (r *reader) bytes() []byte {
+// bytes reads a byte string into dst's array when it is large enough.
+func (r *reader) bytes(dst []byte) []byte {
 	n := r.count(1)
-	if n == 0 {
-		return nil
-	}
-	p := append([]byte(nil), r.b[:n]...)
+	p := reuse.Copy(dst, r.b[:n])
 	r.b = r.b[n:]
 	return p
 }
 
-func (r *reader) str() string { return string(r.bytes()) }
-
-func (r *reader) int64s() []int64 {
+// str reads a string into *dst, keeping *dst when it already holds it, so
+// that decoding the same key again allocates nothing.
+func (r *reader) str(dst *string) {
 	n := r.count(1)
-	if n == 0 {
-		return nil
+	if p := r.b[:n]; string(p) != *dst {
+		*dst = string(p)
 	}
-	v := make([]int64, n)
+	r.b = r.b[n:]
+}
+
+func (r *reader) int64s(dst []int64) []int64 {
+	v := reuse.Slice(dst, r.count(1))
 	for i := range v {
 		v[i] = r.int()
 	}
@@ -457,16 +490,17 @@ func (r *reader) result(res *core.Result) {
 	if r.err != nil {
 		return
 	}
-	if err := res.UnmarshalBinary(r.b[:n]); err != nil {
+	if err := res.UnmarshalBinaryReusing(r.b[:n]); err != nil {
 		r.fail("result: %v", err)
 		return
 	}
 	r.b = r.b[n:]
 }
 
-func (r *reader) snapshot() *core.Snapshot {
-	s := &core.Snapshot{Version: r.str(), ProgID: r.str()}
-	s.Cfg = r.cfg()
+func (r *reader) snapshot(s *core.Snapshot) {
+	r.str(&s.Version)
+	r.str(&s.ProgID)
+	r.cfg(&s.Cfg)
 	s.Now = r.int()
 	s.FetchResumeAt = r.int()
 	s.Done = r.bool()
@@ -481,33 +515,37 @@ func (r *reader) snapshot() *core.Snapshot {
 		s.QCounts[i] = r.intN()
 	}
 	s.QTotal = r.intN()
-	s.StoreQ = r.int64s()
-	s.BrQ = r.int64s()
+	s.StoreQ = r.int64s(s.StoreQ)
+	s.BrQ = r.int64s(s.BrQ)
 	s.BrIssueIdx = r.intN()
-	if n := r.count(1); n > 0 {
-		s.Buckets = make([]core.BucketSnap, n)
-		for i := range s.Buckets {
-			s.Buckets[i] = core.BucketSnap{Index: r.intN(), Seqs: r.int64s()}
-		}
+	s.Buckets = reuse.Slice(s.Buckets, r.count(1))
+	for i := range s.Buckets {
+		b := &s.Buckets[i]
+		b.Index = r.intN()
+		b.Seqs = r.int64s(b.Seqs)
 	}
-	s.DivBusyUntil = r.int64s()
-	s.DivOwner = r.int64s()
+	s.DivBusyUntil = r.int64s(s.DivBusyUntil)
+	s.DivOwner = r.int64s(s.DivOwner)
 	s.WBCount = r.intN()
 	s.WBNextDrain = r.int()
 	s.SumState = r.uint()
 	s.LastCommitSeq = r.int()
-	s.Win = r.window()
-	s.Ren = r.rename()
-	s.BP = r.bpred()
-	s.DC = r.dcache()
-	s.IC = r.icache()
-	s.Mem = r.mem()
+	s.Win = reuse.OrNew(s.Win)
+	r.window(s.Win)
+	s.Ren = reuse.OrNew(s.Ren)
+	r.rename(s.Ren)
+	s.BP = reuse.OrNew(s.BP)
+	r.bpred(s.BP)
+	s.DC = reuse.OrNew(s.DC)
+	r.dcache(s.DC)
+	s.IC = reuse.OrNew(s.IC)
+	r.icache(s.IC)
+	s.Mem = reuse.OrNew(s.Mem)
+	r.mem(s.Mem)
 	r.result(&s.Res)
-	return s
 }
 
-func (r *reader) cfg() core.CfgSnap {
-	var c core.CfgSnap
+func (r *reader) cfg(c *core.CfgSnap) {
 	c.Width = r.intN()
 	c.QueueSize = r.intN()
 	c.RegsPerFile = r.intN()
@@ -527,49 +565,47 @@ func (r *reader) cfg() core.CfgSnap {
 	c.SplitQueues = r.bool()
 	c.InsertPerCycle = r.intN()
 	c.CommitPerCycle = r.intN()
-	return c
 }
 
-func (r *reader) window() *core.WindowSnap {
-	win := &core.WindowSnap{RingSize: r.intN(), HeadSeq: r.int(), NextSeq: r.int()}
-	if n := r.count(1); n > 0 {
-		win.Uops = make([]core.UopSnap, n)
-		for i := range win.Uops {
-			u := &win.Uops[i]
-			u.Seq = r.int()
-			u.PC = r.uint()
-			u.Enc = r.uint()
-			u.State = r.u8()
-			u.WaitCount = r.u8()
-			u.WaitLink = [2]int64{r.int(), r.int()}
-			u.DepWaitHead = r.int()
-			u.NSrc = r.u8()
-			u.HasDst = r.bool()
-			u.DstVirt = r.u8()
-			u.SrcFile = [2]uint8{r.u8(), r.u8()}
-			u.SrcPhys = [2]rename.Phys{r.phys(), r.phys()}
-			u.DstFile = r.u8()
-			u.DstPhys = r.phys()
-			u.OldPhys = r.phys()
-			u.Result = r.uint()
-			u.Addr = r.uint()
-			u.OldSpecVal = r.uint()
-			u.DepStore = r.int()
-			u.FillLine = r.uint()
-			u.HasFill = r.bool()
-			u.Forwarded = r.bool()
-			u.Taken = r.bool()
-			u.PredTaken = r.bool()
-			u.Mispredict = r.bool()
-			u.BPSnap = r.history()
-			u.CompleteAt = r.int()
-			u.DispatchAt = r.int()
-			u.IssueAt = r.int()
-			u.Miss = r.bool()
-		}
+func (r *reader) window(win *core.WindowSnap) {
+	win.RingSize = r.intN()
+	win.HeadSeq = r.int()
+	win.NextSeq = r.int()
+	win.Uops = reuse.Slice(win.Uops, r.count(1))
+	for i := range win.Uops {
+		u := &win.Uops[i]
+		u.Seq = r.int()
+		u.PC = r.uint()
+		u.Enc = r.uint()
+		u.State = r.u8()
+		u.WaitCount = r.u8()
+		u.WaitLink = [2]int64{r.int(), r.int()}
+		u.DepWaitHead = r.int()
+		u.NSrc = r.u8()
+		u.HasDst = r.bool()
+		u.DstVirt = r.u8()
+		u.SrcFile = [2]uint8{r.u8(), r.u8()}
+		u.SrcPhys = [2]rename.Phys{r.phys(), r.phys()}
+		u.DstFile = r.u8()
+		u.DstPhys = r.phys()
+		u.OldPhys = r.phys()
+		u.Result = r.uint()
+		u.Addr = r.uint()
+		u.OldSpecVal = r.uint()
+		u.DepStore = r.int()
+		u.FillLine = r.uint()
+		u.HasFill = r.bool()
+		u.Forwarded = r.bool()
+		u.Taken = r.bool()
+		u.PredTaken = r.bool()
+		u.Mispredict = r.bool()
+		u.BPSnap = r.history()
+		u.CompleteAt = r.int()
+		u.DispatchAt = r.int()
+		u.IssueAt = r.int()
+		u.Miss = r.bool()
 	}
-	win.ReadySeqs = r.int64s()
-	return win
+	win.ReadySeqs = r.int64s(win.ReadySeqs)
 }
 
 func (r *reader) history() bpred.History {
@@ -581,13 +617,12 @@ func (r *reader) history() bpred.History {
 	return bpred.History(v)
 }
 
-func (r *reader) rename() *rename.Snapshot {
-	s := &rename.Snapshot{Model: rename.Model(r.u8()), Frontier: r.int()}
-	if n := r.count(1); n > 0 {
-		s.Kills = make([]rename.KillSnap, n)
-		for i := range s.Kills {
-			s.Kills[i] = rename.KillSnap{File: r.u8(), Virt: r.u8(), Seq: r.int()}
-		}
+func (r *reader) rename(s *rename.Snapshot) {
+	s.Model = rename.Model(r.u8())
+	s.Frontier = r.int()
+	s.Kills = reuse.Slice(s.Kills, r.count(1))
+	for i := range s.Kills {
+		s.Kills[i] = rename.KillSnap{File: r.u8(), Virt: r.u8(), Seq: r.int()}
 	}
 	s.KillsMin = r.int()
 	s.Frees = r.int()
@@ -597,68 +632,58 @@ func (r *reader) rename() *rename.Snapshot {
 		for v := range fs.MapTable {
 			fs.MapTable[v] = r.phys()
 		}
-		if n := r.count(1); n > 0 {
-			fs.FreeList = make([]rename.Phys, n)
-			for i := range fs.FreeList {
-				fs.FreeList[i] = r.phys()
-			}
+		fs.FreeList = reuse.Slice(fs.FreeList, r.count(1))
+		for i := range fs.FreeList {
+			fs.FreeList[i] = r.phys()
 		}
-		if n := r.count(1); n > 0 {
-			fs.Regs = make([]rename.RegSnap, n)
-			for i := range fs.Regs {
-				reg := &fs.Regs[i]
-				reg.Live = r.bool()
-				reg.Cat = rename.Category(r.u8())
-				reg.WriterDone = r.bool()
-				reg.Readers = r.i32()
-				reg.Killed = r.bool()
-				reg.Virt = r.u8()
-			}
+		fs.Regs = reuse.Slice(fs.Regs, r.count(1))
+		for i := range fs.Regs {
+			reg := &fs.Regs[i]
+			reg.Live = r.bool()
+			reg.Cat = rename.Category(r.u8())
+			reg.WriterDone = r.bool()
+			reg.Readers = r.i32()
+			reg.Killed = r.bool()
+			reg.Virt = r.u8()
 		}
 		for v := range fs.Chains {
-			if n := r.count(1); n > 0 {
-				fs.Chains[v] = make([]rename.ChainSnap, n)
-				for i := range fs.Chains[v] {
-					fs.Chains[v][i] = rename.ChainSnap{Seq: r.int(), Phys: r.phys()}
-				}
+			chain := reuse.Slice(fs.Chains[v], r.count(1))
+			for i := range chain {
+				chain[i] = rename.ChainSnap{Seq: r.int(), Phys: r.phys()}
 			}
+			fs.Chains[v] = chain
 		}
 		for c := range fs.LiveCat {
 			fs.LiveCat[c] = r.intN()
 		}
 		fs.Live = r.intN()
-		fs.WaitHead = r.int64s()
+		fs.WaitHead = r.int64s(fs.WaitHead)
 		fs.MaxPhys = r.phys()
 	}
-	return s
 }
 
-func (r *reader) bpred() *bpred.Snapshot {
-	return &bpred.Snapshot{
-		Kind: bpred.Kind(r.u8()), Bimodal: r.bytes(), Global: r.bytes(), Selector: r.bytes(),
-		Hist: r.history(),
-	}
+func (r *reader) bpred(s *bpred.Snapshot) {
+	s.Kind = bpred.Kind(r.u8())
+	s.Bimodal = r.bytes(s.Bimodal)
+	s.Global = r.bytes(s.Global)
+	s.Selector = r.bytes(s.Selector)
+	s.Hist = r.history()
 }
 
-func (r *reader) lines() []cache.LineSnap {
-	n := r.count(1)
-	if n == 0 {
-		return nil
-	}
-	ls := make([]cache.LineSnap, n)
+func (r *reader) lines(ls []cache.LineSnap) []cache.LineSnap {
+	ls = reuse.Slice(ls, r.count(1))
 	for i := range ls {
 		ls[i] = cache.LineSnap{Index: r.intN(), Tag: r.uint(), LastUse: r.int()}
 	}
 	return ls
 }
 
-func (r *reader) dcache() *cache.DSnap {
-	s := &cache.DSnap{Lines: r.lines(), BusyUntil: r.int()}
-	if n := r.count(1); n > 0 {
-		s.Arrivals = make([]cache.FillSnap, n)
-		for i := range s.Arrivals {
-			s.Arrivals[i] = cache.FillSnap{LineAddr: r.uint(), ArriveAt: r.int(), Waiters: r.intN()}
-		}
+func (r *reader) dcache(s *cache.DSnap) {
+	s.Lines = r.lines(s.Lines)
+	s.BusyUntil = r.int()
+	s.Arrivals = reuse.Slice(s.Arrivals, r.count(1))
+	for i := range s.Arrivals {
+		s.Arrivals[i] = cache.FillSnap{LineAddr: r.uint(), ArriveAt: r.int(), Waiters: r.intN()}
 	}
 	s.UseClock = r.int()
 	st := &s.Stats
@@ -666,30 +691,25 @@ func (r *reader) dcache() *cache.DSnap {
 		&st.FillsStarted, &st.FillsMerged, &st.FillsDropped} {
 		*p = r.int()
 	}
-	return s
 }
 
-func (r *reader) icache() *cache.ISnap {
-	return &cache.ISnap{
-		Lines: r.lines(), UseClock: r.int(), LastLA: r.uint(), LastOK: r.bool(),
-		Accesses: r.int(), Misses: r.int(),
-	}
+func (r *reader) icache(s *cache.ISnap) {
+	s.Lines = r.lines(s.Lines)
+	s.UseClock = r.int()
+	s.LastLA = r.uint()
+	s.LastOK = r.bool()
+	s.Accesses = r.int()
+	s.Misses = r.int()
 }
 
-func (r *reader) mem() *mem.Snap {
-	s := &mem.Snap{}
-	if n := r.count(1); n > 0 {
-		s.Pages = make([]mem.PageSnap, n)
-		for i := range s.Pages {
-			p := &s.Pages[i]
-			p.Page = r.uint()
-			if words := r.count(8); words > 0 {
-				p.Words = make([]uint64, words)
-				for j := range p.Words {
-					p.Words[j] = r.word()
-				}
-			}
+func (r *reader) mem(s *mem.Snap) {
+	s.Pages = reuse.Slice(s.Pages, r.count(1))
+	for i := range s.Pages {
+		p := &s.Pages[i]
+		p.Page = r.uint()
+		p.Words = reuse.Slice(p.Words, r.count(8))
+		for j := range p.Words {
+			p.Words[j] = r.word()
 		}
 	}
-	return s
 }

@@ -10,15 +10,20 @@ import (
 	"testing"
 
 	"regsim/internal/core"
+	"regsim/internal/mem"
+	"regsim/internal/prog"
+	"regsim/internal/rename"
 	"regsim/internal/sweep/rescache"
+	"regsim/internal/workload"
 )
 
 // fill sets every field reachable from v to a distinct non-zero value:
-// integers count up (odd ones negated, to exercise zigzag), unsigned values
-// wrap within their width, bools are true, strings and slices are non-empty,
-// pointers are allocated. It fails on a field it cannot set, so an
-// unexported snapshot field — which no codec could carry — fails too.
-func fill(t *testing.T, v reflect.Value, path string, n *int64) {
+// integers count up from *n (odd ones negated, to exercise zigzag),
+// unsigned values wrap within their width, bools are true, strings are
+// non-empty, slices hold size elements, pointers are allocated. It fails on
+// a field it cannot set, so an unexported snapshot field — which no codec
+// could carry — fails too.
+func fill(t *testing.T, v reflect.Value, path string, n *int64, size int) {
 	t.Helper()
 	if !v.CanSet() {
 		t.Fatalf("%s cannot be set (unexported?)", path)
@@ -41,47 +46,181 @@ func fill(t *testing.T, v reflect.Value, path string, n *int64) {
 		*n++
 		v.SetString(fmt.Sprintf("s%d", *n))
 	case reflect.Slice:
-		s := reflect.MakeSlice(v.Type(), 2, 2)
+		s := reflect.MakeSlice(v.Type(), size, size)
 		v.Set(s)
 		for i := 0; i < s.Len(); i++ {
-			fill(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), n)
+			fill(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), n, size)
 		}
 	case reflect.Array:
 		for i := 0; i < v.Len(); i++ {
-			fill(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), n)
+			fill(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), n, size)
 		}
 	case reflect.Pointer:
 		v.Set(reflect.New(v.Type().Elem()))
-		fill(t, v.Elem(), path, n)
+		fill(t, v.Elem(), path, n, size)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			fill(t, v.Field(i), path+"."+v.Type().Field(i).Name, n)
+			fill(t, v.Field(i), path+"."+v.Type().Field(i).Name, n, size)
 		}
 	default:
 		t.Fatalf("%s has kind %s, which the filler (and likely the codec) does not handle", path, v.Kind())
 	}
 }
 
-// TestCodecCarriesEveryField fills every field of every snapshot type with
-// a distinct non-zero value and requires the codec to reproduce it exactly:
-// a field added to any snapshot type but forgotten by the codec fails here.
-func TestCodecCarriesEveryField(t *testing.T) {
-	var n int64
-	var want core.Snapshot
-	fill(t, reflect.ValueOf(&want).Elem(), "Snapshot", &n)
+// filled returns a snapshot whose every field holds a distinct non-zero
+// value counted up from first, with slices of size elements.
+func filled(t *testing.T, first int64, size int) *core.Snapshot {
+	var s core.Snapshot
+	fill(t, reflect.ValueOf(&s).Elem(), "Snapshot", &first, size)
+	return &s
+}
 
-	w := &writer{}
-	w.snapshot(&want)
-	r := &reader{b: w.b}
-	got := r.snapshot()
+// sparse clears part of a filled snapshot: some slices become nil, which
+// is how a count of zero decodes, and some result histograms become empty
+// but not nil, which the Result encoding keeps apart from nil.
+func sparse(s *core.Snapshot) *core.Snapshot {
+	s.ProgID = ""
+	s.StoreQ, s.Buckets, s.Win.Uops, s.Win.ReadySeqs = nil, nil, nil, nil
+	s.Ren.Kills, s.Ren.Files[0].FreeList, s.Ren.Files[1].Chains[3] = nil, nil, nil
+	s.BP.Global, s.DC.Lines, s.DC.Arrivals, s.IC.Lines, s.Mem.Pages = nil, nil, nil, nil, nil
+	s.Res.Live[0].Cum[0], s.Res.Ports[1].Writes = nil, nil
+	s.Res.Live[0].Cum[1], s.Res.Ports[0].Reads = []int64{}, []int64{}
+	return s
+}
+
+// decodeSnapshot decodes one encoded snapshot body into dst.
+func decodeSnapshot(t *testing.T, body []byte, dst *core.Snapshot) {
+	t.Helper()
+	r := &reader{b: body}
+	r.snapshot(dst)
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
 	if len(r.b) != 0 {
 		t.Fatalf("%d bytes left after decoding", len(r.b))
 	}
-	if !reflect.DeepEqual(got, &want) {
-		t.Errorf("snapshot did not round-trip:\n got %+v\nwant %+v", got, &want)
+}
+
+// TestCodecCarriesEveryField fills every field of every snapshot type with
+// a distinct non-zero value and requires the codec to reproduce it exactly:
+// a field added to any snapshot type but forgotten by the codec fails here.
+// Decoding into a scratch graph that already holds another, larger
+// snapshot must give the same graph as a fresh decode: a field the
+// decoder fails to overwrite would keep the scratch's value. Nil and empty
+// result histograms must stay distinct either way.
+func TestCodecCarriesEveryField(t *testing.T) {
+	for name, want := range map[string]*core.Snapshot{
+		"filled": filled(t, 0, 2),
+		"sparse": sparse(filled(t, 0, 2)),
+	} {
+		w := &writer{}
+		w.snapshot(want)
+		var fresh core.Snapshot
+		decodeSnapshot(t, w.b, &fresh)
+		if !reflect.DeepEqual(&fresh, want) {
+			t.Errorf("%s: snapshot did not round-trip:\n got %+v\nwant %+v", name, &fresh, want)
+		}
+		scratch := filled(t, 1000, 3)
+		decodeSnapshot(t, w.b, scratch)
+		if !reflect.DeepEqual(scratch, &fresh) {
+			t.Errorf("%s: decoding into a used scratch graph differs from a fresh decode:\n got %+v\nwant %+v", name, scratch, &fresh)
+		}
+	}
+}
+
+// artifactOf builds bench's program artifact.
+func artifactOf(t testing.TB, bench string) *prog.Artifact {
+	t.Helper()
+	p, err := workload.Build(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := prog.NewArtifact(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art
+}
+
+// machineAt returns a machine over bench under cfg, run to commits, the
+// artifact it runs, and its result so far.
+func machineAt(t testing.TB, bench string, cfg core.Config, commits int64) (*core.Machine, *prog.Artifact, *core.Result) {
+	t.Helper()
+	art := artifactOf(t, bench)
+	m, err := core.NewFromArtifact(cfg, art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(commits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, art, res
+}
+
+// resultJSON is the canonical encoding byte identity is judged on.
+func resultJSON(t testing.TB, r *core.Result) string {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestCaptureIntoUsedScratch: capturing into a graph that holds another
+// state — arbitrary values, or an earlier capture of a different machine —
+// must give the same graph as a fresh capture, and a resume from an entry
+// decoded into a used graph must stay bit-identical to the cold run. One
+// scratch graph serves every case in turn, as a worker's does.
+func TestCaptureIntoUsedScratch(t *testing.T) {
+	const warm, budget = 3_000, 6_000
+	scratch := filled(t, 1000, 3)
+	other := filled(t, 5000, 4)
+	for _, c := range []struct {
+		bench string
+		model rename.Model
+		track bool
+	}{
+		{"tomcatv", rename.Imprecise, false},
+		{"compress", rename.Precise, false},
+		{"compress", rename.Imprecise, true},
+		{"gcc1", rename.Precise, false},
+	} {
+		name := fmt.Sprintf("%s/%s/track=%v", c.bench, c.model, c.track)
+		cfg := core.DefaultConfig()
+		cfg.Model, cfg.TrackLiveRegisters = c.model, c.track
+		_, art, coldRes := machineAt(t, c.bench, cfg, budget)
+		m, _, _ := machineAt(t, c.bench, cfg, warm)
+		want, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SnapshotInto(scratch); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(scratch, want) {
+			t.Errorf("%s: capture into a used scratch graph differs from a fresh capture", name)
+		}
+		data, err := Encode(&Envelope{Format: FormatVersion, Version: Version, Kind: KindSnapshot, Key: "k", Snap: scratch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := Envelope{Snap: other}
+		if err := decodeInto(data, &e); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := core.Resume(cfg, art, e.Snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := resumed.Run(budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := resultJSON(t, got), resultJSON(t, coldRes); g != w {
+			t.Errorf("%s: resume through used scratch graphs differs from the cold run\ncold:    %s\nresumed: %s", name, w, g)
+		}
 	}
 }
 
@@ -124,27 +263,27 @@ func TestHugeLengthPrefixRefusedBeforeAllocating(t *testing.T) {
 		"envelope version": func() error { _, err := Decode(header); return err },
 		"bytes": func() error {
 			r := &reader{b: uv(huge)}
-			r.bytes()
+			r.bytes(nil)
 			return r.err
 		},
 		"int64 slice": func() error {
 			r := &reader{b: uv(huge)}
-			r.int64s()
+			r.int64s(nil)
 			return r.err
 		},
 		"cache lines": func() error {
 			r := &reader{b: uv(huge)}
-			r.lines()
+			r.lines(nil)
 			return r.err
 		},
 		"memory pages": func() error {
 			r := &reader{b: uv(huge)}
-			r.mem()
+			r.mem(new(mem.Snap))
 			return r.err
 		},
 		"memory words": func() error {
 			r := &reader{b: uv(1, 7, huge)}
-			r.mem()
+			r.mem(new(mem.Snap))
 			return r.err
 		},
 		"result": func() error {

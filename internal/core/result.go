@@ -228,8 +228,13 @@ func (h *PortHist) record(reads, writes int) {
 // same JSON as the one encoded. Varints must be minimal, so every Result
 // has one encoding and any input the decoder accepts re-encodes to itself.
 func (r *Result) MarshalBinary() ([]byte, error) {
+	return r.AppendBinary(make([]byte, 0, 128))
+}
+
+// AppendBinary appends r's binary encoding (see MarshalBinary) to b. It
+// never fails.
+func (r *Result) AppendBinary(b []byte) ([]byte, error) {
 	head, hists, tail := r.binaryFields()
-	b := make([]byte, 0, 128)
 	for _, p := range head {
 		b = binary.AppendVarint(b, *p)
 	}
@@ -259,9 +264,17 @@ func (r *Result) MarshalBinary() ([]byte, error) {
 // MarshalBinary). It is total: any input either decodes or returns an error
 // and leaves r zero. A slice is allocated only after its length is checked
 // against the remaining input (every count takes at least one byte), and
-// trailing bytes are an error.
+// trailing bytes are an error. r keeps no reference to data.
 func (r *Result) UnmarshalBinary(data []byte) error {
 	*r = Result{}
+	return r.UnmarshalBinaryReusing(data)
+}
+
+// UnmarshalBinaryReusing is UnmarshalBinary, except that it decodes each
+// histogram into the slice r already holds there when that slice is large
+// enough, overwriting it. A decoder that fills one scratch Result entry
+// after entry uses it; anyone still holding r's slices must not.
+func (r *Result) UnmarshalBinaryReusing(data []byte) error {
 	d := resultDecoder{b: data}
 	head, hists, tail := r.binaryFields()
 	for _, p := range head {
@@ -270,7 +283,7 @@ func (r *Result) UnmarshalBinary(data []byte) error {
 	r.Halted = d.bool()
 	r.Checksum = d.uvarint()
 	for _, p := range hists {
-		*p = d.int64s()
+		*p = d.int64s(*p)
 	}
 	for _, p := range tail {
 		*p = d.varint()
@@ -353,7 +366,9 @@ func (d *resultDecoder) varint() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-func (d *resultDecoder) int64s() []int64 {
+// int64s reads a histogram slice into dst's array when it is large enough.
+// The slice is nil only when encoded nil: an empty one stays non-nil.
+func (d *resultDecoder) int64s(dst []int64) []int64 {
 	tag := d.uvarint()
 	if tag == 0 {
 		return nil
@@ -362,7 +377,12 @@ func (d *resultDecoder) int64s() []int64 {
 		d.fail(fmt.Errorf("slice length %d exceeds the remaining %d bytes", tag-1, len(d.b)))
 		return nil
 	}
-	v := make([]int64, tag-1)
+	n := int(tag - 1)
+	v := dst
+	if v == nil || cap(v) < n {
+		v = make([]int64, n)
+	}
+	v = v[:n]
 	for i := range v {
 		v[i] = d.varint()
 	}

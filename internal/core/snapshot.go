@@ -10,6 +10,7 @@ import (
 	"regsim/internal/mem"
 	"regsim/internal/prog"
 	"regsim/internal/rename"
+	"regsim/internal/reuse"
 )
 
 // SnapVersion identifies the machine-snapshot format revision. It is bound
@@ -164,77 +165,105 @@ type Snapshot struct {
 	Res Result           `json:"res"`
 }
 
-// cloneResult deep-copies a Result (the histogram slices are otherwise
-// shared with — and further mutated by — the running machine).
-func cloneResult(r Result) Result {
-	for f := range r.Live {
-		for c := range r.Live[f].Cum {
-			r.Live[f].Cum[c] = append([]int64(nil), r.Live[f].Cum[c]...)
+// cloneResultInto deep-copies src into dst, reusing dst's histogram
+// slices (src's are shared with, and further mutated by, the running
+// machine). An empty histogram copies as nil.
+func cloneResultInto(dst, src *Result) {
+	live, ports := dst.Live, dst.Ports
+	*dst = *src
+	for f := range dst.Live {
+		for c := range dst.Live[f].Cum {
+			dst.Live[f].Cum[c] = reuse.Copy(live[f].Cum[c], src.Live[f].Cum[c])
 		}
 	}
-	for f := range r.Ports {
-		r.Ports[f].Reads = append([]int64(nil), r.Ports[f].Reads...)
-		r.Ports[f].Writes = append([]int64(nil), r.Ports[f].Writes...)
+	for f := range dst.Ports {
+		dst.Ports[f].Reads = reuse.Copy(ports[f].Reads, src.Ports[f].Reads)
+		dst.Ports[f].Writes = reuse.Copy(ports[f].Writes, src.Ports[f].Writes)
 	}
-	return r
 }
 
 // Clone returns a deep copy of the result (the histogram slices are the
 // only reference-typed fields). Checkpoint stores hand one entry to many
 // consumers and must not alias the mutable slices between them.
 func (r *Result) Clone() *Result {
-	c := cloneResult(*r)
-	return &c
+	c := new(Result)
+	cloneResultInto(c, r)
+	return c
 }
 
-// Snapshot captures the machine's full state at the current cycle boundary.
+// Snapshot captures the machine's full state at the current cycle boundary
+// into a new snapshot graph (see SnapshotInto).
+func (m *Machine) Snapshot() (*Snapshot, error) {
+	s := new(Snapshot)
+	if err := m.SnapshotInto(s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// SnapshotInto captures the machine's full state at the current cycle
+// boundary into s. It overwrites every field of s and reuses the slices and
+// component snapshots s already holds, so a worker that captures into one
+// scratch graph run after run stops allocating once the graph has grown to
+// its working size. The captured state shares nothing with the machine.
+//
 // It refuses machines with per-event hooks attached (tracer, telemetry,
 // counter sampler): their sinks hold run state outside the machine, so a
 // resumed run could not reproduce their streams — and checkpointed runs are
 // exactly the ones that skip work the hooks would have observed.
-func (m *Machine) Snapshot() (*Snapshot, error) {
+func (m *Machine) SnapshotInto(s *Snapshot) error {
 	if m.cfg.Tracer != nil || m.cfg.Telemetry != nil || m.cfg.CounterSampler != nil {
-		return nil, fmt.Errorf("core: cannot snapshot a machine with tracer/telemetry/counter hooks attached")
+		return fmt.Errorf("core: cannot snapshot a machine with tracer/telemetry/counter hooks attached")
 	}
 	if m.invErr != nil {
-		return nil, fmt.Errorf("core: cannot snapshot after an invariant violation: %w", m.invErr)
+		return fmt.Errorf("core: cannot snapshot after an invariant violation: %w", m.invErr)
 	}
-	s := &Snapshot{
-		Version:       SnapVersion,
-		ProgID:        m.art.ID(),
-		Cfg:           cfgSnapOf(m.cfg),
-		Now:           m.now,
-		FetchResumeAt: m.fetchResumeAt,
-		Done:          m.done,
-		SpecRegs:      m.spec,
-		SpecPC:        m.specPC,
-		SpecValid:     m.specValid,
-		QCounts:       m.qCounts,
-		QTotal:        m.qTotal,
-		StoreQ:        append([]int64(nil), m.storeQ[m.storeQHead:]...),
-		BrQ:           append([]int64(nil), m.brQ[m.brQHead:]...),
-		BrIssueIdx:    max(m.brIssueIdx-m.brQHead, 0),
-		DivBusyUntil:  append([]int64(nil), m.divBusyUntil...),
-		DivOwner:      append([]int64(nil), m.divOwner...),
-		WBCount:       m.wbCount,
-		WBNextDrain:   m.wbNextDrain,
-		SumState:      m.sum.State(),
-		LastCommitSeq: m.lastCommitSeq,
-		Ren:           m.ren.Snapshot(),
-		BP:            m.bp.Snapshot(),
-		DC:            m.dc.Snapshot(),
-		IC:            m.ic.Snapshot(),
-		Mem:           m.mem.Snapshot(),
-		Res:           cloneResult(m.res),
-	}
-	for i, b := range m.buckets {
+	s.Version, s.ProgID, s.Cfg = SnapVersion, m.art.ID(), cfgSnapOf(m.cfg)
+	s.Now, s.FetchResumeAt, s.Done = m.now, m.fetchResumeAt, m.done
+	s.SpecRegs, s.SpecPC, s.SpecValid = m.spec, m.specPC, m.specValid
+	s.QCounts, s.QTotal = m.qCounts, m.qTotal
+	s.StoreQ = reuse.Copy(s.StoreQ, m.storeQ[m.storeQHead:])
+	s.BrQ = reuse.Copy(s.BrQ, m.brQ[m.brQHead:])
+	s.BrIssueIdx = max(m.brIssueIdx-m.brQHead, 0)
+	s.DivBusyUntil = reuse.Copy(s.DivBusyUntil, m.divBusyUntil)
+	s.DivOwner = reuse.Copy(s.DivOwner, m.divOwner)
+	s.WBCount, s.WBNextDrain = m.wbCount, m.wbNextDrain
+	s.SumState, s.LastCommitSeq = m.sum.State(), m.lastCommitSeq
+	cloneResultInto(&s.Res, &m.res)
+
+	n := 0
+	for _, b := range m.buckets {
 		if len(b) > 0 {
-			s.Buckets = append(s.Buckets, BucketSnap{Index: i, Seqs: append([]int64(nil), b...)})
+			n++
 		}
 	}
+	s.Buckets = reuse.Slice(s.Buckets, n)
+	n = 0
+	for i, b := range m.buckets {
+		if len(b) > 0 {
+			s.Buckets[n].Index, s.Buckets[n].Seqs = i, reuse.Copy(s.Buckets[n].Seqs, b)
+			n++
+		}
+	}
+
+	s.Ren = reuse.OrNew(s.Ren)
+	m.ren.SnapshotInto(s.Ren)
+	s.BP = reuse.OrNew(s.BP)
+	m.bp.SnapshotInto(s.BP)
+	s.DC = reuse.OrNew(s.DC)
+	m.dc.SnapshotInto(s.DC)
+	s.IC = reuse.OrNew(s.IC)
+	m.ic.SnapshotInto(s.IC)
+	s.Mem = reuse.OrNew(s.Mem)
+	m.mem.SnapshotInto(s.Mem)
+
 	w := m.win
-	ws := &WindowSnap{RingSize: len(w.buf), HeadSeq: w.headSeq, NextSeq: w.nextSeq}
-	for seq := w.headSeq; seq < w.nextSeq; seq++ {
+	ws := reuse.OrNew(s.Win)
+	ws.RingSize, ws.HeadSeq, ws.NextSeq = len(w.buf), w.headSeq, w.nextSeq
+	ws.Uops = reuse.Slice(ws.Uops, int(w.nextSeq-w.headSeq))
+	ws.ReadySeqs = ws.ReadySeqs[:0]
+	for i := range ws.Uops {
+		seq := w.headSeq + int64(i)
 		u := w.at(seq)
 		us := UopSnap{
 			Seq: u.seq, PC: u.pc, Enc: isa.Encode(u.in), State: u.state,
@@ -251,13 +280,14 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 			us.HasFill = true
 			us.FillLine = u.fill.LineAddrOf()
 		}
-		ws.Uops = append(ws.Uops, us)
+		ws.Uops[i] = us
 		if w.isReady(seq) {
 			ws.ReadySeqs = append(ws.ReadySeqs, seq)
 		}
 	}
+	ws.ReadySeqs = reuse.Slice(ws.ReadySeqs, len(ws.ReadySeqs))
 	s.Win = ws
-	return s, nil
+	return nil
 }
 
 // RegWatermarks returns both files' rename allocation watermarks (highest
@@ -450,8 +480,8 @@ func Resume(cfg Config, art *prog.Artifact, s *Snapshot) (*Machine, error) {
 		wbCount:       s.WBCount,
 		wbNextDrain:   s.WBNextDrain,
 		lastCommitSeq: s.LastCommitSeq,
-		res:           cloneResult(s.Res),
 	}
+	cloneResultInto(&m.res, &s.Res)
 	m.sum.SetState(s.SumState)
 	m.ren.SetWakeFunc(m.wake)
 	m.skipFrontier = !ren.Kills() && !cfg.InOrderBranches

@@ -58,22 +58,14 @@ func configKey(spec Spec, art *prog.Artifact) string {
 // to the budget, storing the state short of it only if that goes deeper
 // than the stored one, so racing runs can leave a shallower state, never a
 // wrong one. The result is bit-identical to the cold run's (core.Resume).
+// The store captures and decodes through pooled scratch graphs, so neither
+// end allocates a snapshot per run.
 func (s *Suite) runCheckpointed(spec Spec, art *prog.Artifact, cfg core.Config) (*core.Result, siblingMeta, error) {
 	key := configKey(spec, art)
-	var m *core.Machine
-	var depth int64 // commits in the stored state
-	if snap, ok := s.Checkpoints.Snapshot(key); ok {
-		depth = snap.Res.Committed
-		if depth <= spec.Budget {
-			if r, err := core.Resume(cfg, art, snap); err == nil {
-				m = r
-				s.progressf("ckpt %-9s regs=%-4d %s: resumed at %d commits", spec.Bench, spec.Regs, spec.Model, depth)
-			} else {
-				depth = 0 // unusable: let this run replace it
-			}
-		}
-	}
-	if m == nil {
+	m, depth := s.Checkpoints.Resume(key, spec.Budget, cfg, art)
+	if m != nil {
+		s.progressf("ckpt %-9s regs=%-4d %s: resumed at %d commits", spec.Bench, spec.Regs, spec.Model, depth)
+	} else {
 		var err error
 		if m, err = core.NewFromArtifact(cfg, art); err != nil {
 			return nil, siblingMeta{}, err
@@ -86,12 +78,10 @@ func (s *Suite) runCheckpointed(spec Spec, art *prog.Artifact, cfg core.Config) 
 		return nil, siblingMeta{}, err
 	}
 	if short.Committed > depth {
-		if snap, serr := m.Snapshot(); serr == nil {
-			if perr := s.Checkpoints.PutSnapshot(key, snap); perr != nil {
-				// Best effort: a lost snapshot costs a future
-				// re-simulation, never the sweep.
-				s.progressf("ckpt put %s: %v", spec.Bench, perr)
-			}
+		if perr := s.Checkpoints.Capture(key, m); perr != nil {
+			// Best effort: a lost snapshot costs a future
+			// re-simulation, never the sweep.
+			s.progressf("ckpt put %s: %v", spec.Bench, perr)
 		}
 	}
 	res, err := m.Run(spec.Budget)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -243,13 +244,32 @@ func TestCheckpointSharing(t *testing.T) {
 		t.Error("no spec simulated at both budgets; the resume check would pass vacuously")
 	}
 
-	// Back down to B: every stored state lies past this budget's stop.
-	_, results, ran3, resumed := sweep(budget)
+	// Back down to B: every stored state lies past this budget's stop. The
+	// store counts each such state as deeper than the budget, not as a hit,
+	// and each simulated spec without one as a miss.
+	seen := make(map[string]bool, len(simulated))
+	for spec := range simulated {
+		seen[spec] = true
+	}
+	back, results, ran3, resumed := sweep(budget)
 	if len(ran3) == 0 {
 		t.Error("the sweep back at the smaller budget simulated nothing; its checks would pass vacuously")
 	}
 	for spec, n := range resumed {
 		t.Errorf("%s: resumed at %d commits in a sweep at budget %d, past the cold run's stop", spec, n, budget)
+	}
+	var deeper int64
+	for spec := range ran3 {
+		if seen[spec] {
+			deeper++
+		}
+	}
+	if deeper == 0 {
+		t.Error("no spec of the sweep back at the smaller budget had a stored state; the count check would pass vacuously")
+	}
+	if st := back.Checkpoints.Stats(); st.SnapshotHits != 0 || st.SnapshotDeeper != deeper || st.SnapshotMisses != int64(len(ran3))-deeper {
+		t.Errorf("store counted %d hits, %d deeper, %d misses; want 0, %d, %d",
+			st.SnapshotHits, st.SnapshotDeeper, st.SnapshotMisses, deeper, int64(len(ran3))-deeper)
 	}
 	plain, err := NewSuite(budget).RunAll(context.Background(), specs)
 	if err != nil {
@@ -289,6 +309,40 @@ func TestCheckpointSharing(t *testing.T) {
 	}
 	if live != len(simulated) {
 		t.Errorf("checkpoint dir holds %d live snapshot records for %d configurations simulated", live, len(simulated))
+	}
+}
+
+// TestCheckpointedSweepGarbage: the checkpoint store captures and decodes
+// through pooled scratch graphs and buffers, so a checkpointed Fig. 6 sweep
+// allocates at most 1.5× a storeless one, cold and extended to twice the
+// budget over the cold sweep's states (with a snapshot graph and an entry
+// copy per run, it allocated 1.9× and 2.2×).
+func TestCheckpointedSweepGarbage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not the race detector's to measure, and its four sweeps take 80 s under it")
+	}
+	const budget = 8_000
+	store := openStore(t)
+	sweep := func(budget int64, store *ckpt.Store) uint64 {
+		s := NewSuite(budget)
+		s.Jobs = 1
+		s.Checkpoints = store
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := s.Fig6(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	plain, cold := sweep(budget, nil), sweep(budget, store)
+	plain2, extend := sweep(2*budget, nil), sweep(2*budget, store)
+	t.Logf("cold: %d B against %d B storeless; extend: %d B against %d B", cold, plain, extend, plain2)
+	if float64(cold) > 1.5*float64(plain) {
+		t.Errorf("checkpointed cold sweep allocates %.2f× a storeless one, over 1.5×", float64(cold)/float64(plain))
+	}
+	if float64(extend) > 1.5*float64(plain2) {
+		t.Errorf("checkpointed extend allocates %.2f× a storeless sweep at its budget, over 1.5×", float64(extend)/float64(plain2))
 	}
 }
 

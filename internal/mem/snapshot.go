@@ -1,8 +1,11 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+
+	"regsim/internal/reuse"
 )
 
 // PageSnap is one touched 4 KiB page: its page number and full word image.
@@ -17,14 +20,17 @@ type Snap struct {
 	Pages []PageSnap `json:"pages,omitempty"`
 }
 
-// Snapshot captures a deep copy of the memory image.
-func (m *Memory) Snapshot() *Snap {
-	s := &Snap{}
+// SnapshotInto captures a deep copy of the memory image into s, reusing its
+// pages' word buffers.
+func (m *Memory) SnapshotInto(s *Snap) {
+	s.Pages = reuse.Slice(s.Pages, len(m.pages))
+	i := 0
 	for k, p := range m.pages {
-		s.Pages = append(s.Pages, PageSnap{Page: k, Words: append([]uint64(nil), p[:]...)})
+		ps := &s.Pages[i]
+		ps.Page, ps.Words = k, append(ps.Words[:0], p[:]...)
+		i++
 	}
-	sort.Slice(s.Pages, func(i, j int) bool { return s.Pages[i].Page < s.Pages[j].Page })
-	return s
+	slices.SortFunc(s.Pages, func(a, b PageSnap) int { return cmp.Compare(a.Page, b.Page) })
 }
 
 // Validate checks a decoded snapshot's structural sanity.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"regsim/internal/isa"
+	"regsim/internal/reuse"
 )
 
 // Watermark returns a file's allocation watermark: the highest physical
@@ -62,18 +63,15 @@ type Snapshot struct {
 	Files    [2]FileSnap `json:"files"`
 }
 
-// Snapshot captures the unit's state. It panics if called mid-cycle (with
-// frees still pending): the core only snapshots at cycle boundaries, so a
-// pending free here is a sequencing bug, not a runtime condition.
-func (u *Unit) Snapshot() *Snapshot {
-	s := &Snapshot{
-		Model:    u.model,
-		Frontier: u.frontier,
-		KillsMin: u.killsMin,
-		Frees:    u.Frees,
-	}
-	for _, k := range u.kills {
-		s.Kills = append(s.Kills, KillSnap{File: uint8(k.file), Virt: k.virt, Seq: k.seq})
+// SnapshotInto captures the unit's state into s, reusing its slices. It
+// panics if called mid-cycle (with frees still pending): the core only
+// snapshots at cycle boundaries, so a pending free here is a sequencing
+// bug, not a runtime condition.
+func (u *Unit) SnapshotInto(s *Snapshot) {
+	s.Model, s.Frontier, s.KillsMin, s.Frees = u.model, u.frontier, u.killsMin, u.Frees
+	s.Kills = reuse.Slice(s.Kills, len(u.kills))
+	for i, k := range u.kills {
+		s.Kills[i] = KillSnap{File: uint8(k.file), Virt: k.virt, Seq: k.seq}
 	}
 	for f := range u.files {
 		fs := &u.files[f]
@@ -83,9 +81,9 @@ func (u *Unit) Snapshot() *Snapshot {
 		fsn := &s.Files[f]
 		fsn.N = fs.n
 		fsn.MapTable = fs.mapTable
-		fsn.FreeList = append([]Phys(nil), fs.freeList...)
-		fsn.Regs = make([]RegSnap, int(fs.maxPhys)+1)
-		for p := 0; p <= int(fs.maxPhys); p++ {
+		fsn.FreeList = reuse.Copy(fsn.FreeList, fs.freeList)
+		fsn.Regs = reuse.Slice(fsn.Regs, int(fs.maxPhys)+1)
+		for p := range fsn.Regs {
 			r := &fs.regs[p]
 			if r.pendFree {
 				panic("rename: Snapshot with frees pending (not at a cycle boundary)")
@@ -96,16 +94,17 @@ func (u *Unit) Snapshot() *Snapshot {
 			}
 		}
 		for v := range fs.chains {
-			for _, e := range fs.chains[v] {
-				fsn.Chains[v] = append(fsn.Chains[v], ChainSnap{Seq: e.seq, Phys: e.phys})
+			chain := reuse.Slice(fsn.Chains[v], len(fs.chains[v]))
+			for i, e := range fs.chains[v] {
+				chain[i] = ChainSnap{Seq: e.seq, Phys: e.phys}
 			}
+			fsn.Chains[v] = chain
 		}
 		fsn.LiveCat = fs.liveCat
 		fsn.Live = fs.live
-		fsn.WaitHead = append([]int64(nil), fs.waitHead[:int(fs.maxPhys)+1]...)
+		fsn.WaitHead = reuse.Copy(fsn.WaitHead, fs.waitHead[:int(fs.maxPhys)+1])
 		fsn.MaxPhys = fs.maxPhys
 	}
-	return s
 }
 
 // Validate checks a snapshot's structural sanity so a decoded (possibly

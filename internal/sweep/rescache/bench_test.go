@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// getBytes reads key's raw entry, reporting whether it hit.
+// getBytes reads a copy of key's raw entry, reporting whether it hit.
 func getBytes(s *Store, key string) ([]byte, bool) {
 	var got []byte
-	ok := s.GetBytes(key, func(data []byte) error { got = data; return nil })
+	ok := s.GetBytes(key, func(data []byte) error { got = append([]byte(nil), data...); return nil })
 	return got, ok
 }
 

@@ -51,12 +51,15 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"regsim/internal/reuse"
 )
 
 // FormatVersion is the revision of the envelope Put writes:
@@ -209,13 +212,25 @@ func openEnvelope(data []byte, key string) ([]byte, error) {
 	return rest[klen:], nil
 }
 
+// bufs holds the buffers records are built in before their write and read
+// into for their decoder, one per worker a sweep runs at once by default. A
+// call borrows one and returns it before it returns, so puts and reads stop
+// allocating once the buffers have grown to the records' size.
+var bufs = reuse.NewPool[[]byte](runtime.GOMAXPROCS(0))
+
 // GetBytes reads the raw entry stored under key and hands it to decode,
 // reporting whether the entry was present and decode accepted it. A record
 // that fails its checks, or that decode rejects, drops key from the index
 // and counts as a miss: a decode error wrapping ErrStale quietly (a format
 // bump), any other failure also ticks the error counter.
+//
+// data is lent to decode for the length of the call only: its buffer is
+// reused by later reads, so decode must copy out whatever it keeps, as
+// encoding.BinaryUnmarshaler requires of UnmarshalBinary.
 func (s *Store) GetBytes(key string, decode func(data []byte) error) bool {
-	data, l, found, err := s.fetch(key)
+	buf := bufs.Get()
+	defer bufs.Put(buf)
+	data, l, found, err := s.fetch(key, buf)
 	if found && err == nil {
 		err = decode(data)
 	}
@@ -236,10 +251,10 @@ func (s *Store) GetBytes(key string, decode func(data []byte) error) bool {
 	return false
 }
 
-// fetch reads the payload of key's indexed record, refreshing the index
-// first if key is not in it. found reports whether the index held key; err
-// whether its record failed to read or check.
-func (s *Store) fetch(key string) (data []byte, l loc, found bool, err error) {
+// fetch reads the payload of key's indexed record into *buf, refreshing
+// the index first if key is not in it. found reports whether the index held
+// key; err whether its record failed to read or check.
+func (s *Store) fetch(key string, buf *[]byte) (data []byte, l loc, found bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if l, found = s.index[key]; !found {
@@ -248,14 +263,17 @@ func (s *Store) fetch(key string) (data []byte, l loc, found bool, err error) {
 			return nil, loc{}, false, nil
 		}
 	}
-	data, err = l.read(key)
+	data, err = l.read(key, buf)
 	return data, l, true, err
 }
 
-// read loads the record at l and returns its payload, re-checking the
-// header, the CRC and the key.
-func (l loc) read(key string) ([]byte, error) {
-	rec := make([]byte, l.size())
+// read loads the record at l into *buf, growing it if needed, and returns
+// its payload, re-checking the header, the CRC and the key.
+func (l loc) read(key string, buf *[]byte) ([]byte, error) {
+	if int64(cap(*buf)) < l.size() {
+		*buf = make([]byte, l.size())
+	}
+	rec := (*buf)[:l.size()]
 	if _, err := l.seg.f.ReadAt(rec, l.off); err != nil {
 		return nil, fmt.Errorf("rescache: read %s: %w", key, err)
 	}
@@ -287,33 +305,44 @@ func (s *Store) Put(key string, v encoding.BinaryMarshaler) error {
 	if err != nil {
 		return fmt.Errorf("rescache: encode %s: %w", key, err)
 	}
-	data := make([]byte, 0, len(envelopeMagic)+1+binary.MaxVarintLen64+len(key)+len(val))
-	data = binary.AppendUvarint(append(data, envelopeMagic...), FormatVersion)
-	data = binary.AppendUvarint(data, uint64(len(key)))
-	data = append(append(data, key...), val...)
-	return s.PutBytes(key, data)
+	return s.PutFunc(key, func(b []byte) ([]byte, error) {
+		b = binary.AppendUvarint(append(b, envelopeMagic...), FormatVersion)
+		b = binary.AppendUvarint(b, uint64(len(key)))
+		return append(append(b, key...), val...), nil
+	})
 }
 
 // PutBytes appends a record of data under key to the store's segment, in
 // one write, so readers (in this or any other process) only ever index
 // complete records.
 func (s *Store) PutBytes(key string, data []byte) error {
-	if uint64(len(key)) > math.MaxUint32 || uint64(len(data)) > math.MaxUint32 {
-		return fmt.Errorf("rescache: entry %s is too large", key)
+	return s.PutFunc(key, func(b []byte) ([]byte, error) { return append(b, data...), nil })
+}
+
+// PutFunc is PutBytes for data that appendData appends to b. The record is
+// built in a pooled buffer, so an entry encoded this way is never copied
+// before its write. appendData must not keep b.
+func (s *Store) PutFunc(key string, appendData func(b []byte) ([]byte, error)) error {
+	buf := bufs.Get()
+	defer bufs.Put(buf)
+	rec, err := encodeRecord((*buf)[:0], key, appendData)
+	*buf = rec
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.index == nil {
 		s.refresh()
 	}
-	return s.appendRecord(key, data)
+	return s.appendRecord(key, rec)
 }
 
-// appendRecord writes one record to the store's own segment and indexes it.
-// It starts a new segment if the store has none, or if its file is no
-// longer in place: removed (a fold), replaced, or not the length this store
-// wrote. s.mu must be held.
-func (s *Store) appendRecord(key string, data []byte) error {
+// appendRecord writes one encoded record of key to the store's own segment
+// and indexes it. It starts a new segment if the store has none, or if its
+// file is no longer in place: removed (a fold), replaced, or not the length
+// this store wrote. s.mu must be held.
+func (s *Store) appendRecord(key string, rec []byte) error {
 	if s.own != nil {
 		fi, err := os.Stat(filepath.Join(s.dir, s.own.name))
 		if err != nil || !os.SameFile(fi, s.ownInfo) || fi.Size() != s.own.end {
@@ -325,7 +354,6 @@ func (s *Store) appendRecord(key string, data []byte) error {
 			return err
 		}
 	}
-	rec := encodeRecord(key, data)
 	seg := s.own
 	if n, err := seg.f.Write(rec); err != nil || n != len(rec) {
 		// The segment may now end in a torn record: nothing more may
@@ -336,21 +364,32 @@ func (s *Store) appendRecord(key string, data []byte) error {
 		}
 		return fmt.Errorf("rescache: write %s: %w", key, err)
 	}
-	l := loc{seg: seg, off: seg.end, klen: uint32(len(key)), dlen: uint32(len(data))}
+	l := loc{seg: seg, off: seg.end, klen: uint32(len(key)), dlen: uint32(len(rec) - headerLen - len(key))}
 	seg.end += l.size()
 	s.add(key, l)
 	return nil
 }
 
-// encodeRecord lays out one record: header, key, data.
-func encodeRecord(key string, data []byte) []byte {
-	rec := make([]byte, headerLen, headerLen+len(key)+len(data))
-	binary.LittleEndian.PutUint32(rec, recordMagic)
-	binary.LittleEndian.PutUint32(rec[4:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(rec[8:], uint32(len(data)))
-	rec = append(append(rec, key...), data...)
-	binary.LittleEndian.PutUint32(rec[12:], crc32.Checksum(rec[headerLen:], castagnoli))
-	return rec
+// encodeRecord appends one record to b: header, key, and the data
+// appendData appends.
+func encodeRecord(b []byte, key string, appendData func(b []byte) ([]byte, error)) ([]byte, error) {
+	start := len(b)
+	b = append(b, make([]byte, headerLen)...) // filled in once key‖data are in
+	b = append(b, key...)
+	b, err := appendData(b)
+	if err != nil {
+		return b, err
+	}
+	dlen := len(b) - start - headerLen - len(key)
+	if uint64(len(key)) > math.MaxUint32 || uint64(dlen) > math.MaxUint32 {
+		return b, fmt.Errorf("rescache: entry %s is too large", key)
+	}
+	h := b[start:]
+	binary.LittleEndian.PutUint32(h, recordMagic)
+	binary.LittleEndian.PutUint32(h[4:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(h[8:], uint32(dlen))
+	binary.LittleEndian.PutUint32(h[12:], crc32.Checksum(h[headerLen:], castagnoli))
+	return b, nil
 }
 
 // newSegment creates the store's own segment, named after every segment it
@@ -534,13 +573,15 @@ func (s *Store) foldSegment(seg *segment) error {
 		}
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].l.off < live[j].l.off })
+	buf := bufs.Get()
+	defer bufs.Put(buf)
 	for _, e := range live {
-		data, err := e.l.read(e.key)
-		if err != nil {
+		// The record's checks pass, so its bytes are copied as they are.
+		if _, err := e.l.read(e.key, buf); err != nil {
 			s.drop(e.key, e.l)
 			continue
 		}
-		if err := s.appendRecord(e.key, data); err != nil {
+		if err := s.appendRecord(e.key, (*buf)[:e.l.size()]); err != nil {
 			return err
 		}
 	}

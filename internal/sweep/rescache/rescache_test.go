@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -186,6 +187,66 @@ func TestPutGetRoundTrip(t *testing.T) {
 	st := s.Stats()
 	if st.Hits != 1 || st.Misses != 0 || st.Errors != 0 {
 		t.Errorf("stats = %+v, want 1 hit", st)
+	}
+}
+
+// TestValuesSurviveBufferReuse: reads go through pooled buffers and puts
+// through the store's record buffer, and later calls reuse both. Values Get
+// decoded, and bytes a GetBytes decoder copied out, must stay intact across
+// later reads and puts of other entries, larger and smaller.
+func TestValuesSurviveBufferReuse(t *testing.T) {
+	s := testStore(t)
+	var keys []string
+	var want []payload
+	for i := range 6 {
+		p := payload{Name: strings.Repeat(string(rune('a'+i)), 10+997*(i%3)), Cycles: int64(i)}
+		for j := range 50 * i {
+			p.Hist = append(p.Hist, int64(j*i))
+		}
+		keys, want = append(keys, Fingerprint(p)), append(want, p)
+		if err := s.Put(keys[i], p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := core.Result{Cycles: 9, Committed: 7}
+	res.Live[0].Cum[2] = []int64{4, 0, 5}
+	if err := s.Put("result", &res); err != nil {
+		t.Fatal(err)
+	}
+	raw := bytes.Repeat([]byte{0xab}, 3000)
+	if err := s.PutBytes("raw", raw); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]payload, len(keys))
+	var gotRes core.Result
+	var gotRaw []byte
+	for i, key := range keys {
+		if !s.Get(key, &got[i]) {
+			t.Fatalf("entry %d did not read back", i)
+		}
+		if i == 2 && !s.Get("result", &gotRes) {
+			t.Fatal("result did not read back")
+		}
+		if i == 3 && !s.GetBytes("raw", func(data []byte) error { gotRaw = append([]byte(nil), data...); return nil }) {
+			t.Fatal("raw entry did not read back")
+		}
+		churn := payload{Name: strings.Repeat("z", 5000-700*i)}
+		if err := s.Put(Fingerprint(churn), churn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, key := range keys {
+		var p payload
+		s.Get(key, &p) // reuses the read buffers once more
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("values Get returned changed when later calls reused the buffers")
+	}
+	if !reflect.DeepEqual(gotRes, res) {
+		t.Errorf("the Result Get returned changed: %+v, want %+v", gotRes, res)
+	}
+	if !bytes.Equal(gotRaw, raw) {
+		t.Error("bytes copied out of GetBytes changed")
 	}
 }
 

@@ -321,7 +321,8 @@ func FuzzSegmentScan(f *testing.F) {
 	keys := []string{Fingerprint("k0"), Fingerprint("k1"), Fingerprint("k2")}
 	var good []byte
 	for i, key := range keys {
-		good = append(good, encodeRecord(key, []byte(fmt.Sprintf(`{"value":%d}`, i)))...)
+		data := []byte(fmt.Sprintf(`{"value":%d}`, i))
+		good, _ = encodeRecord(good, key, func(b []byte) ([]byte, error) { return append(b, data...), nil })
 	}
 	f.Add(good)
 	for _, n := range []int{len(good) - 1, len(good) / 2, headerLen - 1, 0} {
