@@ -1,8 +1,10 @@
 package regsim
 
-// The benchmark harness: one testing.B benchmark per table and figure of the
-// paper, each running the corresponding experiment end-to-end at a reduced
-// commit budget, plus microbenchmarks of the simulator itself.
+// One testing.B benchmark per table and figure of the paper, each running
+// the corresponding experiment end-to-end at a reduced commit budget, plus
+// microbenchmarks of the simulator itself. The cycle-loop grid
+// (BenchmarkCycleLoop) sits beside the code it measures, in internal/core;
+// regbench/ times the shipped binaries at stationary budgets.
 //
 // Regenerate the full-budget tables and figures with:
 //
@@ -15,13 +17,12 @@ package regsim
 import (
 	"testing"
 
-	"regsim/internal/benchrun"
 	"regsim/internal/exper"
 )
 
 // benchBudget keeps each harness iteration around a second on a laptop
 // while still exercising every configuration of the experiment.
-const benchBudget = benchrun.SuiteBudget
+const benchBudget = 3_000
 
 func reportIPC(b *testing.B, committed, cycles int64) {
 	if cycles > 0 {
@@ -29,22 +30,24 @@ func reportIPC(b *testing.B, committed, cycles int64) {
 	}
 }
 
-// BenchmarkTable1 regenerates the dynamic-statistics table (18 runs). The
-// body lives in internal/benchrun so cmd/bench records the same measurement.
-func BenchmarkTable1(b *testing.B) { benchrun.Table1(benchBudget)(b) }
+// BenchmarkTable1 regenerates the dynamic-statistics table (18 runs).
+func BenchmarkTable1(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s := exper.NewSuite(benchBudget)
+		if _, err := s.Table1(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkFig3 regenerates the dispatch-queue sweep (108 measurement runs
 // with live-register classification).
-func BenchmarkFig3(b *testing.B) { benchrun.Fig3(benchBudget)(b) }
-
-// BenchmarkCycleLoop measures the bare scheduler inner loop at each width ×
-// dispatch-queue-size point (large register file, so queue occupancy — not
-// register starvation — dominates). This is the microbenchmark that tracks
-// the event-driven wakeup/select core: ns and allocations per simulated
-// cycle by queue depth.
-func BenchmarkCycleLoop(b *testing.B) {
-	for _, c := range benchrun.CycleLoopCases() {
-		b.Run(c.Name, c.Fn)
+func BenchmarkFig3(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s := exper.NewSuite(benchBudget)
+		if _, err := s.Fig3(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -71,17 +74,14 @@ func BenchmarkFig5(b *testing.B) {
 // BenchmarkFig6 regenerates the register-file size sweep (288 specs). This
 // plain sweep includes sibling sharing: like every sweep, it answers a spec
 // from a finished pressure-free sibling instead of simulating it.
-func BenchmarkFig6(b *testing.B) { benchrun.Fig6(benchBudget)(b) }
-
-// BenchmarkFig6Cold is the same sweep under a fresh on-disk checkpoint store
-// each iteration: snapshot capture cost included.
-func BenchmarkFig6Cold(b *testing.B) { benchrun.Fig6Cold(benchBudget)(b) }
-
-// BenchmarkFig6Checkpointed regenerates the sweep over a pre-populated
-// on-disk checkpoint store, every run resuming one commit bundle short of
-// its budget — the rerun cost of a checkpointed sweep without a result
-// cache.
-func BenchmarkFig6Checkpointed(b *testing.B) { benchrun.Fig6Checkpointed(benchBudget)(b) }
+func BenchmarkFig6(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s := exper.NewSuite(benchBudget)
+		if _, err := s.Fig6(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkFig7 regenerates the cache-organisation comparison (864 runs,
 // sharing the lockup-free third with Figure 6 via memoisation).

@@ -95,7 +95,9 @@ func main() {
 	}
 	// The sampling rate gates how much of every run simulates at all, so a
 	// malformed value is a usage error, not something to clamp silently.
-	if *sample != 0 && (*sample <= 0 || *sample >= 1) {
+	// The range check is positive so that NaN, unordered with everything,
+	// fails it.
+	if *sample != 0 && !(*sample > 0 && *sample < 1) {
 		fatalUsage("invalid -sample %v: the sampling rate must lie in (0, 1), or 0 to disable", *sample)
 	}
 

@@ -41,6 +41,7 @@ func TestExitCodes(t *testing.T) {
 		{"sample rate one", []string{"-sample", "1", "-no-cache", "table1"}, 2},
 		{"sample rate negative", []string{"-sample", "-0.2", "-no-cache", "table1"}, 2},
 		{"sample rate over one", []string{"-sample", "1.5", "-no-cache", "table1"}, 2},
+		{"sample rate NaN", []string{"-sample", "NaN", "-no-cache", "table1"}, 2},
 		{"success", []string{"-n", "500", "-no-cache", "table1"}, 0},
 	}
 	for _, tc := range cases {

@@ -52,6 +52,7 @@ import (
 	"regsim/internal/asm"
 	"regsim/internal/exper"
 	"regsim/internal/isa"
+	"regsim/internal/rename"
 	"regsim/internal/stats"
 	"regsim/internal/sweep/rescache"
 	"regsim/internal/telemetry"
@@ -92,8 +93,8 @@ func main() {
 	if *width != 4 && *width != 8 {
 		fatalUsage("invalid -width %d: the machine model supports issue widths 4 and 8", *width)
 	}
-	if *regs < 0 {
-		fatalUsage("invalid -regs %d: the register-file size cannot be negative", *regs)
+	if *regs < rename.MinRegsPerFile {
+		fatalUsage("invalid -regs %d: a register file needs at least %d registers; fewer deadlocks", *regs, rename.MinRegsPerFile)
 	}
 	if *queue < 0 {
 		fatalUsage("invalid -queue %d: the dispatch-queue size cannot be negative", *queue)
@@ -145,8 +146,9 @@ func main() {
 	}
 	// A sampling rate outside (0,1) cannot mean anything (1 would sample the
 	// whole run; negative is nonsense), so it is a usage error like any other
-	// malformed machine parameter.
-	if *sample != 0 && (*sample <= 0 || *sample >= 1) {
+	// malformed machine parameter. The range check is positive so that NaN,
+	// unordered with everything, fails it.
+	if *sample != 0 && !(*sample > 0 && *sample < 1) {
 		fatalUsage("invalid -sample %v: the sampling rate must lie in (0, 1), or 0 to disable", *sample)
 	}
 	var ckpts *regsim.CheckpointStore

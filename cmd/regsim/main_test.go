@@ -33,11 +33,13 @@ func TestExitCodes(t *testing.T) {
 		{"bad cache", []string{"-cache", "write-through", "compress"}, 2},
 		{"bad budget", []string{"-n", "0", "compress"}, 2},
 		{"negative regs", []string{"-regs", "-1", "compress"}, 2},
+		{"regs below the floor", []string{"-regs", "31", "compress"}, 2},
 		{"bad random seed", []string{"random:notanumber"}, 2},
 		{"uncreatable memprofile", []string{"-memprofile", "/nonexistent-dir/heap.pprof", "-n", "2000", "compress"}, 2},
 		{"sample rate one", []string{"-sample", "1", "-n", "2000", "compress"}, 2},
 		{"sample rate negative", []string{"-sample", "-0.2", "-n", "2000", "compress"}, 2},
 		{"sample rate over one", []string{"-sample", "1.5", "-n", "2000", "compress"}, 2},
+		{"sample rate NaN", []string{"-sample", "NaN", "-n", "2000", "compress"}, 2},
 		{"checkpoint dir is a file", []string{"-checkpoint-dir", notADir, "-n", "2000", "compress"}, 2},
 		{"success with sample", []string{"-sample", "0.25", "-n", "2000", "compress"}, 0},
 		{"missing asm file", []string{"asm:/nonexistent/prog.s"}, 1},
