@@ -3,7 +3,7 @@
 // register-file size and exception model) is fingerprinted the way the
 // persistent result cache keys entries and rendezvous-hashed onto a
 // preferred worker, so repeated traffic for a configuration lands where its
-// result is already memoized — a cluster of small caches behaving like one
+// result is already held — a cluster of small caches behaving like one
 // big one — and a group's siblings land where its pressure-free trunk can
 // answer them. Sweeps are sharded by preferred worker across the pool and
 // merged back in request order.
@@ -84,7 +84,7 @@ func main() {
 	if *budget <= 0 {
 		fatalUsage("invalid -n %d: the commit budget must be positive", *budget)
 	}
-	if *spill <= 0 || *spill > 1 {
+	if !(*spill > 0 && *spill <= 1) { // NaN fails too
 		fatalUsage("invalid -spill-threshold %v: want a fraction in (0, 1]", *spill)
 	}
 	if *deadAfter <= 0 {

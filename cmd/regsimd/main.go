@@ -1,6 +1,6 @@
 // Command regsimd serves the simulator over HTTP: simulation-as-a-service
 // for the paper's design-space sweeps. One daemon hosts one experiment
-// suite, so every request shares the same in-memory memo, in-flight
+// suite, so every request shares the same in-memory result table, in-flight
 // coalescing, and (with -cache-dir) the same persistent result cache as
 // cmd/paper and cmd/regsim.
 //
@@ -200,5 +200,5 @@ func main() {
 	<-done
 	st := suite.SweepStats()
 	slogger.Info("exiting",
-		"runs", st.Runs, "memoHits", st.MemoHits, "coalesced", st.Deduped, "cacheHits", st.CacheHits)
+		"runs", st.Runs, "memoHits", st.MemoHits, "coalesced", st.Deduped, "evicted", st.Evicted, "cacheHits", st.CacheHits)
 }

@@ -6,7 +6,7 @@
 //	coalesced: four concurrent clients submitting that same matrix while
 //	           it is still cold on a second server sharing the cache
 //	           directory (each unique spec simulates exactly once);
-//	warm:      the same matrix again, answered from the in-memory memo in
+//	warm:      the same matrix again, answered from the result table in
 //	           microseconds.
 //
 //	go run ./examples/serve
@@ -79,7 +79,7 @@ func main() {
 			r.Spec.Bench, r.Spec.Width, r.Spec.Regs, r.Result.CommitIPC())
 	}
 
-	// --- warm: same matrix, same server; pure in-memory memo hits.
+	// --- warm: same matrix, same server; pure result-table (memo) hits.
 	start = time.Now()
 	if _, err := client.Sweep(ctx, specs); err != nil {
 		log.Fatal(err)
@@ -87,7 +87,7 @@ func main() {
 	fmt.Printf("warm:      same matrix in %v\n", time.Since(start).Round(time.Microsecond))
 
 	// --- coalesced: a second "process" shares only the disk cache, so its
-	// memo is cold — but four clients racing the same NEW matrix coalesce
+	// table is cold — but four clients racing the same NEW matrix coalesce
 	// through the engine's singleflight: each unique spec runs once.
 	ts2, err := serve(dir)
 	if err != nil {

@@ -8,7 +8,7 @@
 // exper.SiblingGroup: the spec without its register-file size and exception
 // model, fingerprinted the way the persistent result cache keys entries):
 // every spec has one preferred worker, so repeated traffic for a
-// configuration concentrates on the node whose in-memory memo and on-disk
+// configuration concentrates on the node whose result table and on-disk
 // cache already hold its result — the warm-hit concentration that makes a
 // cluster of small caches behave like one big one — and a group's siblings
 // meet the pressure-free trunk whose result can answer them. Adding or
@@ -195,7 +195,7 @@ func New(cfg Config) (*Router, error) {
 	if cfg.DeadAfter <= 0 {
 		cfg.DeadAfter = 3
 	}
-	if cfg.SpillThreshold <= 0 || cfg.SpillThreshold > 1 {
+	if !(cfg.SpillThreshold > 0 && cfg.SpillThreshold <= 1) { // NaN too
 		cfg.SpillThreshold = 0.9
 	}
 	interval := cfg.ProbeInterval

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -1041,5 +1042,15 @@ func TestConfigValidation(t *testing.T) {
 	defer rt.Close()
 	if n := len(rt.pool.workers()); n != 1 {
 		t.Errorf("duplicate worker URLs (modulo trailing slash) created %d pool entries, want 1", n)
+	}
+	// A NaN threshold compares false both ways, so only a range check
+	// written positively replaces it; kept, it would turn spillover off.
+	nan, err := New(Config{Workers: []string{"http://x:1"}, ProbeInterval: -1, SpillThreshold: math.NaN()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nan.Close()
+	if got := nan.cfg.SpillThreshold; got != 0.9 {
+		t.Errorf("NaN SpillThreshold became %v, want the 0.9 default", got)
 	}
 }

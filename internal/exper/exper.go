@@ -22,13 +22,12 @@
 // register file and passive classification; the performance figures (6, 7,
 // 10) run real machines under each exception model and register-file size.
 //
-// Execution rides on the sweep subsystem (internal/sweep): each figure
-// prefetches its whole spec matrix across a bounded worker pool, the
-// engine's memo guarantees every spec simulates at most once per process
-// (figures share configurations freely), a run that never saw register
-// pressure answers its register-file and exception-model siblings
-// (siblings.go), and an optional persistent result cache
-// (internal/sweep/rescache) makes repeat sweeps near-instant.
+// Execution rides on the sweep subsystem (internal/sweep): each figure runs
+// its spec matrix as one batch across a bounded worker pool, one bounded
+// table (table.go) keeps every answer for figures that share configurations
+// and lets runs that never saw register pressure answer their register-file
+// and exception-model siblings (siblings.go), and an optional persistent
+// result cache (internal/sweep/rescache) makes repeat sweeps near-instant.
 package exper
 
 import (
@@ -90,11 +89,10 @@ func (spec Spec) Config() core.Config {
 	return cfg
 }
 
-// Suite runs simulations on the sweep subsystem: every spec is simulated at
-// most once (the engine's memo replaces the old in-suite map), figure
-// generators batch-prefetch their spec matrices across Jobs workers, a
-// finished pressure-free run answers its siblings (specs differing only in
-// register-file size and exception model) without simulating them, and an
+// Suite runs simulations on the sweep subsystem: figure generators run their
+// spec matrices as batches across Jobs workers, the bounded result table
+// answers repeats and, from finished pressure-free runs, their siblings
+// (specs differing only in register-file size and exception model), and an
 // optional persistent result cache answers repeat runs across processes.
 // Figures that share configurations (e.g. Figure 7's lockup-free points and
 // Figure 6) therefore reuse results automatically.
@@ -108,7 +106,7 @@ type Suite struct {
 	// Budget zero.
 	Budget int64
 	// Jobs bounds how many simulations execute concurrently during a
-	// batch prefetch (0 = GOMAXPROCS). Results are deterministic
+	// batch (0 = GOMAXPROCS). Results are deterministic
 	// regardless of Jobs: simulations are independent and seeded.
 	Jobs int
 	// Cache, when non-nil, persists results across processes. Entries
@@ -147,10 +145,10 @@ type Suite struct {
 	progMu  sync.Mutex
 	sims    atomic.Int64 // simulations actually executed (cache misses)
 
-	// Pressure-free results of exact runs, answering their siblings, and
-	// the number of requests they answered.
-	siblings siblingTable
-	shared   atomic.Int64
+	// Every answer simulate returned and the sibling sources among them,
+	// and the number of requests a sibling source answered.
+	table  resultTable
+	shared atomic.Int64
 
 	// Built program artifacts (workload plus predecoded instruction
 	// table), shared across the suite's runs. An Artifact is immutable
@@ -168,7 +166,7 @@ func NewSuite(budget int64) *Suite {
 }
 
 // normalize fills the suite-level default budget, so that equivalent specs
-// land on the same memo and cache entries.
+// land on the same table and cache entries.
 func (s *Suite) normalize(spec Spec) Spec {
 	if spec.Budget == 0 {
 		spec.Budget = s.Budget
@@ -200,7 +198,7 @@ func (s *Suite) engine() *sweep.Engine[Spec, *core.Result] {
 }
 
 // Run simulates one spec. Identical specs — across calls, goroutines, and
-// (with a Cache) processes — are simulated exactly once.
+// (with a Cache) processes — simulate once while a store keeps the answer.
 func (s *Suite) Run(spec Spec) (*core.Result, error) {
 	return s.RunContext(context.Background(), spec)
 }
@@ -212,23 +210,31 @@ func (s *Suite) Run(spec Spec) (*core.Result, error) {
 // own context error, and an execution killed by one caller's deadline is
 // retried transparently for callers that are still live.
 func (s *Suite) RunContext(ctx context.Context, spec Spec) (*core.Result, error) {
-	return s.engine().Do(ctx, s.normalize(spec))
+	spec = s.normalize(spec)
+	if res, ok := s.table.get(spec); ok {
+		return res, nil
+	}
+	return s.engine().Do(ctx, spec)
 }
 
-// RunAll simulates a batch of specs and returns results in spec order.
-// Duplicate specs coalesce, at most Jobs simulations run concurrently, and
-// the first failure (or the context's cancellation/deadline) cancels the
-// rest of the batch. It is the serving layer's `/v1/sweep` entry point.
+// RunAll simulates a batch of specs and returns results in spec order. The
+// result table answers the specs it holds, duplicate specs coalesce, at most
+// Jobs simulations run concurrently, and the first failure (or the context's
+// cancellation/deadline) cancels the rest of the batch. Figures and the
+// serving layer's `/v1/sweep` run their batches here.
 //
-// The batch executes trunk-first: largest register file first, precise
-// before imprecise, otherwise in request order. The runs that can answer
-// their siblings thus tend to finish before those siblings start; one that
-// has not finished yet only costs the sibling a simulation, never a
-// different result.
+// The rest executes trunk-first: largest register file first, precise before
+// imprecise, otherwise in request order. The runs that can answer their
+// siblings thus tend to finish before those siblings start; one that has not
+// finished yet only costs the sibling a simulation, never a different result.
 func (s *Suite) RunAll(ctx context.Context, specs []Spec) ([]*core.Result, error) {
-	order := make([]int, len(specs))
-	for i := range order {
-		order[i] = i
+	out := make([]*core.Result, len(specs))
+	var order []int // the specs the table does not hold
+	for i, spec := range specs {
+		var ok bool
+		if out[i], ok = s.table.get(s.normalize(spec)); !ok {
+			order = append(order, i)
+		}
 	}
 	slices.SortStableFunc(order, func(a, b int) int {
 		if c := cmp.Compare(specs[b].Regs, specs[a].Regs); c != 0 {
@@ -236,7 +242,7 @@ func (s *Suite) RunAll(ctx context.Context, specs []Spec) ([]*core.Result, error
 		}
 		return cmp.Compare(specs[a].Model, specs[b].Model)
 	})
-	norm := make([]Spec, len(specs))
+	norm := make([]Spec, len(order))
 	for j, i := range order {
 		norm[j] = s.normalize(specs[i])
 	}
@@ -244,20 +250,10 @@ func (s *Suite) RunAll(ctx context.Context, specs []Spec) ([]*core.Result, error
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*core.Result, len(specs))
 	for j, i := range order {
 		out[i] = done[j]
 	}
 	return out, nil
-}
-
-// prefetch simulates a figure's whole spec matrix across the worker pool;
-// the figure generator then renders from the memo in its own deterministic
-// order. Duplicate specs are coalesced, and the first failure cancels the
-// outstanding work.
-func (s *Suite) prefetch(specs []Spec) error {
-	_, err := s.RunAll(context.Background(), specs)
-	return err
 }
 
 // progressf emits one serialised Progress line.
@@ -273,8 +269,8 @@ func (s *Suite) progressf(format string, args ...any) {
 // Fingerprint is the content address of one fully-specified spec: the hex
 // SHA-256 the persistent result cache keys entries by. The cluster router
 // hashes the fingerprint of a spec's SiblingGroup, so requests for one spec,
-// and for its siblings, always prefer the worker whose memo, sibling table
-// and disk cache already hold its result. The spec should have all fields
+// and for its siblings, always prefer the worker whose result table and
+// disk cache already hold its result. The spec should have all fields
 // set (in particular a non-zero Budget); the suite fingerprints specs only
 // after normalize fills the budget in.
 func Fingerprint(spec Spec) string { return fingerprint(spec) }
@@ -349,10 +345,11 @@ func unhooked(cfg core.Config) bool {
 	return cfg.Tracer == nil && cfg.Telemetry == nil && cfg.CounterSampler == nil
 }
 
-// simulate is the engine's run function: persistent-cache lookup, then a
+// simulate is the engine's run function: result-table lookup (a run may have
+// finished since the caller missed the table), persistent-cache lookup, a
 // finished sibling's result when one is servable, then the real simulation
-// — checkpoint-accelerated or sampled when the suite is so configured —
-// then a cache fill. It may run on any pool worker.
+// — checkpoint-accelerated or sampled when the suite is so configured — and
+// a cache fill. Its answers enter the table. It may run on any pool worker.
 //
 // Sampled runs bypass the persistent cache in both directions: an estimate
 // must never be served where an exact result is expected, and the same
@@ -364,6 +361,9 @@ func unhooked(cfg core.Config) bool {
 // a traced request that simulates keeps its core.run cycle accounting and
 // fills the table like any other run.
 func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
+	if res, ok := s.table.get(spec); ok {
+		return res, nil
+	}
 	sampled := s.SampleRate > 0 && s.SampleRate < 1 && !spec.Track
 	var key string
 	if s.Cache != nil && !sampled {
@@ -374,6 +374,7 @@ func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 		lookup.Set("hit", hit)
 		lookup.End()
 		if hit {
+			s.table.put(spec, &r, siblingMeta{})
 			s.progressf("hit %-9s w=%d q=%-3d regs=%-4d %s/%s: IPC %.2f (cached)",
 				spec.Bench, spec.Width, spec.Queue, spec.Regs, spec.Model, spec.Cache, r.CommitIPC())
 			return &r, nil
@@ -381,12 +382,13 @@ func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 	}
 	shareable := !sampled && !spec.Track
 	if shareable {
-		if res, meta, ok := s.siblings.serve(spec); ok {
+		if res, meta, ok := s.table.serve(spec); ok {
 			sib, _ := obs.StartSpan(ctx, "sibling")
 			sib.Set("model", meta.Model.String())
 			sib.Set("watermark", meta.Watermark)
 			sib.End()
 			s.shared.Add(1)
+			s.table.put(spec, res, siblingMeta{})
 			s.fill(key, spec, res)
 			s.progressf("hit %-9s w=%d q=%-3d regs=%-4d %s/%s: IPC %.2f (sibling %s, wm=%v)",
 				spec.Bench, spec.Width, spec.Queue, spec.Regs, spec.Model, spec.Cache, res.CommitIPC(), meta.Model, meta.Watermark)
@@ -460,9 +462,10 @@ func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 		run.Set("cycleAccounting", cfg.Telemetry.Account.Snapshot())
 	}
 	run.End()
-	if shareable && meta.PressureFree {
-		s.siblings.put(spec, res, meta)
+	if !shareable {
+		meta = siblingMeta{} // a tracked run's answer is no source
 	}
+	s.table.put(spec, res, meta)
 	if !sampled {
 		s.fill(key, spec, res)
 	}
@@ -482,10 +485,10 @@ func (s *Suite) fill(key string, spec Spec, res *core.Result) {
 	}
 }
 
-// SweepStats snapshots the scheduler and persistent-cache counters. Runs
-// counts simulations actually executed: an engine execution answered by the
-// persistent cache is a cache hit, and one answered by a sibling's result is
-// Shared, not a run.
+// SweepStats snapshots the scheduler, result-table and persistent-cache
+// counters. Runs counts simulations actually executed: an engine execution
+// answered by the persistent cache is a cache hit, and one answered by a
+// sibling's result is Shared, not a run.
 func (s *Suite) SweepStats() telemetry.SweepStats {
 	eng := s.engine().Stats()
 	st := telemetry.SweepStats{
@@ -493,8 +496,9 @@ func (s *Suite) SweepStats() telemetry.SweepStats {
 		Active:   eng.Active,
 		Runs:     s.sims.Load(),
 		Shared:   s.shared.Load(),
-		MemoHits: eng.MemoHits,
+		MemoHits: s.table.hits.Load(),
 		Deduped:  eng.Deduped,
+		Evicted:  s.table.evicted.Load(),
 	}
 	if s.Cache != nil {
 		cs := s.Cache.Stats()
@@ -512,6 +516,35 @@ func measureSpec(bench string, width, queue int) Spec {
 		Regs: MeasureRegs, Model: rename.Precise,
 		Cache: cache.LockupFree, Track: true,
 	}
+}
+
+// perBench runs, as one batch, spec(i, bench) for each of n points and every
+// benchmark; runs[i][b] is point i's run of workload.Names()[b].
+func (s *Suite) perBench(n int, spec func(i int, bench string) Spec) (runs [][]*core.Result, err error) {
+	names := workload.Names()
+	specs := make([]Spec, 0, n*len(names))
+	for i := range n {
+		for _, bench := range names {
+			specs = append(specs, spec(i, bench))
+		}
+	}
+	results, err := s.RunAll(context.Background(), specs)
+	if err != nil {
+		return nil, err
+	}
+	for i := range n {
+		runs = append(runs, results[i*len(names):(i+1)*len(names)])
+	}
+	return runs, nil
+}
+
+// measureRuns runs every benchmark's usage-measurement configuration at each
+// width's cost-effective queue size: runs[w][b] is workload.Names()[b] at
+// Widths[w].
+func (s *Suite) measureRuns() ([][]*core.Result, error) {
+	return s.perBench(len(Widths), func(w int, bench string) Spec {
+		return measureSpec(bench, Widths[w], CostEffectiveQueue(Widths[w]))
+	})
 }
 
 // Widths are the paper's issue widths.

@@ -48,70 +48,54 @@ type Fig3 struct {
 }
 
 // Fig3 runs the measurement matrix: every benchmark at every queue size and
-// width, with 2048 registers and live-register classification. The whole
-// matrix is prefetched across the suite's worker pool first.
+// width, with 2048 registers and live-register classification, as one batch
+// across the suite's worker pool.
 func (s *Suite) Fig3() (*Fig3, error) {
 	f := &Fig3{Budget: s.Budget}
-	var specs []Spec
 	for _, width := range Widths {
 		for _, queue := range QueueSizes {
-			for _, bench := range workload.Names() {
-				specs = append(specs, measureSpec(bench, width, queue))
-			}
+			f.Points = append(f.Points, Fig3Point{Width: width, Queue: queue})
 		}
 	}
-	if err := s.prefetch(specs); err != nil {
+	runs, err := s.perBench(len(f.Points), func(i int, bench string) Spec {
+		return measureSpec(bench, f.Points[i].Width, f.Points[i].Queue)
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, width := range Widths {
-		for _, queue := range QueueSizes {
-			pt, err := s.fig3Point(width, queue)
-			if err != nil {
-				return nil, err
+	for i := range f.Points {
+		pt := &f.Points[i]
+		var dists [2][rename.NumCategories][]stats.Dist
+		for b, bench := range workload.Names() {
+			res := runs[i][b]
+			pt.IssueIPC += res.IssueIPC()
+			pt.CommitIPC += res.CommitIPC()
+			info, _ := workload.Get(bench)
+			for file := 0; file < 2; file++ {
+				if file == int(isa.FPFile) && !info.FP {
+					continue // FP averages use only the FP-intensive benchmarks
+				}
+				for c := 0; c < int(rename.NumCategories); c++ {
+					dists[file][c] = append(dists[file][c], stats.Normalize(res.Live[file].Cum[c]))
+				}
 			}
-			f.Points = append(f.Points, pt)
+		}
+		pt.IssueIPC /= float64(len(runs[i]))
+		pt.CommitIPC /= float64(len(runs[i]))
+		for file := 0; file < 2; file++ {
+			var cum [rename.NumCategories]int
+			for c := 0; c < int(rename.NumCategories); c++ {
+				cum[c] = stats.Average(dists[file][c]).Percentile(0.90)
+			}
+			pt.Regs[file] = Fig3Regs{
+				InQueue:   cum[rename.CatInQueue],
+				InFlight:  cum[rename.CatInFlight],
+				Imprecise: cum[rename.CatWaitImprecise],
+				Precise:   cum[rename.CatWaitPrecise],
+			}
 		}
 	}
 	return f, nil
-}
-
-func (s *Suite) fig3Point(width, queue int) (Fig3Point, error) {
-	pt := Fig3Point{Width: width, Queue: queue}
-	var dists [2][rename.NumCategories][]stats.Dist
-	n := 0
-	for _, bench := range workload.Names() {
-		res, err := s.Run(measureSpec(bench, width, queue))
-		if err != nil {
-			return pt, err
-		}
-		pt.IssueIPC += res.IssueIPC()
-		pt.CommitIPC += res.CommitIPC()
-		n++
-		info, _ := workload.Get(bench)
-		for file := 0; file < 2; file++ {
-			if file == int(isa.FPFile) && !info.FP {
-				continue // FP averages use only the FP-intensive benchmarks
-			}
-			for c := 0; c < int(rename.NumCategories); c++ {
-				dists[file][c] = append(dists[file][c], stats.Normalize(res.Live[file].Cum[c]))
-			}
-		}
-	}
-	pt.IssueIPC /= float64(n)
-	pt.CommitIPC /= float64(n)
-	for file := 0; file < 2; file++ {
-		var cum [rename.NumCategories]int
-		for c := 0; c < int(rename.NumCategories); c++ {
-			cum[c] = stats.Average(dists[file][c]).Percentile(0.90)
-		}
-		pt.Regs[file] = Fig3Regs{
-			InQueue:   cum[rename.CatInQueue],
-			InFlight:  cum[rename.CatInFlight],
-			Imprecise: cum[rename.CatWaitImprecise],
-			Precise:   cum[rename.CatWaitPrecise],
-		}
-	}
-	return pt, nil
 }
 
 // Print renders the four panels as tables.

@@ -31,28 +31,20 @@ type Fig4 struct {
 // Fig4 builds the averaged coverage curves from the Figure 3 measurement
 // runs at the cost-effective queue sizes.
 func (s *Suite) Fig4() (*Fig4, error) {
-	f := &Fig4{Budget: s.Budget}
-	var specs []Spec
-	for _, width := range Widths {
-		for _, bench := range workload.Names() {
-			specs = append(specs, measureSpec(bench, width, CostEffectiveQueue(width)))
-		}
-	}
-	if err := s.prefetch(specs); err != nil {
+	runs, err := s.measureRuns()
+	if err != nil {
 		return nil, err
 	}
-	for _, width := range Widths {
+	f := &Fig4{Budget: s.Budget}
+	for w, width := range Widths {
 		for file := 0; file < 2; file++ {
 			var prec, imp []stats.Dist
-			for _, bench := range workload.Names() {
+			for b, bench := range workload.Names() {
 				info, _ := workload.Get(bench)
 				if file == int(isa.FPFile) && !info.FP {
 					continue
 				}
-				res, err := s.Run(measureSpec(bench, width, CostEffectiveQueue(width)))
-				if err != nil {
-					return nil, err
-				}
+				res := runs[w][b]
 				prec = append(prec, stats.Normalize(res.Live[file].Cum[rename.CatWaitPrecise]))
 				imp = append(imp, stats.Normalize(res.Live[file].Cum[rename.CatWaitImprecise]))
 			}

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -8,7 +9,6 @@ import (
 	"regsim/internal/isa"
 	"regsim/internal/rename"
 	"regsim/internal/stats"
-	"regsim/internal/workload"
 )
 
 // Fig6Point is one x-position of Figure 6: average commit IPC and register
@@ -31,48 +31,33 @@ type Fig6 struct {
 	Points []Fig6Point
 }
 
-// Fig6 runs the 2 × 2 × len(RegSizes) × benchmarks sweep (prefetched across
-// the suite's worker pool).
+// Fig6 runs the 2 × 2 × len(RegSizes) × benchmarks sweep as one batch
+// across the suite's worker pool.
 func (s *Suite) Fig6() (*Fig6, error) {
 	f := &Fig6{Budget: s.Budget}
-	var specs []Spec
 	for _, width := range Widths {
 		for _, model := range []rename.Model{rename.Precise, rename.Imprecise} {
 			for _, regs := range RegSizes {
-				for _, bench := range workload.Names() {
-					specs = append(specs, Spec{
-						Bench: bench, Width: width, Queue: CostEffectiveQueue(width),
-						Regs: regs, Model: model, Cache: cache.LockupFree,
-					})
-				}
+				f.Points = append(f.Points, Fig6Point{Width: width, Regs: regs, Model: model})
 			}
 		}
 	}
-	if err := s.prefetch(specs); err != nil {
+	runs, err := s.perBench(len(f.Points), func(i int, bench string) Spec {
+		pt := f.Points[i]
+		return Spec{Bench: bench, Width: pt.Width, Queue: CostEffectiveQueue(pt.Width),
+			Regs: pt.Regs, Model: pt.Model, Cache: cache.LockupFree}
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, width := range Widths {
-		for _, model := range []rename.Model{rename.Precise, rename.Imprecise} {
-			for _, regs := range RegSizes {
-				pt := Fig6Point{Width: width, Regs: regs, Model: model}
-				n := 0
-				for _, bench := range workload.Names() {
-					res, err := s.Run(Spec{
-						Bench: bench, Width: width, Queue: CostEffectiveQueue(width),
-						Regs: regs, Model: model, Cache: cache.LockupFree,
-					})
-					if err != nil {
-						return nil, err
-					}
-					pt.CommitIPC += res.CommitIPC()
-					pt.NoFreeFrac += res.NoFreeRegFraction()
-					n++
-				}
-				pt.CommitIPC /= float64(n)
-				pt.NoFreeFrac /= float64(n)
-				f.Points = append(f.Points, pt)
-			}
+	for i := range f.Points {
+		pt := &f.Points[i]
+		for _, res := range runs[i] {
+			pt.CommitIPC += res.CommitIPC()
+			pt.NoFreeFrac += res.NoFreeRegFraction()
 		}
+		pt.CommitIPC /= float64(len(runs[i]))
+		pt.NoFreeFrac /= float64(len(runs[i]))
 	}
 	return f, nil
 }
@@ -119,50 +104,32 @@ type Fig7 struct {
 	Points []Fig7Point
 }
 
-// Fig7 runs the cache-organisation sweep (lockup-free points are shared with
-// Figure 6 through the engine's memo; the rest is prefetched in parallel).
+// Fig7 runs the cache-organisation sweep as one batch (its lockup-free
+// points are Figure 6's, answered by the result table after a Figure 6).
 func (s *Suite) Fig7() (*Fig7, error) {
 	f := &Fig7{Budget: s.Budget}
-	var specs []Spec
 	for _, model := range []rename.Model{rename.Imprecise, rename.Precise} {
 		for _, kind := range []cache.Kind{cache.Perfect, cache.LockupFree, cache.Lockup} {
 			for _, width := range Widths {
 				for _, regs := range RegSizes {
-					for _, bench := range workload.Names() {
-						specs = append(specs, Spec{
-							Bench: bench, Width: width, Queue: CostEffectiveQueue(width),
-							Regs: regs, Model: model, Cache: kind,
-						})
-					}
+					f.Points = append(f.Points, Fig7Point{Width: width, Regs: regs, Model: model, Cache: kind})
 				}
 			}
 		}
 	}
-	if err := s.prefetch(specs); err != nil {
+	runs, err := s.perBench(len(f.Points), func(i int, bench string) Spec {
+		pt := f.Points[i]
+		return Spec{Bench: bench, Width: pt.Width, Queue: CostEffectiveQueue(pt.Width),
+			Regs: pt.Regs, Model: pt.Model, Cache: pt.Cache}
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, model := range []rename.Model{rename.Imprecise, rename.Precise} {
-		for _, kind := range []cache.Kind{cache.Perfect, cache.LockupFree, cache.Lockup} {
-			for _, width := range Widths {
-				for _, regs := range RegSizes {
-					pt := Fig7Point{Width: width, Regs: regs, Model: model, Cache: kind}
-					n := 0
-					for _, bench := range workload.Names() {
-						res, err := s.Run(Spec{
-							Bench: bench, Width: width, Queue: CostEffectiveQueue(width),
-							Regs: regs, Model: model, Cache: kind,
-						})
-						if err != nil {
-							return nil, err
-						}
-						pt.CommitIPC += res.CommitIPC()
-						n++
-					}
-					pt.CommitIPC /= float64(n)
-					f.Points = append(f.Points, pt)
-				}
-			}
+	for i := range f.Points {
+		for _, res := range runs[i] {
+			f.Points[i].CommitIPC += res.CommitIPC()
 		}
+		f.Points[i].CommitIPC /= float64(len(runs[i]))
 	}
 	return f, nil
 }
@@ -207,26 +174,21 @@ type Fig8 struct {
 	Dist   map[cache.Kind]stats.Dist
 }
 
-// Fig8 runs the three measurement configurations (prefetched in parallel).
+// Fig8 runs the three measurement configurations as one batch.
 func (s *Suite) Fig8() (*Fig8, error) {
-	f := &Fig8{Budget: s.Budget, Dist: map[cache.Kind]stats.Dist{}}
-	var specs []Spec
-	for _, kind := range []cache.Kind{cache.Perfect, cache.LockupFree, cache.Lockup} {
-		spec := measureSpec("compress", 4, CostEffectiveQueue(4))
-		spec.Cache = kind
-		specs = append(specs, spec)
+	kinds := []cache.Kind{cache.Perfect, cache.LockupFree, cache.Lockup}
+	specs := make([]Spec, len(kinds))
+	for i, kind := range kinds {
+		specs[i] = measureSpec("compress", 4, CostEffectiveQueue(4))
+		specs[i].Cache = kind
 	}
-	if err := s.prefetch(specs); err != nil {
+	results, err := s.RunAll(context.Background(), specs)
+	if err != nil {
 		return nil, err
 	}
-	for _, kind := range []cache.Kind{cache.Perfect, cache.LockupFree, cache.Lockup} {
-		spec := measureSpec("compress", 4, CostEffectiveQueue(4))
-		spec.Cache = kind
-		res, err := s.Run(spec)
-		if err != nil {
-			return nil, err
-		}
-		f.Dist[kind] = stats.Normalize(res.Live[isa.IntFile].Cum[rename.CatWaitPrecise])
+	f := &Fig8{Budget: s.Budget, Dist: map[cache.Kind]stats.Dist{}}
+	for i, kind := range kinds {
+		f.Dist[kind] = stats.Normalize(results[i].Live[isa.IntFile].Cum[rename.CatWaitPrecise])
 	}
 	return f, nil
 }

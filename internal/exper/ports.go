@@ -6,7 +6,6 @@ import (
 
 	"regsim/internal/isa"
 	"regsim/internal/stats"
-	"regsim/internal/workload"
 )
 
 // PortUsage reports how many register-file ports the machine actually uses
@@ -26,17 +25,11 @@ type PortUsage struct {
 	Provisioned map[int][2][2]int
 }
 
-// Ports runs the measurement configurations (shared with Figure 3 through
-// the engine's memo, prefetched in parallel otherwise) and aggregates
-// port-usage distributions across all benchmarks.
+// Ports aggregates port-usage distributions across all benchmarks from the
+// measurement runs (shared with Figures 3 and 4 through the result table).
 func (s *Suite) Ports() (*PortUsage, error) {
-	var specs []Spec
-	for _, width := range Widths {
-		for _, bench := range workload.Names() {
-			specs = append(specs, measureSpec(bench, width, CostEffectiveQueue(width)))
-		}
-	}
-	if err := s.prefetch(specs); err != nil {
+	runs, err := s.measureRuns()
+	if err != nil {
 		return nil, err
 	}
 	pu := &PortUsage{
@@ -45,13 +38,9 @@ func (s *Suite) Ports() (*PortUsage, error) {
 		Writes:      map[int][2]stats.Dist{},
 		Provisioned: map[int][2][2]int{},
 	}
-	for _, width := range Widths {
+	for i, width := range Widths {
 		var reads, writes [2][]stats.Dist
-		for _, bench := range workload.Names() {
-			res, err := s.Run(measureSpec(bench, width, CostEffectiveQueue(width)))
-			if err != nil {
-				return nil, err
-			}
+		for _, res := range runs[i] {
 			for file := 0; file < 2; file++ {
 				reads[file] = append(reads[file], stats.Normalize(res.Ports[file].Reads))
 				writes[file] = append(writes[file], stats.Normalize(res.Ports[file].Writes))

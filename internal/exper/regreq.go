@@ -34,24 +34,16 @@ type RegReq struct {
 }
 
 // RegReq builds the table from the measurement runs (shared with Figures
-// 3–5 and 8 through the engine's memo; prefetched in parallel otherwise).
+// 3–5 and 8 through the result table).
 func (s *Suite) RegReq() (*RegReq, error) {
-	out := &RegReq{Budget: s.Budget}
-	var specs []Spec
-	for _, width := range Widths {
-		for _, bench := range workload.Names() {
-			specs = append(specs, measureSpec(bench, width, CostEffectiveQueue(width)))
-		}
-	}
-	if err := s.prefetch(specs); err != nil {
+	runs, err := s.measureRuns()
+	if err != nil {
 		return nil, err
 	}
-	for _, width := range Widths {
-		for _, bench := range workload.Names() {
-			res, err := s.Run(measureSpec(bench, width, CostEffectiveQueue(width)))
-			if err != nil {
-				return nil, err
-			}
+	out := &RegReq{Budget: s.Budget}
+	for w, width := range Widths {
+		for b, bench := range workload.Names() {
+			res := runs[w][b]
 			row := RegReqRow{Bench: bench, Width: width, CommitIPC: res.CommitIPC()}
 			for file := 0; file < 2; file++ {
 				prec := stats.Normalize(res.Live[file].Cum[rename.CatWaitPrecise])

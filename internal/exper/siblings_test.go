@@ -104,7 +104,7 @@ func TestRunAllTrunkFirst(t *testing.T) {
 		t.Errorf("execution order %q, want %q", order, want)
 	}
 	for i, spec := range specs {
-		res, err := s.Run(spec) // a memo hit: the batch's own result
+		res, err := s.Run(spec) // a table hit: the batch's own result
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,44 +114,48 @@ func TestRunAllTrunkFirst(t *testing.T) {
 	}
 }
 
-// TestSiblingTableBounded floods a suite with more distinct pressure-free
-// sibling groups than the table holds (tiny distinct budgets): the table
-// never grows past its cap, a spec whose group was evicted simply
-// simulates, and one whose group survived is still shared.
+// TestSiblingTableBounded: a sibling source is an answer in the result
+// table like any other, under its byte bound. A flood of large answers
+// pushes out a source nobody used since, whose sibling then simulates,
+// while a source used during the flood survives and still shares.
 func TestSiblingTableBounded(t *testing.T) {
 	s := NewSuite(1)
-	spec := func(budget int64, regs int) Spec {
+	run := func(spec Spec) {
+		t.Helper()
+		if _, err := s.Run(spec); err != nil {
+			t.Fatal(err)
+		}
+		checkTable(t, s)
+	}
+	stats := func(step string, runs, shared int64) {
+		t.Helper()
+		if st := s.SweepStats(); st.Runs != runs || st.Shared != shared {
+			t.Fatalf("%s: %d simulated, %d shared; want %d, %d", step, st.Runs, st.Shared, runs, shared)
+		}
+	}
+	trunk := func(budget int64, regs int) Spec {
 		return Spec{
 			Bench: "compress", Width: 4, Queue: 32, Regs: regs,
 			Model: rename.Precise, Cache: cache.LockupFree, Budget: budget,
 		}
 	}
-	const groups = siblingCap + 8
-	for b := int64(1); b <= groups; b++ {
-		if _, err := s.Run(spec(b, 256)); err != nil {
-			t.Fatal(err)
+	run(trunk(1, 256))
+	run(trunk(2, 256))
+	const flood = 400
+	for b := int64(1); b <= flood; b++ {
+		run(floodSpec(b))
+		if b == flood/2 {
+			run(trunk(2, 192)) // uses budget 2's source
 		}
-		if n := s.siblings.lru.Len(); n > siblingCap || n != len(s.siblings.groups) {
-			t.Fatalf("after %d groups the table holds %d entries (%d indexed), cap %d",
-				b, n, len(s.siblings.groups), siblingCap)
-		}
 	}
-	if st := s.SweepStats(); st.Runs != groups || st.Shared != 0 {
-		t.Fatalf("flood: %d simulated, %d shared; want %d simulated, none shared", st.Runs, st.Shared, groups)
+	stats("flood", 2+flood, 1)
+	if s.SweepStats().Evicted == 0 {
+		t.Fatal("the flood evicted nothing: the test would pass vacuously")
 	}
-	// Budget 1's group was the least recently used, so it is gone.
-	if _, err := s.Run(spec(1, 160)); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.SweepStats(); st.Runs != groups+1 || st.Shared != 0 {
-		t.Errorf("evicted group: %d simulated, %d shared; want it simulated", st.Runs, st.Shared)
-	}
-	if _, err := s.Run(spec(groups, 160)); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.SweepStats(); st.Shared != 1 {
-		t.Errorf("surviving group: %d shared, want its sibling shared", st.Shared)
-	}
+	run(trunk(1, 160))
+	stats("evicted group", 3+flood, 1)
+	run(trunk(2, 160))
+	stats("surviving group", 3+flood, 2)
 }
 
 // TestTracedRequestsShare: tracing a request (what regsimd does to every

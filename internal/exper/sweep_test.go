@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -168,17 +169,17 @@ func TestSuiteConcurrentRun(t *testing.T) {
 	}
 }
 
-// TestPrefetchErrorPropagates: an unknown benchmark anywhere in a matrix
-// must fail the figure, not hang or be silently skipped.
+// TestPrefetchErrorPropagates: an unknown benchmark anywhere in a figure's
+// batch must fail the batch, not hang or be silently skipped.
 func TestPrefetchErrorPropagates(t *testing.T) {
 	s := NewSuite(testBudget)
 	s.Jobs = 4
-	err := s.prefetch([]Spec{
+	_, err := s.RunAll(context.Background(), []Spec{
 		{Bench: "ora", Width: 4, Queue: 32, Regs: 64, Model: rename.Precise, Cache: cache.LockupFree},
 		{Bench: "nosuch", Width: 4, Queue: 32, Regs: 64, Model: rename.Precise, Cache: cache.LockupFree},
 	})
 	if err == nil {
-		t.Fatal("prefetch with an unknown benchmark succeeded")
+		t.Fatal("a batch with an unknown benchmark succeeded")
 	}
 	if !strings.Contains(err.Error(), "nosuch") {
 		t.Errorf("error %q does not identify the failing spec", err)

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -34,10 +35,9 @@ type Table1 struct {
 	Rows   []Table1Row
 }
 
-// Table1 runs the table's 18 configurations (prefetched across the suite's
-// worker pool, then rendered in row order).
+// Table1 runs the table's 18 configurations as one batch across the suite's
+// worker pool and renders them in row order.
 func (s *Suite) Table1() (*Table1, error) {
-	t := &Table1{Budget: s.Budget}
 	var specs []Spec
 	for _, bench := range workload.Names() {
 		for _, width := range Widths {
@@ -47,32 +47,24 @@ func (s *Suite) Table1() (*Table1, error) {
 			})
 		}
 	}
-	if err := s.prefetch(specs); err != nil {
+	results, err := s.RunAll(context.Background(), specs)
+	if err != nil {
 		return nil, err
 	}
-	for _, bench := range workload.Names() {
-		for _, width := range Widths {
-			spec := Spec{
-				Bench: bench, Width: width, Queue: CostEffectiveQueue(width),
-				Regs: MeasureRegs, Model: rename.Precise, Cache: cache.LockupFree,
-			}
-			res, err := s.Run(spec)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, Table1Row{
-				Bench:     bench,
-				Width:     width,
-				Committed: res.Committed,
-				Executed:  res.Issued,
-				ExecLoads: res.IssuedLoads,
-				ExecCbr:   res.IssuedCondBr,
-				IssueIPC:  res.IssueIPC(),
-				CommitIPC: res.CommitIPC(),
-				MissRate:  res.LoadMissRate(),
-				MispRate:  res.MispredictRate(),
-			})
-		}
+	t := &Table1{Budget: s.Budget}
+	for i, res := range results {
+		t.Rows = append(t.Rows, Table1Row{
+			Bench:     specs[i].Bench,
+			Width:     specs[i].Width,
+			Committed: res.Committed,
+			Executed:  res.Issued,
+			ExecLoads: res.IssuedLoads,
+			ExecCbr:   res.IssuedCondBr,
+			IssueIPC:  res.IssueIPC(),
+			CommitIPC: res.CommitIPC(),
+			MissRate:  res.LoadMissRate(),
+			MispRate:  res.MispredictRate(),
+		})
 	}
 	return t, nil
 }

@@ -115,7 +115,7 @@ func (s *Span) Set(key string, value any) {
 }
 
 // LinkTo records a cross-trace link to other. A nil other (the linked
-// execution was untraced — e.g. a batch CLI's prefetch) records a link with
+// execution was untraced — e.g. a batch CLI's figure batch) records a link with
 // a zero trace ID, so "coalesced onto unobserved work" is still visible.
 func (s *Span) LinkTo(other *Span) {
 	if s == nil {

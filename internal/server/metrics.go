@@ -53,8 +53,9 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 		})
 
 	// Sweep engine and persistent result cache: executions vs. the layers
-	// that absorb repeats (the in-flight singleflight, the cross-process
-	// rescache) and siblings (a finished pressure-free run's result).
+	// that absorb repeats (the result table, the in-flight singleflight, the
+	// cross-process rescache) and siblings (a finished pressure-free run's
+	// result).
 	sweepStats := func() telemetry.SweepStats { return s.cfg.Suite.SweepStats() }
 	r.GaugeFunc("regsim_sweep_workers", "Sweep worker-pool bound.",
 		func() float64 { return float64(sweepStats().Workers) })
@@ -64,10 +65,12 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 		func() float64 { return float64(sweepStats().Runs) })
 	r.CounterFunc("regsim_sweep_shared_total", "Requests answered from a finished sibling run (differing only in register-file size and exception model) instead of simulated.",
 		func() float64 { return float64(sweepStats().Shared) })
-	r.CounterFunc("regsim_sweep_memo_hits_total", "Requests answered from an already-completed execution.",
+	r.CounterFunc("regsim_sweep_memo_hits_total", "Requests answered from the in-memory result table.",
 		func() float64 { return float64(sweepStats().MemoHits) })
 	r.CounterFunc("regsim_sweep_coalesced_total", "Requests that piggybacked on an in-flight execution of the same spec.",
 		func() float64 { return float64(sweepStats().Deduped) })
+	r.CounterFunc("regsim_sweep_evicted_total", "Result-table entries dropped to keep the table within its byte bound.",
+		func() float64 { return float64(sweepStats().Evicted) })
 	r.CounterFunc("regsim_rescache_hits_total", "Persistent result-cache hits.",
 		func() float64 { return float64(sweepStats().CacheHits) })
 	r.CounterFunc("regsim_rescache_misses_total", "Persistent result-cache misses (including defective entries).",
@@ -76,7 +79,7 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 		func() float64 { return float64(sweepStats().CacheErrors) })
 
 	// Analytical twin: estimate traffic and the calibration simulations it
-	// has requested (the suite's memo/cache may have absorbed some).
+	// has requested (the suite's table/cache may have absorbed some).
 	r.CounterFunc("regsim_estimate_requests_total", "Analytical-twin estimate requests received on POST /v1/estimate.",
 		func() float64 { return float64(s.estimates.Load()) })
 	r.CounterFunc("regsim_twin_calibration_runs_total", "Calibration simulations the twin has requested from the suite.",

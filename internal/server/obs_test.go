@@ -299,6 +299,8 @@ func TestPrometheusExposition(t *testing.T) {
 		"regsim_sweep_runs_total 1",
 		"# TYPE regsim_sweep_shared_total counter",
 		"regsim_sweep_shared_total 0",
+		"# TYPE regsim_sweep_evicted_total counter",
+		"regsim_sweep_evicted_total 0",
 		"# TYPE regsim_admission_in_flight gauge",
 		"regsim_admission_admitted_total 1",
 		"# TYPE regsim_admission_wait_ms histogram",

@@ -1,11 +1,13 @@
 // Package sweep executes experiment matrices concurrently. It is the
 // scheduling half of the sweep subsystem (the persistent result store is the
 // rescache subpackage): a bounded worker pool that takes a batch of
-// comparable keys, deduplicates them, executes each at most once even when
-// several batches request the same key concurrently (singleflight
-// semantics), memoises successful results, preserves deterministic result
-// ordering regardless of completion order, and propagates the first error
-// while cancelling outstanding work through a context.
+// comparable keys, deduplicates them, executes each once even when several
+// batches request the same key concurrently (singleflight semantics),
+// preserves deterministic result ordering regardless of completion order,
+// and propagates the first error while cancelling outstanding work through
+// a context. The engine keeps nothing once an execution finishes: keeping
+// results is the caller's business (internal/exper keeps them in one
+// bounded table).
 //
 // The package is generic over the key and value types so that it stays a
 // dependency leaf; internal/exper instantiates it with (Spec, *core.Result)
@@ -20,9 +22,9 @@ import (
 	"sync/atomic"
 )
 
-// Engine runs a keyed computation at most once per key and fans batches out
-// over a bounded worker pool. The zero value is not usable; construct with
-// New. An Engine is safe for concurrent use.
+// Engine runs a keyed computation once per key among concurrent callers and
+// fans batches out over a bounded worker pool. The zero value is not usable;
+// construct with New. An Engine is safe for concurrent use.
 type Engine[K comparable, V any] struct {
 	jobs int
 	run  func(context.Context, K) (V, error)
@@ -38,17 +40,17 @@ type Engine[K comparable, V any] struct {
 	mu    sync.Mutex
 	calls map[K]*call[V]
 
-	runs     atomic.Int64 // executions started (misses on the memo)
-	active   atomic.Int64 // executions running right now
-	memoHits atomic.Int64 // calls answered from a completed execution
-	deduped  atomic.Int64 // calls that piggybacked on an in-flight execution
+	runs    atomic.Int64 // executions started
+	active  atomic.Int64 // executions running right now
+	deduped atomic.Int64 // calls that piggybacked on an in-flight execution
 }
 
-// call is one execution's slot in the memo: val/err are written exactly once
-// before done is closed, so waiters may read them after <-done without
-// further synchronisation. ctx is the leader's context, kept so coalesced
-// waiters can link their observability trace to the leader's; waiters only
-// read values from it, never its deadline.
+// call is one in-flight execution: it sits in Engine.calls from its start
+// until it finishes, and is dropped before done closes. val/err are written
+// exactly once before done is closed, so waiters may read them after <-done
+// without further synchronisation. ctx is the leader's context, kept so
+// coalesced waiters can link their observability trace to the leader's;
+// waiters only read values from it, never its deadline.
 type call[V any] struct {
 	done chan struct{}
 	ctx  context.Context
@@ -68,63 +70,58 @@ func New[K comparable, V any](jobs int, run func(context.Context, K) (V, error))
 // Jobs returns the worker-pool bound.
 func (e *Engine[K, V]) Jobs() int { return e.jobs }
 
-// Do returns the result for k, executing the run function at most once per
-// key across all concurrent callers (singleflight) and memoising success.
-// Errors are not memoised: a failed key is re-executed on the next request,
-// so a transient failure (or a cancelled batch) cannot poison the memo.
+// Do returns the result for k, executing the run function once for all the
+// callers that ask for k while it runs (singleflight). Nothing outlives the
+// execution: a later call runs k again. A failed execution's waiters get its
+// error, except that a waiter whose own context is still live retries an
+// execution that ended in its leader's cancellation or deadline.
 func (e *Engine[K, V]) Do(ctx context.Context, k K) (V, error) {
-	var zero V
 	for {
 		e.mu.Lock()
-		if c, ok := e.calls[k]; ok {
+		c, ok := e.calls[k]
+		if !ok {
+			c = &call[V]{done: make(chan struct{}), ctx: ctx}
+			e.calls[k] = c
 			e.mu.Unlock()
-			select {
-			case <-c.done:
-				e.memoHits.Add(1)
-			default:
-				e.deduped.Add(1)
-				var waitDone func()
-				if e.OnCoalesce != nil {
-					waitDone = e.OnCoalesce(ctx, c.ctx)
-				}
-				select {
-				case <-c.done:
-					if waitDone != nil {
-						waitDone()
-					}
-				case <-ctx.Done():
-					if waitDone != nil {
-						waitDone()
-					}
-					return zero, ctx.Err()
-				}
-			}
-			if c.err != nil {
-				// The execution this caller piggybacked on belonged
-				// to a batch that was cancelled or hit its own
-				// deadline; this caller's context is still live, so
-				// try again.
-				if (errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) && ctx.Err() == nil {
-					continue
-				}
-				return zero, c.err
-			}
-			return c.val, nil
-		}
-		c := &call[V]{done: make(chan struct{}), ctx: ctx}
-		e.calls[k] = c
-		e.mu.Unlock()
 
-		e.runs.Add(1)
-		e.active.Add(1)
-		c.val, c.err = e.run(ctx, k)
-		e.active.Add(-1)
-		if c.err != nil {
+			e.runs.Add(1)
+			e.active.Add(1)
+			c.val, c.err = e.run(ctx, k)
+			e.active.Add(-1)
 			e.mu.Lock()
 			delete(e.calls, k)
 			e.mu.Unlock()
+			close(c.done)
+			return c.val, c.err
 		}
-		close(c.done)
+		e.mu.Unlock()
+
+		e.deduped.Add(1)
+		var waitDone func()
+		if e.OnCoalesce != nil {
+			waitDone = e.OnCoalesce(ctx, c.ctx)
+		}
+		var err error
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		if waitDone != nil {
+			waitDone()
+		}
+		if err != nil {
+			var zero V
+			return zero, err
+		}
+		if c.err != nil {
+			// The execution this caller piggybacked on belonged to a
+			// batch that was cancelled or hit its own deadline; this
+			// caller's context is still live, so try again.
+			if (errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) && ctx.Err() == nil {
+				continue
+			}
+		}
 		return c.val, c.err
 	}
 }
@@ -213,15 +210,13 @@ func (e *Engine[K, V]) DoAll(ctx context.Context, keys []K) ([]V, error) {
 type Stats struct {
 	// Jobs is the worker-pool bound.
 	Jobs int
-	// Runs counts executions actually started (memo misses, including
-	// executions that later failed).
+	// Runs counts executions actually started, including executions that
+	// later failed.
 	Runs int64
 	// Active counts executions running at the moment of the snapshot — the
 	// worker-utilization gauge (Active/Jobs is the pool's instantaneous
 	// occupancy).
 	Active int64
-	// MemoHits counts calls answered from an already-completed execution.
-	MemoHits int64
 	// Deduped counts calls that waited on an in-flight execution of the
 	// same key instead of starting their own.
 	Deduped int64
@@ -230,11 +225,10 @@ type Stats struct {
 // Stats returns the engine's counters.
 func (e *Engine[K, V]) Stats() Stats {
 	return Stats{
-		Jobs:     e.jobs,
-		Runs:     e.runs.Load(),
-		Active:   e.active.Load(),
-		MemoHits: e.memoHits.Load(),
-		Deduped:  e.deduped.Load(),
+		Jobs:    e.jobs,
+		Runs:    e.runs.Load(),
+		Active:  e.active.Load(),
+		Deduped: e.deduped.Load(),
 	}
 }
 

@@ -65,23 +65,28 @@ func TestDoAllDedupAndOrder(t *testing.T) {
 	}
 }
 
-func TestDoAllMemoisesAcrossBatches(t *testing.T) {
+// TestFinishedCallsAreDropped: the engine keeps a call only while it runs,
+// so a finished execution leaves neither its result nor its leader's
+// context behind, and a later batch runs its keys again.
+func TestFinishedCallsAreDropped(t *testing.T) {
 	run, got := counting(t)
 	e := New(2, run)
 	keys := []int{1, 2, 3}
-	if _, err := e.DoAll(context.Background(), keys); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.DoAll(context.Background(), keys); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if n := got(k); n != 1 {
-			t.Errorf("key %d executed %d times across batches, want 1", k, n)
+	for batch := int64(1); batch <= 2; batch++ {
+		if _, err := e.DoAll(context.Background(), keys); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if st := e.Stats(); st.MemoHits < 3 {
-		t.Errorf("MemoHits = %d, want >= 3", st.MemoHits)
+		e.mu.Lock()
+		n := len(e.calls)
+		e.mu.Unlock()
+		if n != 0 {
+			t.Fatalf("after batch %d the engine holds %d calls, want none", batch, n)
+		}
+		for _, k := range keys {
+			if n := got(k); n != batch {
+				t.Errorf("key %d executed %d times in %d batches", k, n, batch)
+			}
+		}
 	}
 }
 
@@ -137,6 +142,16 @@ func TestSingleflightConcurrentDo(t *testing.T) {
 		}(i)
 	}
 	<-started
+	// Release the execution only once every caller has joined it: a caller
+	// that arrives after it finished runs the key again.
+	deadline := time.After(5 * time.Second)
+	for e.Stats().Deduped != callers-1 {
+		select {
+		case <-deadline:
+			t.Fatalf("%d of %d callers joined the execution", e.Stats().Deduped, callers-1)
+		case <-time.After(time.Millisecond):
+		}
+	}
 	close(release)
 	wg.Wait()
 	if n := runs.Load(); n != 1 {

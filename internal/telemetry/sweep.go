@@ -3,9 +3,10 @@ package telemetry
 import "fmt"
 
 // SweepStats is the observability snapshot of one experiment sweep: the
-// scheduler's execution/deduplication counters and the persistent result
-// cache's hit/miss/error counters. internal/exper fills it from the sweep
-// engine and rescache store; cmd/paper prints it after a verbose sweep.
+// scheduler's, the in-memory result table's and the persistent result
+// cache's counters. internal/exper fills it from the sweep engine, its
+// result table and the rescache store; cmd/paper prints it after a verbose
+// sweep.
 type SweepStats struct {
 	// Workers is the scheduler's worker-pool bound.
 	Workers int `json:"workers"`
@@ -18,11 +19,13 @@ type SweepStats struct {
 	// differing only in register-file size and exception model) instead
 	// of being simulated.
 	Shared int64 `json:"shared"`
-	// MemoHits counts requests answered from the in-memory memo.
+	// MemoHits counts requests answered from the in-memory result table.
 	MemoHits int64 `json:"memoHits"`
 	// Deduped counts requests that piggybacked on an in-flight execution
 	// of the same spec (singleflight coalescing).
 	Deduped int64 `json:"deduped"`
+	// Evicted counts result-table entries dropped to stay within its bound.
+	Evicted int64 `json:"evicted"`
 	// CacheHits/CacheMisses/CacheErrors are the persistent result-cache
 	// counters; all zero when no cache is attached. Every error (corrupt
 	// entry, unreadable file) is also counted as a miss and answered by

@@ -29,7 +29,7 @@
 //     machine beats, however optimistic the perfect-cache delta.
 //
 // Calibration runs execute through the same exper.Suite as everything else,
-// so they are memoized in-process, coalesce across concurrent callers, and
+// so they are kept in its result table, coalesce across concurrent callers, and
 // persist in the shared result cache: a cold Estimate costs
 // CalibrationRunsPerPair small simulations per (bench, width), a warm one is
 // pure arithmetic.
@@ -88,7 +88,7 @@ type Model struct {
 }
 
 // New returns a Model calibrating through the given suite — and therefore
-// through its memo, worker pool, and persistent result cache.
+// through its result table, worker pool, and persistent result cache.
 func New(s *exper.Suite) *Model {
 	return &Model{suite: s, cells: make(map[calibKey]*calibCell)}
 }
@@ -424,7 +424,7 @@ func (m *Model) Warm(bench string, width int) bool {
 }
 
 // CalibrationRuns reports how many calibration simulations the model has
-// requested from its suite (the suite's memo and cache may have answered
+// requested from its suite (the suite's result table and cache may have answered
 // some without simulating).
 func (m *Model) CalibrationRuns() int64 {
 	m.mu.Lock()

@@ -132,7 +132,7 @@ func CheckProperty(s *exper.Suite, prop Property, bases []exper.Spec, tol float6
 		chains[i] = prop.Chain(base)
 		all = append(all, chains[i]...)
 	}
-	// One batched prefetch: dedup across chains, Jobs-wide parallelism.
+	// One batch: dedup across chains, Jobs-wide parallelism.
 	results, err := s.RunAll(context.Background(), all)
 	if err != nil {
 		return nil, 0, fmt.Errorf("verify: property %s: %w", prop.Name, err)

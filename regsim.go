@@ -149,8 +149,8 @@ func PortsForWidth(width int, fpFile bool) TimingPorts { return rftiming.PortsFo
 func BIPS(commitIPC, cycleNS float64) float64 { return rftiming.BIPS(commitIPC, cycleNS) }
 
 // Suite runs the paper's experiments (Table 1, Figures 3–8 and 10, plus the
-// ablation studies) on the parallel sweep engine: every spec simulates at
-// most once, figure matrices prefetch across Suite.Jobs workers, and an
+// ablation studies) on the parallel sweep engine: a bounded result table
+// answers repeats, figure batches run across Suite.Jobs workers, and an
 // optional persistent result cache (Suite.Cache) makes repeat sweeps
 // near-instant. See the methods on the aliased type.
 type Suite = exper.Suite
@@ -177,7 +177,7 @@ type ResultCache = rescache.Store
 func OpenResultCache(dir string) (*ResultCache, error) { return rescache.Open(dir) }
 
 // SweepStats is the observability snapshot of one experiment sweep —
-// scheduler executions, memo/dedup counters, and persistent-cache
+// scheduler executions, memo/dedup/eviction counters, and persistent-cache
 // hit/miss/error counts — returned by Suite.SweepStats.
 type SweepStats = telemetry.SweepStats
 
@@ -237,7 +237,7 @@ func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) { return cluste
 type Twin = twin.Model
 
 // NewTwin builds an analytical twin over a suite; calibration simulations go
-// through the suite's sweep engine and share its memoization and result
+// through the suite's sweep engine and share its result table and result
 // cache.
 func NewTwin(s *Suite) *Twin { return twin.New(s) }
 
