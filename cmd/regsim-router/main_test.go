@@ -1,9 +1,6 @@
 package main_test
 
 import (
-	"context"
-	"errors"
-	"os/exec"
 	"testing"
 	"time"
 
@@ -29,6 +26,7 @@ func TestExitCodes(t *testing.T) {
 		{"unknown flag", []string{workers, "-no-such-flag"}, 2},
 		{"no workers no registration", []string{}, 2},
 		{"bad budget", []string{workers, "-n", "0"}, 2},
+		{"default budget above max budget", []string{workers, "-addr", "127.0.0.1:0", "-n", "20000000"}, 2},
 		{"bad worker URL", []string{"-workers", "ftp://host"}, 2},
 		{"bad policy", []string{workers, "-policy", "random"}, 2},
 		{"bad spill threshold", []string{workers, "-spill-threshold", "1.5"}, 2},
@@ -39,29 +37,10 @@ func TestExitCodes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, out := exitWithin(t, 10*time.Second, bin, tc.args...)
+			code, out := cmdtest.RunWithin(t, 10*time.Second, bin, tc.args...)
 			if code != tc.want {
 				t.Fatalf("exit %d, want %d\n%s", code, tc.want, out)
 			}
 		})
 	}
-}
-
-// exitWithin runs the router like cmdtest.Run, but kills it and fails the
-// test if it is still running after d.
-func exitWithin(t *testing.T, d time.Duration, bin string, args ...string) (int, string) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
-	var ee *exec.ExitError
-	switch {
-	case ctx.Err() != nil:
-		t.Fatalf("still running after %v\n%s", d, out)
-	case err != nil && !errors.As(err, &ee):
-		t.Fatalf("run %s: %v", bin, err)
-	case err != nil:
-		return ee.ExitCode(), string(out)
-	}
-	return 0, string(out)
 }

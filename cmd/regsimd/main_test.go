@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"regsim/internal/cmdtest"
 )
@@ -12,7 +13,8 @@ import (
 // (exit 2) caught before the daemon binds anything; a well-formed flag the
 // environment refuses (an unusable listen address) is a runtime error
 // (exit 1). The success path is covered by the server package's tests — a
-// daemon that serves forever has no exit code to assert here.
+// daemon that serves forever has no exit code to assert here, so every case
+// runs under a time bound.
 func TestExitCodes(t *testing.T) {
 	bin := cmdtest.Build(t, "regsimd")
 	notADir := filepath.Join(t.TempDir(), "file")
@@ -27,6 +29,7 @@ func TestExitCodes(t *testing.T) {
 		{"positional arguments", []string{"extra"}, 2},
 		{"unknown flag", []string{"-no-such-flag"}, 2},
 		{"bad budget", []string{"-n", "0"}, 2},
+		{"default budget above max budget", []string{"-no-cache", "-addr", "127.0.0.1:0", "-n", "20000000"}, 2},
 		{"bad jobs", []string{"-jobs", "-1"}, 2},
 		{"bad cache dir", []string{"-cache-dir", notADir}, 2},
 		{"timeouts inverted", []string{"-no-cache", "-default-timeout", "5m", "-max-timeout", "1m"}, 2},
@@ -39,7 +42,7 @@ func TestExitCodes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, out := cmdtest.Run(t, bin, tc.args...)
+			code, out := cmdtest.RunWithin(t, 10*time.Second, bin, tc.args...)
 			if code != tc.want {
 				t.Fatalf("exit %d, want %d\n%s", code, tc.want, out)
 			}

@@ -36,8 +36,9 @@ func main() {
 		fatalUsage("unexpected arguments %q (rftime is flag-driven)", flag.Args())
 	}
 
-	// Validate the port flags before touching the model: a malformed flag is
-	// a usage error (exit 2), not a simulation result.
+	// Validate every flag, the whole -regs list included, before printing
+	// anything: a malformed flag is a usage error (exit 2), not a partial
+	// table.
 	if *read < 0 || *write < 0 {
 		fatalUsage("invalid ports -read %d -write %d: port counts cannot be negative", *read, *write)
 	}
@@ -49,6 +50,15 @@ func main() {
 		fatalUsage("invalid -width %d: the provisioning model covers issue widths 4 and 8 (use -read/-write for other port counts)", *width)
 	}
 
+	var regs []int
+	for _, field := range strings.Split(*regList, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(field))
+		if err != nil || n < 1 {
+			fatalUsage("invalid -regs entry %q: want a positive integer", field)
+		}
+		regs = append(regs, n)
+	}
+
 	ports := regsim.PortsForWidth(*width, *fp)
 	if explicitPorts {
 		ports = regsim.TimingPorts{Read: *read, Write: *write}
@@ -58,11 +68,7 @@ func main() {
 	fmt.Printf("register file timing, %d read / %d write ports (0.5µm model)\n", ports.Read, ports.Write)
 	fmt.Printf("%6s %10s %10s %10s %10s %10s %10s %12s\n",
 		"regs", "decode", "wordline", "bitline", "sense+out", "access", "cycle", "area(mm²)")
-	for _, field := range strings.Split(*regList, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil || n < 1 {
-			fatalUsage("invalid -regs entry %q: want a positive integer", field)
-		}
+	for _, n := range regs {
 		d := params.Delays(n, ports)
 		g := params.Geometry(n, ports)
 		fmt.Printf("%6d %9.3f %10.3f %10.3f %10.3f %10.3f %10.3f %12.3f\n",

@@ -1,14 +1,15 @@
 package main_test
 
 import (
+	"strings"
 	"testing"
 
 	"regsim/internal/cmdtest"
 )
 
 // TestExitCodes pins the process contract: malformed flags are usage errors
-// (exit 2), success is 0. rftime has no runtime failure mode — the timing
-// model is pure arithmetic.
+// (exit 2) that print no part of the table, success is 0. rftime has no
+// runtime failure mode — the timing model is pure arithmetic.
 func TestExitCodes(t *testing.T) {
 	bin := cmdtest.Build(t, "rftime")
 	cases := []struct {
@@ -19,6 +20,7 @@ func TestExitCodes(t *testing.T) {
 		{"positional arguments", []string{"extra"}, 2},
 		{"unknown flag", []string{"-no-such-flag"}, 2},
 		{"bad regs entry", []string{"-regs", "32,zero,64"}, 2},
+		{"zero regs", []string{"-regs", "0"}, 2},
 		{"negative ports", []string{"-read", "-1", "-write", "4"}, 2},
 		{"read without write", []string{"-read", "8"}, 2},
 		{"bad width", []string{"-width", "6"}, 2},
@@ -30,6 +32,9 @@ func TestExitCodes(t *testing.T) {
 			code, out := cmdtest.Run(t, bin, tc.args...)
 			if code != tc.want {
 				t.Fatalf("exit %d, want %d\n%s", code, tc.want, out)
+			}
+			if code == 2 && strings.Contains(out, "register file timing") {
+				t.Errorf("usage error printed part of the table:\n%s", out)
 			}
 		})
 	}

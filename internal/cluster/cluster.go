@@ -111,7 +111,8 @@ type Config struct {
 	MaxSweepSpecs int
 	MaxShardSpecs int
 	// MaxBudget bounds the per-spec commit budget, mirroring the workers'
-	// -max-budget (default 10,000,000).
+	// -max-budget (default 10,000,000). New refuses a DefaultBudget above
+	// it.
 	MaxBudget int64
 
 	// DefaultTimeout/MaxTimeout mirror the worker-side per-request deadline
@@ -185,6 +186,10 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.MaxBudget <= 0 {
 		cfg.MaxBudget = 10_000_000
+	}
+	if cfg.DefaultBudget > cfg.MaxBudget {
+		return nil, fmt.Errorf("cluster: default budget %d exceeds MaxBudget %d, so every spec that omits its budget would be refused",
+			cfg.DefaultBudget, cfg.MaxBudget)
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 2 * time.Second

@@ -30,37 +30,28 @@ func ctxError(ctx context.Context) *server.APIError {
 
 // handleSimulate routes one spec by its sibling group: POST /v1/simulate.
 func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	rt.routeSpec(w, r, groupKey, func(ctx context.Context, c *server.Client, spec exper.Spec) (any, error) {
+	rt.routeSpec(w, r, func(ctx context.Context, c *server.Client, spec exper.Spec) (any, error) {
 		return c.Simulate(ctx, spec)
 	})
 }
 
-// estimateKey is the routing key of an estimate request. Estimates are not
-// keyed by the sibling-group fingerprint: the twin's expensive state is its
-// per-(bench, width) calibration, shared by every spec on that pair, so
-// routing all of a pair's estimates to one worker means the pool calibrates
-// each pair once instead of everywhere — the same warm-concentration argument
-// as result-cache affinity, one level up.
-func estimateKey(spec exper.Spec) string {
-	return fmt.Sprintf("twin/%s/w%d", spec.Bench, spec.Width)
-}
-
-// handleEstimate routes one estimate by its calibration pair:
-// POST /v1/estimate.
+// handleEstimate routes one estimate like a simulate, by its sibling group:
+// POST /v1/estimate. A worker answers an estimate by simulating its spec,
+// so the estimate belongs where the spec's result and siblings are held.
 func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	rt.routeSpec(w, r, estimateKey, func(ctx context.Context, c *server.Client, spec exper.Spec) (any, error) {
+	rt.routeSpec(w, r, func(ctx context.Context, c *server.Client, spec exper.Spec) (any, error) {
 		return c.Estimate(ctx, spec)
 	})
 }
 
 // routeSpec is the candidate walk of a one-spec request. The spec is
-// decoded, defaulted and validated with the worker rules, its routing key's
-// preference order computed, and the candidates tried in order through call
-// until one answers — a worker that fails on the transport or refuses with
-// 429/503 is routed past (reroute), a worker that answers a terminal error
-// (validation, simulator failure) speaks for the cluster and its answer
-// passes through unchanged.
-func (rt *Router) routeSpec(w http.ResponseWriter, r *http.Request, key func(exper.Spec) string,
+// decoded, defaulted and validated with the worker rules, its sibling
+// group's preference order computed, and the candidates tried in order
+// through call until one answers — a worker that fails on the transport or
+// refuses with 429/503 is routed past (reroute), a worker that answers a
+// terminal error (validation, simulator failure) speaks for the cluster and
+// its answer passes through unchanged.
+func (rt *Router) routeSpec(w http.ResponseWriter, r *http.Request,
 	call func(context.Context, *server.Client, exper.Spec) (any, error)) {
 	if rt.RefuseIfDraining(w) {
 		return
@@ -77,7 +68,7 @@ func (rt *Router) routeSpec(w http.ResponseWriter, r *http.Request, key func(exp
 	}
 	defer cancel()
 
-	candidates, spilled := rt.pick(key(spec), nil)
+	candidates, spilled := rt.pick(groupKey(spec), nil)
 	if len(candidates) == 0 {
 		server.WriteError(w, noWorkersError())
 		return

@@ -6,11 +6,13 @@ package cmdtest
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os/exec"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // moduleRoot locates the repository root relative to this source file, so
@@ -55,4 +57,25 @@ func Run(t *testing.T, bin string, args ...string) (int, string) {
 	}
 	t.Fatalf("cmdtest: run %s: %v", bin, err)
 	return -1, ""
+}
+
+// RunWithin is Run for a daemon, which serves until it is stopped: it kills
+// the process and fails the test if it is still running after d, so a flag
+// check that lets a bad value through fails its case instead of hanging the
+// test.
+func RunWithin(t *testing.T, d time.Duration, bin string, args ...string) (int, string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+	var ee *exec.ExitError
+	switch {
+	case ctx.Err() != nil:
+		t.Fatalf("still running after %v\n%s", d, out)
+	case err != nil && !errors.As(err, &ee):
+		t.Fatalf("cmdtest: run %s: %v", bin, err)
+	case err != nil:
+		return ee.ExitCode(), string(out)
+	}
+	return 0, string(out)
 }

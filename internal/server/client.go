@@ -96,10 +96,9 @@ func (c *Client) Sweep(ctx context.Context, specs []exper.Spec) (*SweepResponse,
 	return &resp, nil
 }
 
-// Estimate asks the server's analytical twin for a closed-form IPC/BIPS
-// prediction of one spec — no cycle loop beyond the twin's one-time
-// per-workload calibration. The spec is defaulted and validated exactly like
-// Simulate, so the returned spec names the configuration that was estimated.
+// Estimate asks for one spec's Figure 10 metrics (commit IPC, cycles, the
+// integer register file's cycle time and BIPS). The server simulates the
+// spec exactly as Simulate does, so the numbers are exact.
 func (c *Client) Estimate(ctx context.Context, spec exper.Spec) (*EstimateResponse, error) {
 	var resp EstimateResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/estimate", c.simQuery(), spec, &resp); err != nil {

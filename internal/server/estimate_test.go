@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"math"
 	"net/http"
 	"strings"
 	"testing"
 
 	"regsim/internal/exper"
 	"regsim/internal/obs"
+	"regsim/internal/rftiming"
 )
 
 func postEstimate(t *testing.T, base, query, body string) (*http.Response, string) {
@@ -29,12 +29,13 @@ func postEstimate(t *testing.T, base, query, body string) (*http.Response, strin
 }
 
 // TestEstimateSuccess: a partial spec is defaulted exactly like /v1/simulate,
-// the prediction is physical (0 < IPC ≤ width, BIPS > 0), and the wire answer
-// matches asking the server's own model directly. The second call hits the
-// warm calibration and says so.
+// and the estimate is exact: its IPC and cycles are /v1/simulate's for the
+// same spec, and its cycle time and BIPS are Figure 10's formula applied to
+// that IPC.
 func TestEstimateSuccess(t *testing.T) {
-	srv, client := newTestServer(t, nil)
-	resp, err := client.Estimate(context.Background(), exper.Spec{Bench: "compress"})
+	_, client := newTestServer(t, nil)
+	ctx := context.Background()
+	resp, err := client.Estimate(ctx, exper.Spec{Bench: "compress"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,30 +43,22 @@ func TestEstimateSuccess(t *testing.T) {
 	if resp.Spec != want {
 		t.Errorf("defaulted spec = %+v, want %+v", resp.Spec, want)
 	}
-	if resp.Calibrated {
-		t.Error("first estimate claims a warm calibration")
-	}
-	est := resp.Estimate
-	if !(est.IPC > 0 && est.IPC <= float64(want.Width)) {
-		t.Errorf("IPC %v outside (0, %d]", est.IPC, want.Width)
-	}
-	if est.BIPS <= 0 || est.IntCycleNS <= 0 || est.Cycles <= 0 {
-		t.Errorf("unphysical estimate %+v", est)
-	}
-	direct, err := srv.Twin().Estimate(want)
+	sim, err := client.Simulate(ctx, exper.Spec{Bench: "compress"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(est.IPC-direct.IPC) > 1e-9 || math.Abs(est.BIPS-direct.BIPS) > 1e-9 {
-		t.Errorf("wire estimate %+v diverges from direct model answer %+v", est, direct)
+	res := sim.Result
+	cycleNS := rftiming.Default05um().CycleTime(want.Regs, rftiming.PortsFor(want.Width, false))
+	got := resp.Estimate
+	if got.IPC != res.CommitIPC() || got.Cycles != res.Cycles {
+		t.Errorf("estimate ipc %v, cycles %d; simulate says %v, %d", got.IPC, got.Cycles, res.CommitIPC(), res.Cycles)
 	}
-
-	again, err := client.Estimate(context.Background(), exper.Spec{Bench: "compress", Regs: 160})
-	if err != nil {
-		t.Fatal(err)
+	if got.CPI != float64(res.Cycles)/float64(res.Committed) {
+		t.Errorf("estimate cpi %v, want %d cycles / %d commits", got.CPI, res.Cycles, res.Committed)
 	}
-	if !again.Calibrated {
-		t.Error("second estimate on the same (bench, width) still cold")
+	if got.IntCycleNS != cycleNS || got.BIPS != rftiming.BIPS(res.CommitIPC(), cycleNS) {
+		t.Errorf("estimate cycle %v ns, %v BIPS; Figure 10 gives %v ns, %v BIPS",
+			got.IntCycleNS, got.BIPS, cycleNS, rftiming.BIPS(res.CommitIPC(), cycleNS))
 	}
 }
 
@@ -122,14 +115,22 @@ func TestEstimateWireErrors(t *testing.T) {
 	}
 }
 
-// TestEstimateMetrics: every estimate request — valid or not — increments
-// regsim_estimate_requests_total in the Prometheus exposition, and the twin's
-// calibration simulations surface as regsim_twin_calibration_runs_total.
+// TestEstimateMetrics: an estimate of a spec the server has already
+// simulated is answered from the result table — regsim_sweep_runs_total
+// stays put — and it is counted where every request is, under its endpoint
+// in regsim_http_requests_total.
 func TestEstimateMetrics(t *testing.T) {
-	_, base := newObsServer(t, nil)
-	postEstimate(t, base, "", `{"bench":"compress"}`)
-	postEstimate(t, base, "", `{"bench":"compress","width":8}`)
-	postEstimate(t, base, "", `{"bench":"no-such-bench"}`)
+	srv, base := newObsServer(t, nil)
+	if resp, body := postSimulate(t, base, "", `{"bench":"compress","regs":64}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate: status %d body %s", resp.StatusCode, body)
+	}
+	runs := srv.Suite().SweepStats().Runs
+	if resp, body := postEstimate(t, base, "", `{"bench":"compress","regs":64}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("estimate: status %d body %s", resp.StatusCode, body)
+	}
+	if after := srv.Suite().SweepStats().Runs; after != runs {
+		t.Errorf("estimate of a simulated spec ran %d simulations", after-runs)
+	}
 
 	resp, err := http.Get(base + "/metrics?format=prometheus")
 	if err != nil {
@@ -138,28 +139,17 @@ func TestEstimateMetrics(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	page := string(raw)
-	if !strings.Contains(page, "regsim_estimate_requests_total 3") {
-		t.Errorf("exposition missing regsim_estimate_requests_total 3:\n%s", grepMetric(page, "regsim_estimate"))
+	if !strings.Contains(page, `regsim_http_requests_total{endpoint="POST /v1/estimate",code="200"} 1`) {
+		t.Errorf("exposition does not count the estimate:\n%s", grepLines(page, "regsim_http_requests_total"))
 	}
-	if !strings.Contains(page, "regsim_twin_calibration_runs_total") ||
-		strings.Contains(page, "regsim_twin_calibration_runs_total 0") {
-		t.Errorf("exposition missing nonzero regsim_twin_calibration_runs_total:\n%s", grepMetric(page, "regsim_twin"))
+	if !strings.Contains(page, "regsim_sweep_runs_total 1\n") {
+		t.Errorf("exposition does not show the one run:\n%s", grepLines(page, "regsim_sweep"))
 	}
 }
 
-func grepMetric(page, prefix string) string {
-	var out []string
-	for _, line := range strings.Split(page, "\n") {
-		if strings.Contains(line, prefix) {
-			out = append(out, line)
-		}
-	}
-	return strings.Join(out, "\n")
-}
-
-// TestEstimateTrace: the estimate handler's work is a "twin.estimate" span on
-// the request trace, visible in the /debug/obs ring, and never an "admission"
-// span — the fast path does not queue behind simulation slots.
+// TestEstimateTrace: an estimate's trace is a simulate's — it waits in
+// admission and runs in a "simulate" span — and it lands in the /debug/obs
+// ring under the route pattern.
 func TestEstimateTrace(t *testing.T) {
 	srv, base := newObsServer(t, nil)
 	resp, body := postEstimate(t, base, "", `{"bench":"compress"}`)
@@ -177,16 +167,11 @@ func TestEstimateTrace(t *testing.T) {
 	if tree.Name != "POST /v1/estimate" {
 		t.Errorf("root span = %q, want the route pattern", tree.Name)
 	}
-	est := tree.Find("twin.estimate")
-	if est == nil {
-		raw, _ := json.Marshal(tree)
-		t.Fatalf("tree is missing span twin.estimate: %s", raw)
-	}
-	if got := est.Attr("warm"); got != false {
-		t.Errorf("first estimate's warm attr = %v, want false", got)
-	}
-	if tree.Find("admission") != nil {
-		t.Error("estimate request took an admission slot")
+	for _, name := range []string{"admission", "simulate"} {
+		if tree.Find(name) == nil {
+			raw, _ := json.Marshal(tree)
+			t.Errorf("tree is missing span %s: %s", name, raw)
+		}
 	}
 	tree.Walk(func(d *obs.SpanData) {
 		if d.InProgress {
@@ -195,8 +180,45 @@ func TestEstimateTrace(t *testing.T) {
 	})
 }
 
+// TestEstimateAdmission: estimates queue for the simulation slots. With the
+// one slot held and the one queue seat taken, five of six concurrent cold
+// estimates are refused with 429, and the sixth runs once the slot frees.
+func TestEstimateAdmission(t *testing.T) {
+	srv, client := newTestServer(t, func(cfg *Config) {
+		cfg.MaxInFlight = 1
+		cfg.MaxQueue = 1
+	})
+	release, err := srv.adm.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(regs int) {
+			_, err := client.Estimate(context.Background(), exper.Spec{Bench: "compress", Regs: regs})
+			errs <- err
+		}(48 + 8*i)
+	}
+	// While the slot is held only refusals can come back.
+	for i := 0; i < n-1; i++ {
+		var apiErr *APIError
+		if err := <-errs; !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
+			t.Errorf("estimate with the slot held: %v, want 429 %s", err, CodeOverloaded)
+		}
+	}
+	release()
+	if err := <-errs; err != nil {
+		t.Errorf("queued estimate failed after the slot freed: %v", err)
+	}
+	if st := srv.adm.stats(); st.Rejected != n-1 || st.Admitted != 2 {
+		t.Errorf("admission counted %d rejected, %d admitted; want %d, 2 (the held slot and the queued estimate)",
+			st.Rejected, st.Admitted, n-1)
+	}
+}
+
 // TestEstimateDrain: estimates are refused during drain like the other
-// simulation-capable endpoints (a cold calibration is real work).
+// simulation endpoints.
 func TestEstimateDrain(t *testing.T) {
 	srv, client := newTestServer(t, nil)
 	srv.Drain()

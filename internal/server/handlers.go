@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"regsim/internal/core"
 	"regsim/internal/exper"
 	"regsim/internal/obs"
 	"regsim/internal/rftiming"
@@ -173,27 +174,29 @@ func simError(err error) *APIError {
 	}
 }
 
-// handleSimulate runs one spec: POST /v1/simulate.
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
+// runSpec is the one-spec path POST /v1/simulate and POST /v1/estimate
+// share: refuse while draining, decode and validate the spec, wait for an
+// admission slot, and run the spec through the suite under the request's
+// deadline. It writes any refusal itself and then returns a nil Result.
+func (s *Server) runSpec(w http.ResponseWriter, r *http.Request) (exper.Spec, *core.Result) {
 	if s.RefuseIfDraining(w) {
-		return
+		return exper.Spec{}, nil
 	}
-	start := time.Now()
 	spec, apiErr := DecodeSpec(w, r, s.cfg.Suite.Budget, s.cfg.MaxBudget)
 	if apiErr != nil {
 		WriteError(w, apiErr)
-		return
+		return spec, nil
 	}
 	ctx, cancel, _, apiErr := s.RequestContext(r)
 	if apiErr != nil {
 		WriteError(w, apiErr)
-		return
+		return spec, nil
 	}
 	defer cancel()
 	release, apiErr := s.admit(ctx)
 	if apiErr != nil {
 		WriteError(w, apiErr)
-		return
+		return spec, nil
 	}
 	defer release()
 	sim, simCtx := obs.StartSpan(ctx, "simulate")
@@ -201,6 +204,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	sim.End()
 	if err != nil {
 		WriteError(w, simError(err))
+		return spec, nil
+	}
+	return spec, res
+}
+
+// handleSimulate runs one spec: POST /v1/simulate.
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	spec, res := s.runSpec(w, r)
+	if res == nil {
 		return
 	}
 	WriteJSON(w, http.StatusOK, SimulateResponse{
@@ -210,43 +223,20 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleEstimate answers one spec from the analytical twin: POST /v1/estimate.
-// The same decode/default/validate pipeline as /v1/simulate — an estimate for
-// a spec the simulator would refuse is worthless — but no admission slot: a
-// warm estimate is microseconds of arithmetic, and a cold one's calibration
-// fans into the suite's own bounded worker pool. Draining still refuses, since
-// a cold calibration is real simulation work.
+// handleEstimate answers one spec with Figure 10's metrics:
+// POST /v1/estimate. The answer is exact: the spec takes /v1/simulate's
+// path, so it queues for the same slots and is served by the same result
+// table, result cache and siblings.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if s.RefuseIfDraining(w) {
-		return
-	}
 	start := time.Now()
-	s.estimates.Add(1)
-	spec, apiErr := DecodeSpec(w, r, s.cfg.Suite.Budget, s.cfg.MaxBudget)
-	if apiErr != nil {
-		WriteError(w, apiErr)
-		return
-	}
-	ctx, cancel, _, apiErr := s.RequestContext(r)
-	if apiErr != nil {
-		WriteError(w, apiErr)
-		return
-	}
-	defer cancel()
-	warm := s.twin.Warm(spec.Bench, spec.Width)
-	sp, estCtx := obs.StartSpan(ctx, "twin.estimate")
-	sp.Set("warm", warm)
-	est, err := s.twin.EstimateContext(estCtx, spec)
-	sp.End()
-	if err != nil {
-		WriteError(w, simError(err))
+	spec, res := s.runSpec(w, r)
+	if res == nil {
 		return
 	}
 	WriteJSON(w, http.StatusOK, EstimateResponse{
-		Spec:       spec,
-		Estimate:   est,
-		Calibrated: warm,
-		ElapsedMS:  elapsedMS(start),
+		Spec:      spec,
+		Estimate:  estimateOf(spec, res),
+		ElapsedMS: elapsedMS(start),
 	})
 }
 

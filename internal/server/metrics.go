@@ -78,13 +78,6 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 	r.CounterFunc("regsim_rescache_errors_total", "Defective persistent-cache entries healed by re-simulation.",
 		func() float64 { return float64(sweepStats().CacheErrors) })
 
-	// Analytical twin: estimate traffic and the calibration simulations it
-	// has requested (the suite's table/cache may have absorbed some).
-	r.CounterFunc("regsim_estimate_requests_total", "Analytical-twin estimate requests received on POST /v1/estimate.",
-		func() float64 { return float64(s.estimates.Load()) })
-	r.CounterFunc("regsim_twin_calibration_runs_total", "Calibration simulations the twin has requested from the suite.",
-		func() float64 { return float64(s.twin.CalibrationRuns()) })
-
 	r.CounterFunc("regsim_traces_total", "Request traces recorded (including ones evicted from the debug ring).",
 		func() float64 { return float64(s.traces.Total()) })
 }

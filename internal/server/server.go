@@ -33,17 +33,16 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"log"
 	"log/slog"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"regsim/internal/exper"
 	"regsim/internal/obs"
 	"regsim/internal/telemetry"
-	"regsim/internal/twin"
 )
 
 // Config configures a Server. The zero value of every field except Suite is
@@ -71,7 +70,8 @@ type Config struct {
 	// (default 512).
 	MaxSweepSpecs int
 	// MaxBudget bounds the per-spec commit budget a request may ask for
-	// (default 10,000,000).
+	// (default 10,000,000). New refuses a Suite whose Budget, the default
+	// for specs that omit one, exceeds it.
 	MaxBudget int64
 
 	// ErrorLog, when non-nil, receives handler panics with stacks
@@ -94,13 +94,8 @@ type Config struct {
 // Handler, stop with Drain.
 type Server struct {
 	*Shell
-	cfg  Config
-	adm  *admission
-	twin *twin.Model // answers POST /v1/estimate, calibrating over Suite
-
-	// estimates counts POST /v1/estimate requests, scraped as
-	// regsim_estimate_requests_total.
-	estimates atomic.Int64
+	cfg Config
+	adm *admission
 
 	// admWait is the admission wait-time histogram (milliseconds queued
 	// before a slot), fed by the handlers and scraped as
@@ -127,10 +122,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBudget <= 0 {
 		cfg.MaxBudget = 10_000_000
 	}
+	if cfg.Suite.Budget > cfg.MaxBudget {
+		return nil, fmt.Errorf("server: the suite's default budget %d exceeds MaxBudget %d, so every spec that omits its budget would be refused",
+			cfg.Suite.Budget, cfg.MaxBudget)
+	}
 	s := &Server{
-		cfg:  cfg,
-		adm:  newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		twin: twin.New(cfg.Suite),
+		cfg: cfg,
+		adm: newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
 	}
 	reg := obs.NewRegistry()
 	sh, err := NewShell("server", "regsim_", reg, cfg.DefaultTimeout, cfg.MaxTimeout, cfg.Logger, s.metricsDoc)
@@ -157,6 +155,3 @@ func New(cfg Config) (*Server, error) {
 // Suite exposes the underlying experiment suite (tests and the daemon's
 // shutdown path use it to report final sweep statistics).
 func (s *Server) Suite() *exper.Suite { return s.cfg.Suite }
-
-// Twin exposes the analytical model behind POST /v1/estimate.
-func (s *Server) Twin() *twin.Model { return s.twin }

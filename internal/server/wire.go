@@ -10,7 +10,6 @@ import (
 	"regsim/internal/rename"
 	"regsim/internal/rftiming"
 	"regsim/internal/telemetry"
-	"regsim/internal/twin"
 	"regsim/internal/workload"
 )
 
@@ -79,18 +78,38 @@ type SimulateResponse struct {
 }
 
 // EstimateResponse answers POST /v1/estimate: the fully-defaulted spec and
-// the analytical twin's closed-form prediction for it — no cycle loop ran
-// (beyond the twin's one-time per-workload calibration). The same envelope
-// conventions as /v1/simulate: callers see what omitted fields resolved to,
-// and ElapsedMS is server-side wall time.
+// Figure 10's metrics for it, read from the Result /v1/simulate returns for
+// the same spec. ElapsedMS is server-side wall time, as in SimulateResponse.
 type EstimateResponse struct {
-	Spec     exper.Spec    `json:"spec"`
-	Estimate twin.Estimate `json:"estimate"`
-	// Calibrated reports whether the (bench, width) calibration was already
-	// warm when this request arrived — a cold first request pays the
-	// calibration simulations, every later one is microseconds.
-	Calibrated bool    `json:"calibrated"`
-	ElapsedMS  float64 `json:"elapsedMS"`
+	Spec      exper.Spec `json:"spec"`
+	Estimate  Estimate   `json:"estimate"`
+	ElapsedMS float64    `json:"elapsedMS"`
+}
+
+// Estimate is one spec's performance in Figure 10's terms. Following the
+// paper, the machine cycle time is the integer register file's, and BIPS is
+// commit IPC over it.
+type Estimate struct {
+	IPC float64 `json:"ipc"` // commit IPC
+	CPI float64 `json:"cpi"` // cycles per committed instruction
+	// Cycles is the simulated run time of the spec's commit budget.
+	Cycles int64 `json:"cycles"`
+	// IntCycleNS is the integer register file's cycle time at the spec's
+	// size and width (2×width read ports, width write ports).
+	IntCycleNS float64 `json:"intCycleNS"`
+	BIPS       float64 `json:"bips"`
+}
+
+// estimateOf computes a Result's Estimate the way exper.Fig10 computes a
+// figure point.
+func estimateOf(spec exper.Spec, res *core.Result) Estimate {
+	cycleNS := rftiming.Default05um().CycleTime(spec.Regs, rftiming.PortsFor(spec.Width, false))
+	ipc := res.CommitIPC()
+	est := Estimate{IPC: ipc, Cycles: res.Cycles, IntCycleNS: cycleNS, BIPS: rftiming.BIPS(ipc, cycleNS)}
+	if res.Committed > 0 {
+		est.CPI = float64(res.Cycles) / float64(res.Committed)
+	}
+	return est
 }
 
 // SweepRequest is the body of POST /v1/sweep: a spec matrix executed as one

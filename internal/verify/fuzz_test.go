@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -16,7 +15,6 @@ import (
 	"regsim/internal/exper"
 	"regsim/internal/rename"
 	"regsim/internal/server"
-	"regsim/internal/twin"
 	"regsim/internal/verify"
 )
 
@@ -64,8 +62,8 @@ func FuzzDifferential(f *testing.F) {
 // endpoints. The contract under test: handlers never panic (a recovered
 // panic surfaces as a 500, which fails the target), every response body is
 // valid JSON, every non-2xx body decodes into the structured error envelope
-// with a machine-readable code, and successful simulate responses round-trip
-// through the wire types.
+// with a machine-readable code, and successful simulate, sweep and estimate
+// responses round-trip through the wire types.
 func FuzzServerWire(f *testing.F) {
 	// Tiny budgets keep fuzz-triggered simulations in the microsecond
 	// range; validateSpec clamps what a request may ask for via MaxBudget.
@@ -94,7 +92,7 @@ func FuzzServerWire(f *testing.F) {
 	f.Add([]byte(`{"unknown_field":true}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, path := range []string{"/v1/simulate", "/v1/sweep"} {
+		for _, path := range []string{"/v1/simulate", "/v1/sweep", "/v1/estimate"} {
 			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data))
 			req.Header.Set("Content-Type", "application/json")
 			rec := httptest.NewRecorder()
@@ -140,51 +138,15 @@ func FuzzServerWire(f *testing.F) {
 				if resp.Count != len(resp.Results) {
 					t.Fatalf("sweep count %d != %d results", resp.Count, len(resp.Results))
 				}
+			case "/v1/estimate":
+				var resp server.EstimateResponse
+				if err := json.Unmarshal(body, &resp); err != nil {
+					t.Fatalf("estimate 2xx body does not decode: %v", err)
+				}
+				if resp.Estimate.Cycles < 1 {
+					t.Fatalf("estimate 2xx body has no cycles: %q", body)
+				}
 			}
-		}
-	})
-}
-
-// FuzzTwinEstimate feeds arbitrary bytes through the structured spec decoder
-// into the analytical twin. The contract: the twin never panics, never
-// returns NaN/Inf or non-positive IPC/cycles, and always respects the
-// dataflow lower bound — a budget of N instructions on a width-w machine
-// cannot finish in fewer than ceil(N/w) cycles. Calibration runs use a tiny
-// budget and are memoized per (bench, width), so the fuzzer's simulation
-// cost is bounded by the 18 possible calibration pairs.
-func FuzzTwinEstimate(f *testing.F) {
-	suite := exper.NewSuite(2_000)
-	m := twin.New(suite)
-
-	f.Add([]byte{})
-	f.Add([]byte{0x01})
-	f.Add([]byte("regsim"))
-	f.Add(bytes.Repeat([]byte{0xff}, 16))
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
-	f.Add([]byte{8, 0, 0, 255, 255, 0, 16, 1, 1, 0, 64})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		spec := verify.SpecFromBytes(data)
-		est, err := m.Estimate(spec)
-		if err != nil {
-			// Every decoded spec is legal; any error is a twin bug.
-			t.Fatalf("estimate %+v: %v", spec, err)
-		}
-		for name, v := range map[string]float64{
-			"ipc": est.IPC, "cpi": est.CPI, "intCycleNS": est.IntCycleNS, "bips": est.BIPS,
-		} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-				t.Fatalf("estimate %+v: %s = %v", spec, name, v)
-			}
-		}
-		if est.IPC > float64(spec.Width) {
-			t.Fatalf("estimate %+v: IPC %v exceeds the issue width", spec, est.IPC)
-		}
-		if est.Cycles < 1 {
-			t.Fatalf("estimate %+v: %d cycles", spec, est.Cycles)
-		}
-		if minCycles := (spec.Budget + int64(spec.Width) - 1) / int64(spec.Width); est.Cycles < minCycles {
-			t.Fatalf("estimate %+v: %d cycles is under the dataflow lower bound %d", spec, est.Cycles, minCycles)
 		}
 	})
 }

@@ -43,7 +43,6 @@ import (
 	"regsim/internal/sweep/rescache"
 	"regsim/internal/telemetry"
 	"regsim/internal/trace"
-	"regsim/internal/twin"
 	"regsim/internal/verify"
 	"regsim/internal/workload"
 )
@@ -227,23 +226,6 @@ type ClusterConfig = cluster.Config
 
 // NewClusterRouter builds a cluster frontend over a worker pool.
 func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) { return cluster.New(cfg) }
-
-// Twin is the analytical fast path: a closed-form IPC/BIPS estimator
-// calibrated against a handful of anchor simulations per (benchmark, width)
-// pair and memoized thereafter. A warm estimate costs microseconds where a
-// simulation costs seconds, which is what makes the POST /v1/estimate
-// endpoint viable. Error bounds are enforced per spec family by
-// verify.TwinBounds.
-type Twin = twin.Model
-
-// NewTwin builds an analytical twin over a suite; calibration simulations go
-// through the suite's sweep engine and share its result table and result
-// cache.
-func NewTwin(s *Suite) *Twin { return twin.New(s) }
-
-// TwinEstimate is one closed-form prediction: cycles, IPC, the int-register
-// cycle time, BIPS, and the model's own error bounds for the spec's family.
-type TwinEstimate = twin.Estimate
 
 // ParseAsm assembles textual assembly (the isa.Disasm syntax plus labels and
 // .entry/.word/.float directives; see internal/asm) into a runnable program.
