@@ -90,6 +90,17 @@ func main() {
 	if *deadAfter <= 0 {
 		fatalUsage("invalid -dead-after %d: want at least one failure", *deadAfter)
 	}
+	// cluster.New takes a zero or negative limit for its default, so a
+	// limit the flag help gives no meaning stops here.
+	if *maxSweepSpecs <= 0 {
+		fatalUsage("invalid -max-sweep-specs %d: want at least one spec", *maxSweepSpecs)
+	}
+	if *maxShardSpecs <= 0 {
+		fatalUsage("invalid -max-shard-specs %d: want at least one spec", *maxShardSpecs)
+	}
+	if *maxBudget <= 0 {
+		fatalUsage("invalid -max-budget %d: the commit budget limit must be positive", *maxBudget)
+	}
 
 	slogger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	logger := slog.NewLogLogger(slogger.Handler(), slog.LevelError)

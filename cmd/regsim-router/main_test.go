@@ -33,6 +33,10 @@ func TestExitCodes(t *testing.T) {
 		{"NaN spill threshold", []string{workers, "-spill-threshold", "NaN"}, 2},
 		{"bad dead-after", []string{workers, "-dead-after", "0"}, 2},
 		{"timeouts inverted", []string{workers, "-default-timeout", "5m", "-max-timeout", "1m"}, 2},
+		// cluster.New would take each of these for its default and serve.
+		{"negative max budget", []string{workers, "-addr", "127.0.0.1:0", "-max-budget", "-1"}, 2},
+		{"negative max sweep specs", []string{workers, "-addr", "127.0.0.1:0", "-max-sweep-specs", "-1"}, 2},
+		{"negative max shard specs", []string{workers, "-addr", "127.0.0.1:0", "-max-shard-specs", "-1"}, 2},
 		{"unusable listen address", []string{workers, "-addr", "256.256.256.256:0"}, 1},
 	}
 	for _, tc := range cases {

@@ -97,6 +97,20 @@ func main() {
 	if *traceBuffer < 0 {
 		fatalUsage("invalid -trace-buffer %d: want a non-negative ring size", *traceBuffer)
 	}
+	// server.New takes a zero or negative limit for its default, so a
+	// limit the flag help gives no meaning stops here.
+	if *maxInFlight < 0 {
+		fatalUsage("invalid -max-inflight %d: want a positive bound, or 0 for GOMAXPROCS", *maxInFlight)
+	}
+	if *maxQueue < 0 {
+		fatalUsage("invalid -max-queue %d: want a positive bound, or 0 for 4×max-inflight", *maxQueue)
+	}
+	if *maxSweepSpecs <= 0 {
+		fatalUsage("invalid -max-sweep-specs %d: want at least one spec", *maxSweepSpecs)
+	}
+	if *maxBudget <= 0 {
+		fatalUsage("invalid -max-budget %d: the commit budget limit must be positive", *maxBudget)
+	}
 
 	// All daemon output is structured JSON on stderr: slog records directly,
 	// and the legacy *log.Logger surfaces (panic logs, http.Server errors)

@@ -35,6 +35,12 @@ func TestExitCodes(t *testing.T) {
 		{"timeouts inverted", []string{"-no-cache", "-default-timeout", "5m", "-max-timeout", "1m"}, 2},
 		{"negative slow threshold", []string{"-no-cache", "-slow", "-1s"}, 2},
 		{"negative trace buffer", []string{"-no-cache", "-trace-buffer", "-1"}, 2},
+		// server.New would take each of these for its default and serve.
+		{"negative max budget", []string{"-no-cache", "-addr", "127.0.0.1:0", "-max-budget", "-1"}, 2},
+		{"zero max budget", []string{"-no-cache", "-addr", "127.0.0.1:0", "-max-budget", "0"}, 2},
+		{"negative max sweep specs", []string{"-no-cache", "-addr", "127.0.0.1:0", "-max-sweep-specs", "-1"}, 2},
+		{"negative max inflight", []string{"-no-cache", "-addr", "127.0.0.1:0", "-max-inflight", "-1"}, 2},
+		{"negative max queue", []string{"-no-cache", "-addr", "127.0.0.1:0", "-max-queue", "-1"}, 2},
 		{"unusable listen address", []string{"-no-cache", "-addr", "256.256.256.256:0"}, 1},
 		// The serving address is fine; the debug listener's is not. The
 		// daemon must die loudly rather than serve without its debug surface.

@@ -142,7 +142,8 @@ type Config struct {
 }
 
 // Router is the cluster frontend. Construct with New, expose with Handler,
-// stop with Close (which also stops the prober).
+// stop with Close (which also stops the prober and closes the connections
+// to the workers).
 type Router struct {
 	*server.Shell
 	cfg  Config
@@ -238,17 +239,19 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Close stops the background prober (idempotent; safe when probing is
-// disabled).
+// Close stops the background prober and closes the idle connections to
+// every worker (idempotent; safe when probing is disabled).
 func (rt *Router) Close() {
-	if rt.stopProber == nil {
-		return
+	if rt.stopProber != nil {
+		select {
+		case <-rt.stopProber:
+		default:
+			close(rt.stopProber)
+			<-rt.proberDone
+		}
 	}
-	select {
-	case <-rt.stopProber:
-	default:
-		close(rt.stopProber)
-		<-rt.proberDone
+	for _, w := range rt.pool.workers() {
+		w.client.Close()
 	}
 }
 

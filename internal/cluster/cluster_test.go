@@ -933,6 +933,9 @@ func TestRouterMetricsAndCluster(t *testing.T) {
 		"regsim_router_worker_up",
 		"regsim_router_spillovers_total",
 		"regsim_router_probes_total",
+		// One probe each, then a simulate over the probed connection.
+		fmt.Sprintf("regsim_router_worker_dials_total{worker=%q} 1", w1.url()),
+		fmt.Sprintf("regsim_router_worker_dials_total{worker=%q} 1", w2.url()),
 	} {
 		if !bytes.Contains(prom, []byte(family)) {
 			t.Errorf("prometheus exposition missing %q", family)
@@ -1170,5 +1173,116 @@ func TestMultiRouterAgreement(t *testing.T) {
 		if gotDelta != wantOn[url] {
 			t.Errorf("worker %s replay absorbed %d, want %d", url, gotDelta, wantOn[url])
 		}
+	}
+}
+
+// teeWorker is a test worker that keeps a copy of the last reply body it
+// sent, so a routed reply can be compared with the worker's own bytes.
+type teeWorker struct {
+	*testWorker
+	mu   sync.Mutex
+	last []byte
+}
+
+// teeWriter records the body before passing each write on, so the copy is
+// complete by the time the reply's last byte can reach the router.
+type teeWriter struct {
+	http.ResponseWriter
+	tw   *teeWorker
+	body []byte
+}
+
+func (w *teeWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	w.tw.mu.Lock()
+	w.tw.last = w.body
+	w.tw.mu.Unlock()
+	return w.ResponseWriter.Write(p)
+}
+
+func newTeeWorker(t *testing.T) *teeWorker {
+	tw := &teeWorker{}
+	tw.testWorker = newTestWorker(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(&teeWriter{ResponseWriter: w, tw: tw}, r)
+		})
+	})
+	return tw
+}
+
+func (tw *teeWorker) lastBody() []byte {
+	tw.mu.Lock()
+	defer tw.mu.Unlock()
+	return tw.last
+}
+
+// TestRoutedRepliesAreWorkerBytes: the router relays a worker's reply to
+// /v1/simulate and /v1/estimate as the worker sent it — timing field
+// included — for a tracked spec and for one a sibling answered.
+func TestRoutedRepliesAreWorkerBytes(t *testing.T) {
+	w := newTeeWorker(t)
+	_, ts := newTestRouter(t, []string{w.url()}, nil)
+	trunk := exper.Spec{Bench: "tomcatv", Width: 8, Regs: 256}
+	if status, body := postJSON(t, ts.URL+"/v1/simulate", trunk); status != http.StatusOK {
+		t.Fatalf("trunk: HTTP %d\n%s", status, body)
+	}
+	for _, tc := range []struct {
+		name string
+		spec exper.Spec
+	}{
+		{"tracked", exper.Spec{Bench: "compress", Track: true}},
+		{"sibling", exper.Spec{Bench: "tomcatv", Width: 8, Regs: 160, Model: rename.Imprecise}},
+	} {
+		for _, path := range []string{"/v1/simulate", "/v1/estimate"} {
+			status, routed := postJSON(t, ts.URL+path, tc.spec)
+			if status != http.StatusOK {
+				t.Fatalf("%s %s: HTTP %d\n%s", tc.name, path, status, routed)
+			}
+			if want := w.lastBody(); !bytes.Equal(routed, want) {
+				t.Errorf("%s %s: routed reply differs from the worker's\nrouted: %s\nworker: %s", tc.name, path, routed, want)
+			}
+		}
+	}
+	if st := w.srv.Suite().SweepStats(); st.Shared == 0 {
+		t.Fatalf("no spec was answered by a sibling: %+v", st)
+	}
+}
+
+// TestMidReplyDeadlineSparesWorker: a request whose own deadline fires while
+// the worker's reply is arriving ends in 504, the cut connection is not
+// reused, and the worker is charged nothing.
+func TestMidReplyDeadlineSparesWorker(t *testing.T) {
+	release := make(chan struct{})
+	w := newTestWorker(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/load" {
+				h.ServeHTTP(rw, r)
+				return
+			}
+			rw.Header().Set("Content-Type", "application/json")
+			rw.Header().Set("Content-Length", "4096")
+			rw.WriteHeader(http.StatusOK)
+			rw.Write([]byte(`{"spec":`))
+			rw.(http.Flusher).Flush()
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+		})
+	})
+	t.Cleanup(func() { close(release) }) // runs before the listener closes
+	rt, ts := newTestRouter(t, []string{w.url()}, nil)
+	rt.ProbeAll(context.Background())
+	status, body := postJSON(t, ts.URL+"/v1/simulate?timeout=100ms", exper.Spec{Bench: "compress"})
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("HTTP %d, want 504\n%s", status, body)
+	}
+	rt.ProbeAll(context.Background())
+	wk := rt.pool.workers()[0]
+	if st := wk.status(); st.State != "healthy" || st.Failures != 0 {
+		t.Errorf("worker after a request that outlived its own deadline: %s with %d failures; want healthy with none", st.State, st.Failures)
+	}
+	if d := wk.client.Dials(); d != 2 {
+		t.Errorf("dials = %d, want 2: the probe after the cut request must dial afresh", d)
 	}
 }

@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -30,29 +30,25 @@ func ctxError(ctx context.Context) *server.APIError {
 
 // handleSimulate routes one spec by its sibling group: POST /v1/simulate.
 func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	rt.routeSpec(w, r, func(ctx context.Context, c *server.Client, spec exper.Spec) (any, error) {
-		return c.Simulate(ctx, spec)
-	})
+	rt.routeSpec(w, r, "/v1/simulate")
 }
 
 // handleEstimate routes one estimate like a simulate, by its sibling group:
 // POST /v1/estimate. A worker answers an estimate by simulating its spec,
 // so the estimate belongs where the spec's result and siblings are held.
 func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	rt.routeSpec(w, r, func(ctx context.Context, c *server.Client, spec exper.Spec) (any, error) {
-		return c.Estimate(ctx, spec)
-	})
+	rt.routeSpec(w, r, "/v1/estimate")
 }
 
 // routeSpec is the candidate walk of a one-spec request. The spec is
 // decoded, defaulted and validated with the worker rules, its sibling
-// group's preference order computed, and the candidates tried in order
-// through call until one answers — a worker that fails on the transport or
-// refuses with 429/503 is routed past (reroute), a worker that answers a
-// terminal error (validation, simulator failure) speaks for the cluster and
-// its answer passes through unchanged.
-func (rt *Router) routeSpec(w http.ResponseWriter, r *http.Request,
-	call func(context.Context, *server.Client, exper.Spec) (any, error)) {
+// group's preference order computed, and the defaulted spec posted to path
+// on the candidates in order until one answers — a worker that fails on the
+// transport or refuses with 429/503 is routed past (reroute), a worker that
+// answers a terminal error (validation, simulator failure) speaks for the
+// cluster and its answer passes through unchanged, and a worker's 2xx reply
+// is relayed as it came.
+func (rt *Router) routeSpec(w http.ResponseWriter, r *http.Request, path string) {
 	if rt.RefuseIfDraining(w) {
 		return
 	}
@@ -67,6 +63,10 @@ func (rt *Router) routeSpec(w http.ResponseWriter, r *http.Request,
 		return
 	}
 	defer cancel()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		panic(err) // a validated spec always encodes
+	}
 
 	candidates, spilled := rt.pick(groupKey(spec), nil)
 	if len(candidates) == 0 {
@@ -89,11 +89,11 @@ func (rt *Router) routeSpec(w http.ResponseWriter, r *http.Request,
 		sp.Set("worker", wk.name)
 		sp.Set("attempt", i+1)
 		wk.requests.Add(1)
-		resp, err := call(spCtx, wk.client.WithTimeout(timeout), spec)
+		rep, err := wk.client.WithTimeout(timeout).Post(spCtx, path, body)
 		if err == nil {
 			sp.End()
 			wk.noteSuccess()
-			server.WriteJSON(w, http.StatusOK, resp)
+			server.WriteReply(w, rep)
 			return
 		}
 		sp.Set("error", err.Error())
@@ -136,11 +136,21 @@ type shard struct {
 	indices []int
 }
 
-// shardOutcome is one shard attempt's result.
+// shardOutcome is one shard attempt's result: on success, the worker's
+// results entries as it rendered them, in shard order.
 type shardOutcome struct {
-	shard shard
-	resp  *server.SweepResponse
-	err   error
+	shard   shard
+	results []json.RawMessage
+	err     error
+}
+
+// sweepReply is server.SweepResponse with its results entries kept as the
+// workers rendered them. WriteJSON lays the merged reply out as a worker
+// lays out its own, so the bytes are the same.
+type sweepReply struct {
+	Count     int               `json:"count"`
+	Results   []json.RawMessage `json:"results"`
+	ElapsedMS float64           `json:"elapsedMS"`
 }
 
 // handleSweep routes a spec matrix: POST /v1/sweep. The matrix is validated
@@ -151,6 +161,8 @@ type shardOutcome struct {
 // order, and excludes failed workers from the next round's grouping — a
 // worker that dies mid-sweep just means its specs re-shard onto the
 // survivors, and the completed sweep is byte-identical to a single-node run.
+// Of a worker's reply the router decodes only where each results entry
+// begins and ends.
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if rt.RefuseIfDraining(w) {
 		return
@@ -176,7 +188,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for i := range pending {
 		pending[i] = i
 	}
-	results := make([]server.SimulateResponse, len(specs))
+	results := make([]json.RawMessage, len(specs))
 	excluded := make(map[string]bool)
 	var (
 		sawRefusal  bool
@@ -204,7 +216,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 			if out.err == nil {
 				out.shard.worker.noteSuccess()
 				for j, idx := range out.shard.indices {
-					results[idx] = out.resp.Results[j]
+					results[idx] = out.results[j]
 				}
 				continue
 			}
@@ -239,7 +251,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, exhaustedError(sawRefusal, refusalHint, lastErr))
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, server.SweepResponse{
+	server.WriteJSON(w, http.StatusOK, sweepReply{
 		Count:     len(results),
 		Results:   results,
 		ElapsedMS: elapsedMS(start),
@@ -296,20 +308,29 @@ func (rt *Router) runShards(ctx context.Context, shards []shard, specs []exper.S
 			sp.Set("worker", sh.worker.name)
 			sp.Set("specs", len(sh.indices))
 			sp.Set("round", round)
-			sub := make([]exper.Spec, len(sh.indices))
+			sub := server.SweepRequest{Specs: make([]exper.Spec, len(sh.indices))}
 			for j, idx := range sh.indices {
-				sub[j] = specs[idx]
+				sub.Specs[j] = specs[idx]
+			}
+			body, err := json.Marshal(sub)
+			if err != nil {
+				panic(err) // validated specs always encode
 			}
 			sh.worker.requests.Add(1)
-			resp, err := sh.worker.client.WithTimeout(timeout).Sweep(spCtx, sub)
+			rep, err := sh.worker.client.WithTimeout(timeout).Post(spCtx, "/v1/sweep", body)
+			var reply struct {
+				Results []json.RawMessage `json:"results"`
+			}
+			if err == nil {
+				if err = json.Unmarshal(rep.Body, &reply); err == nil && len(reply.Results) != len(sh.indices) {
+					err = fmt.Errorf("worker %s returned %d results for %d specs", sh.worker.name, len(reply.Results), len(sh.indices))
+				}
+			}
 			if err != nil {
 				sp.Set("error", err.Error())
 			}
 			sp.End()
-			if err == nil && len(resp.Results) != len(sh.indices) {
-				err = fmt.Errorf("worker %s returned %d results for %d specs", sh.worker.name, len(resp.Results), len(sh.indices))
-			}
-			outcomes[i] = shardOutcome{shard: sh, resp: resp, err: err}
+			outcomes[i] = shardOutcome{shard: sh, results: reply.Results, err: err}
 		}(i, sh)
 	}
 	wg.Wait()
@@ -339,9 +360,10 @@ func remapShardField(field string, indices []int) string {
 // handleProxy forwards a read-only endpoint (GET /v1/workloads, /v1/timing)
 // to the first answering worker, byte-for-byte. These answers are
 // pool-invariant (every worker runs the same registry and timing model), so
-// any healthy worker speaks for the cluster. Each attempt gets ProbeTimeout,
-// the bound a worker's GET /v1/load gets: a stalled worker is routed past
-// like a dead one instead of hanging the request.
+// any healthy worker speaks for the cluster, a structured refusal included.
+// Each attempt gets ProbeTimeout, the bound a worker's GET /v1/load gets: a
+// stalled worker is routed past like a dead one instead of hanging the
+// request.
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	candidates, _ := rt.pick(r.URL.Path, nil)
 	if len(candidates) == 0 {
@@ -354,10 +376,21 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 			rt.reroutes.Add(1)
 		}
 		wk.requests.Add(1)
-		if lastErr = rt.proxyTo(w, r, wk); lastErr == nil {
+		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ProbeTimeout)
+		rep, err := wk.client.Get(ctx, r.URL.RequestURI())
+		cancel()
+		var upstream *server.APIError
+		switch {
+		case err == nil:
 			wk.noteSuccess()
+			server.WriteReply(w, rep)
+			return
+		case errors.As(err, &upstream):
+			wk.noteSuccess()
+			server.WriteError(w, upstream)
 			return
 		}
+		lastErr = err
 		if r.Context().Err() != nil {
 			// The client went away: the attempt's failure is not the
 			// worker's, and nobody is left to answer.
@@ -367,33 +400,6 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		wk.noteFailure(rt.cfg.DeadAfter, lastErr)
 	}
 	server.WriteError(w, exhaustedError(false, 0, lastErr))
-}
-
-// proxyTo relays r to one worker under the per-attempt deadline. Any HTTP
-// answer — including a structured 4xx — is the cluster's answer and returns
-// nil; only a transport failure (a timeout included) returns an error,
-// with nothing written.
-func (rt *Router) proxyTo(w http.ResponseWriter, r *http.Request, wk *worker) error {
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wk.name+r.URL.RequestURI(), nil)
-	if err != nil {
-		return err
-	}
-	if id := obs.TraceIDFromContext(r.Context()); id != 0 {
-		req.Header.Set("X-Trace-Id", id.String())
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body) // connection loss mid-copy is unrecoverable anyway
-	return nil
 }
 
 // handleCluster reports the pool: GET /v1/cluster.

@@ -52,6 +52,12 @@ func (rt *Router) registerMetrics(r *obs.Registry) {
 				emit(obs.Sample{Labels: []obs.Label{{Name: "worker", Value: w.name}}, Value: float64(w.requests.Load())})
 			}
 		})
+	r.Register("regsim_router_worker_dials_total", "Connections opened to the worker, by worker base URL; requests over dials is connection reuse.",
+		obs.TypeCounter, func(emit func(obs.Sample)) {
+			for _, w := range rt.pool.workers() {
+				emit(obs.Sample{Labels: []obs.Label{{Name: "worker", Value: w.name}}, Value: float64(w.client.Dials())})
+			}
+		})
 	r.Register("regsim_router_worker_failures_total", "Upstream transport failures, by worker base URL.",
 		obs.TypeCounter, func(emit func(obs.Sample)) {
 			for _, w := range rt.pool.workers() {
@@ -68,7 +74,6 @@ func (rt *Router) registerMetrics(r *obs.Registry) {
 				emit(obs.Sample{Labels: []obs.Label{{Name: "worker", Value: w.name}}, Value: occ})
 			}
 		})
-
 }
 
 // metricsDoc is the router's JSON GET /metrics document: the cluster

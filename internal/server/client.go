@@ -1,12 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/url"
@@ -24,9 +22,14 @@ import (
 // and return *APIError for structured server refusals (validation failures,
 // 429 overload, 503 drain), so callers can branch on the code or the
 // IsRetryable hint.
+//
+// The client speaks plain HTTP/1.1 over keep-alive connections of its own,
+// or over crypto/tls for an https URL, and reads each reply in the calling
+// goroutine; it consults no proxy environment. Close releases the idle
+// connections.
 type Client struct {
-	baseURL string
-	hc      *http.Client
+	prefix string // the base URL's path, ahead of every request path
+	pool   *connPool
 	// Timeout, when non-zero, is sent as the ?timeout= per-request
 	// deadline hint on simulate and sweep calls (the server clamps it to
 	// its MaxTimeout). The context bounds the client side either way.
@@ -39,15 +42,24 @@ type Client struct {
 }
 
 // NewClient returns a client for a serving instance, e.g.
-// NewClient("http://localhost:8265"). The underlying http.Client has no
-// overall timeout: simulation requests are long-poll shaped, so deadlines
-// belong to the per-call context (and the Timeout hint), not the transport.
+// NewClient("http://localhost:8265"). It has no overall timeout: simulation
+// requests are long-poll shaped, so deadlines belong to the per-call context
+// (and the Timeout hint). A base URL that is not http or https fails every
+// call.
 func NewClient(baseURL string) *Client {
-	return &Client{
-		baseURL: strings.TrimRight(baseURL, "/"),
-		hc:      &http.Client{},
+	u, err := url.Parse(strings.TrimRight(baseURL, "/"))
+	if err != nil {
+		return &Client{pool: &connPool{err: err}}
 	}
+	return &Client{prefix: u.EscapedPath(), pool: newConnPool(u)}
 }
+
+// Close closes the client's idle connections. A call after Close still
+// works, over a connection it closes when done.
+func (c *Client) Close() { c.pool.close() }
+
+// Dials reports how many connections the client and its clones have opened.
+func (c *Client) Dials() int64 { return c.pool.dials.Load() }
 
 // WithRetry enables automatic retries of retryable refusals (429 overload,
 // 503 drain): up to maxAttempts total attempts, sleeping the server's
@@ -65,7 +77,7 @@ func (c *Client) WithRetry(maxAttempts int, maxBackoff time.Duration) *Client {
 }
 
 // WithTimeout returns a copy of the client with the given ?timeout= hint.
-// The copy shares the transport, so per-request timeouts (the cluster
+// The copy shares the connections, so per-request timeouts (the cluster
 // router forwards each request's remaining deadline) are cheap and safe for
 // concurrent use.
 func (c *Client) WithTimeout(d time.Duration) *Client {
@@ -78,7 +90,7 @@ func (c *Client) WithTimeout(d time.Duration) *Client {
 // (fully-defaulted) spec and its result.
 func (c *Client) Simulate(ctx context.Context, spec exper.Spec) (*SimulateResponse, error) {
 	var resp SimulateResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/simulate", c.simQuery(), spec, &resp); err != nil {
+	if err := c.post(ctx, "/v1/simulate", spec, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -90,7 +102,7 @@ func (c *Client) Simulate(ctx context.Context, spec exper.Spec) (*SimulateRespon
 // cache — simulate at most once.
 func (c *Client) Sweep(ctx context.Context, specs []exper.Spec) (*SweepResponse, error) {
 	var resp SweepResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/sweep", c.simQuery(), SweepRequest{Specs: specs}, &resp); err != nil {
+	if err := c.post(ctx, "/v1/sweep", SweepRequest{Specs: specs}, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -101,7 +113,7 @@ func (c *Client) Sweep(ctx context.Context, specs []exper.Spec) (*SweepResponse,
 // spec exactly as Simulate does, so the numbers are exact.
 func (c *Client) Estimate(ctx context.Context, spec exper.Spec) (*EstimateResponse, error) {
 	var resp EstimateResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/estimate", c.simQuery(), spec, &resp); err != nil {
+	if err := c.post(ctx, "/v1/estimate", spec, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -124,7 +136,7 @@ func (c *Client) SweepResults(ctx context.Context, specs []exper.Spec) ([]*core.
 // Workloads lists the server's benchmark registry in Table 1 order.
 func (c *Client) Workloads(ctx context.Context) ([]WorkloadInfo, error) {
 	var resp WorkloadsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/workloads", nil, nil, &resp); err != nil {
+	if err := c.get(ctx, "/v1/workloads", &resp); err != nil {
 		return nil, err
 	}
 	return resp.Workloads, nil
@@ -161,8 +173,12 @@ func (c *Client) timing(ctx context.Context, q url.Values, regs []int) (*TimingR
 		}
 		q.Set("regs", strings.Join(parts, ","))
 	}
+	target := "/v1/timing"
+	if len(q) > 0 {
+		target += "?" + q.Encode()
+	}
 	var resp TimingResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/timing", q, nil, &resp); err != nil {
+	if err := c.get(ctx, target, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -171,7 +187,7 @@ func (c *Client) timing(ctx context.Context, q url.Values, regs []int) (*TimingR
 // Metrics fetches the server's live counters.
 func (c *Client) Metrics(ctx context.Context) (*MetricsResponse, error) {
 	var resp MetricsResponse
-	if err := c.do(ctx, http.MethodGet, "/metrics", nil, nil, &resp); err != nil {
+	if err := c.get(ctx, "/metrics", &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -180,7 +196,7 @@ func (c *Client) Metrics(ctx context.Context) (*MetricsResponse, error) {
 // Health probes /healthz; nil means the server is up and not draining.
 func (c *Client) Health(ctx context.Context) error {
 	var resp HealthResponse
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil, &resp)
+	return c.get(ctx, "/healthz", &resp)
 }
 
 // Load fetches the worker-side load snapshot (admission occupancy, queue
@@ -188,32 +204,76 @@ func (c *Client) Health(ctx context.Context) error {
 // decisions on.
 func (c *Client) Load(ctx context.Context) (*LoadResponse, error) {
 	var resp LoadResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/load", nil, nil, &resp); err != nil {
+	if err := c.get(ctx, "/v1/load", &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-// simQuery carries the optional per-request deadline hint.
-func (c *Client) simQuery() url.Values {
-	if c.Timeout <= 0 {
-		return nil
+// Reply is a 2xx answer as the server sent it.
+type Reply struct {
+	Status      int
+	ContentType string
+	Body        []byte
+}
+
+// Post sends body, one encoded JSON value, to path with the client's
+// ?timeout= hint, and returns the 2xx reply unparsed. A refusal comes back
+// as *APIError, as from the typed methods. The cluster router relays worker
+// replies through Post and Get.
+func (c *Client) Post(ctx context.Context, path string, body []byte) (*Reply, error) {
+	target := path
+	if c.Timeout > 0 {
+		target += "?timeout=" + url.QueryEscape(c.Timeout.String())
 	}
-	q := url.Values{}
-	q.Set("timeout", c.Timeout.String())
-	return q
+	return c.do(ctx, http.MethodPost, target, body)
+}
+
+// Get fetches target, a path with an optional query, and returns the 2xx
+// reply unparsed.
+func (c *Client) Get(ctx context.Context, target string) (*Reply, error) {
+	return c.do(ctx, http.MethodGet, target, nil)
+}
+
+// post encodes in, posts it to path and decodes the reply into out.
+func (c *Client) post(ctx context.Context, path string, in, out any) error {
+	data, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("regsim client: encode %s: %w", path, err)
+	}
+	rep, err := c.Post(ctx, path, data)
+	if err != nil {
+		return err
+	}
+	return decodeReply(path, rep, out)
+}
+
+// get fetches target and decodes the reply into out.
+func (c *Client) get(ctx context.Context, target string, out any) error {
+	rep, err := c.Get(ctx, target)
+	if err != nil {
+		return err
+	}
+	return decodeReply(target, rep, out)
+}
+
+func decodeReply(target string, rep *Reply, out any) error {
+	if err := json.Unmarshal(rep.Body, out); err != nil {
+		return fmt.Errorf("regsim client: decode %s response: %w", target, err)
+	}
+	return nil
 }
 
 // do performs the call under the retry policy: attempt, and while the
 // failure is a retryable refusal (429/503) and attempts remain, sleep the
 // jittered Retry-After hint and try again.
-func (c *Client) do(ctx context.Context, method, path string, query url.Values, in, out any) error {
+func (c *Client) do(ctx context.Context, method, target string, body []byte) (*Reply, error) {
 	for attempt := 1; ; attempt++ {
-		err := c.do1(ctx, method, path, query, in, out)
+		rep, err := c.do1(ctx, method, target, body)
 		var apiErr *APIError
 		if err == nil || attempt >= c.maxAttempts ||
 			!errors.As(err, &apiErr) || !apiErr.IsRetryable() {
-			return err
+			return rep, err
 		}
 		hint := time.Duration(apiErr.RetryAfterSeconds) * time.Second
 		if hint <= 0 {
@@ -230,47 +290,24 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 		case <-ctx.Done():
 			// Out of time mid-backoff: the last refusal (with its hint) is
 			// more actionable than a bare context error.
-			return err
+			return nil, err
 		}
 	}
 }
 
-// do1 performs one round trip: encode the body, send, and decode either the
-// typed response or the structured error envelope.
-func (c *Client) do1(ctx context.Context, method, path string, query url.Values, in, out any) error {
-	u := c.baseURL + path
-	if len(query) > 0 {
-		u += "?" + query.Encode()
-	}
-	var body io.Reader
-	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("regsim client: encode %s: %w", path, err)
-		}
-		body = bytes.NewReader(data)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, u, body)
-	if err != nil {
-		return fmt.Errorf("regsim client: %w", err)
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
+// do1 performs one round trip and returns either the 2xx reply or the
+// structured error envelope.
+func (c *Client) do1(ctx context.Context, method, target string, body []byte) (*Reply, error) {
 	// Propagate the caller's trace so the server joins it instead of minting
 	// a fresh ID: one trace then covers both sides of the hop (and, through
 	// the cluster router, the whole route → worker chain).
+	var traceID string
 	if id := obs.TraceIDFromContext(ctx); id != 0 {
-		req.Header.Set("X-Trace-Id", id.String())
+		traceID = id.String()
 	}
-	resp, err := c.hc.Do(req)
+	resp, data, err := c.pool.roundTrip(ctx, method, c.prefix+target, body, traceID)
 	if err != nil {
-		return fmt.Errorf("regsim client: %s %s: %w", method, path, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return fmt.Errorf("regsim client: read %s response: %w", path, err)
+		return nil, fmt.Errorf("regsim client: %s %s: %w", method, target, err)
 	}
 	if resp.StatusCode/100 != 2 {
 		var eb errorBody
@@ -281,17 +318,11 @@ func (c *Client) do1(ctx context.Context, method, path string, query url.Values,
 					eb.Error.RetryAfterSeconds = ra
 				}
 			}
-			return eb.Error
+			return nil, eb.Error
 		}
-		return fmt.Errorf("regsim client: %s %s: HTTP %d: %s", method, path, resp.StatusCode, truncate(data, 200))
+		return nil, fmt.Errorf("regsim client: %s %s: HTTP %d: %s", method, target, resp.StatusCode, truncate(data, 200))
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("regsim client: decode %s response: %w", path, err)
-	}
-	return nil
+	return &Reply{Status: resp.StatusCode, ContentType: resp.Header.Get("Content-Type"), Body: data}, nil
 }
 
 func truncate(b []byte, n int) string {

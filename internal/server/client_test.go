@@ -289,8 +289,8 @@ func TestClientWithTimeoutClone(t *testing.T) {
 	if clone.Timeout != 5*time.Second {
 		t.Fatalf("clone Timeout = %v, want 5s", clone.Timeout)
 	}
-	if clone.hc != base.hc {
-		t.Fatal("clone does not share the transport")
+	if clone.pool != base.pool {
+		t.Fatal("clone does not share the connections")
 	}
 }
 

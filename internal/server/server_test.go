@@ -314,4 +314,4 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-func clientBase(c *Client) string { return c.baseURL }
+func clientBase(c *Client) string { return "http://" + c.pool.host + c.prefix }

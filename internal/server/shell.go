@@ -392,26 +392,108 @@ func (sh *Shell) logRequest(r *http.Request, rec *statusRecorder, snap obs.SpanD
 	sh.logger.Info("request", attrs...)
 }
 
-// WriteJSON writes a JSON response. The encoder settings (two-space indent)
-// are part of the wire format: the cluster router uses the same writer, so
-// a routed response is byte-identical to a direct one.
+// WriteJSON writes a JSON response. The rendering (two-space indent, a
+// trailing newline) is part of the wire format: it is json.Encoder's with
+// SetIndent("", "  "), byte for byte, produced by json.Marshal and one
+// indentation pass, and sent with its Content-Length in one write. The
+// cluster router relays worker replies unchanged and renders its merged
+// sweeps with this writer too, so a routed response is byte-identical to a
+// direct one.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	data, err := json.Marshal(v)
+	if err != nil {
+		// Only a value no JSON can express (a NaN, a channel) gets here:
+		// a bug, answered as one rather than as an empty 2xx body.
+		WriteError(w, &APIError{Status: http.StatusInternalServerError, Code: CodeInternal,
+			Message: fmt.Sprintf("encode response: %v", err)})
+		return
+	}
+	bp := indentBufs.Get().(*[]byte)
+	out := appendIndent((*bp)[:0], data)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(out)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) // the connection is gone if this fails; nothing to do
+	w.Write(out) // the connection is gone if this fails; nothing to do
+	if cap(out) <= maxPooledIndent {
+		*bp = out
+		indentBufs.Put(bp)
+	}
 }
 
 // WriteError writes a structured error body, mirroring any Retry-After hint
 // into the header so plain HTTP clients back off correctly too.
 func WriteError(w http.ResponseWriter, e *APIError) {
-	w.Header().Set("Content-Type", "application/json")
 	if e.RetryAfterSeconds > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfterSeconds))
 	}
-	w.WriteHeader(e.Status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(errorBody{Error: e})
+	WriteJSON(w, e.Status, errorBody{Error: e})
+}
+
+// WriteReply relays a reply the Client read, as the server sent it: status,
+// Content-Type and body.
+func WriteReply(w http.ResponseWriter, rep *Reply) {
+	h := w.Header()
+	h.Set("Content-Type", rep.ContentType)
+	h.Set("Content-Length", strconv.Itoa(len(rep.Body)))
+	w.WriteHeader(rep.Status)
+	w.Write(rep.Body)
+}
+
+// indentBufs recycles WriteJSON's output buffers; one above maxPooledIndent
+// (a large sweep's reply) is left to the collector rather than pinned.
+var indentBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledIndent = 256 << 10
+
+// appendIndent appends src, the compact JSON json.Marshal produces, as
+// json.Indent with prefix "" and indent "  " lays it out, then the newline
+// json.Encoder ends every value with. Compact input is what makes one pass
+// enough: outside strings every byte is a token, so only strings need
+// scanning (json.Marshal escapes each quote and backslash inside one), and
+// an empty object or array is its opening byte followed by its closing one.
+func appendIndent(dst, src []byte) []byte {
+	depth := 0
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case '"':
+			j := i + 1
+			for j < len(src) && src[j] != '"' {
+				if src[j] == '\\' {
+					j++
+				}
+				j++
+			}
+			j = min(j+1, len(src))
+			dst = append(dst, src[i:j]...)
+			i = j - 1
+		case '{', '[':
+			if i+1 < len(src) && (src[i+1] == '}' || src[i+1] == ']') {
+				dst = append(dst, c, src[i+1])
+				i++
+				continue
+			}
+			depth++
+			dst = appendNewline(append(dst, c), depth)
+		case '}', ']':
+			depth--
+			dst = append(appendNewline(dst, depth), c)
+		case ',':
+			dst = appendNewline(append(dst, c), depth)
+		case ':':
+			dst = append(dst, ':', ' ')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '\n')
+}
+
+// appendNewline starts a line indented depth levels deep.
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for range depth {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }

@@ -188,7 +188,8 @@ type SweepStats = telemetry.SweepStats
 type Client = server.Client
 
 // NewClient returns a client for a serving instance, e.g.
-// NewClient("http://localhost:8265").
+// NewClient("http://localhost:8265"). It keeps its connections alive
+// between calls; Close releases the idle ones.
 func NewClient(baseURL string) *Client { return server.NewClient(baseURL) }
 
 // APIError is the structured error a serving instance returns for every
