@@ -101,6 +101,20 @@ func main() {
 	if *maxBudget <= 0 {
 		fatalUsage("invalid -max-budget %d: the commit budget limit must be positive", *maxBudget)
 	}
+	// cluster.New takes a zero or negative timeout for its default too, and
+	// a negative drain would cancel in-flight requests instead of waiting.
+	if *probeTimeout <= 0 {
+		fatalUsage("invalid -probe-timeout %v: want a positive deadline", *probeTimeout)
+	}
+	if *defaultTimeout <= 0 {
+		fatalUsage("invalid -default-timeout %v: want a positive deadline", *defaultTimeout)
+	}
+	if *maxTimeout <= 0 {
+		fatalUsage("invalid -max-timeout %v: want a positive deadline", *maxTimeout)
+	}
+	if *drainTimeout < 0 {
+		fatalUsage("invalid -drain-timeout %v: the drain cannot take negative time", *drainTimeout)
+	}
 
 	slogger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	logger := slog.NewLogLogger(slogger.Handler(), slog.LevelError)

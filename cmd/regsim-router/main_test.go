@@ -37,6 +37,10 @@ func TestExitCodes(t *testing.T) {
 		{"negative max budget", []string{workers, "-addr", "127.0.0.1:0", "-max-budget", "-1"}, 2},
 		{"negative max sweep specs", []string{workers, "-addr", "127.0.0.1:0", "-max-sweep-specs", "-1"}, 2},
 		{"negative max shard specs", []string{workers, "-addr", "127.0.0.1:0", "-max-shard-specs", "-1"}, 2},
+		{"negative probe timeout", []string{workers, "-addr", "127.0.0.1:0", "-probe-timeout", "-1s"}, 2},
+		{"negative default timeout", []string{workers, "-addr", "127.0.0.1:0", "-default-timeout", "-5s"}, 2},
+		{"zero max timeout", []string{workers, "-addr", "127.0.0.1:0", "-max-timeout", "0"}, 2},
+		{"negative drain timeout", []string{workers, "-addr", "127.0.0.1:0", "-drain-timeout", "-1s"}, 2},
 		{"unusable listen address", []string{workers, "-addr", "256.256.256.256:0"}, 1},
 	}
 	for _, tc := range cases {

@@ -111,6 +111,17 @@ func main() {
 	if *maxBudget <= 0 {
 		fatalUsage("invalid -max-budget %d: the commit budget limit must be positive", *maxBudget)
 	}
+	// server.New takes a zero or negative timeout for its default too, and a
+	// negative drain would cancel in-flight requests instead of waiting.
+	if *defaultTimeout <= 0 {
+		fatalUsage("invalid -default-timeout %v: want a positive deadline", *defaultTimeout)
+	}
+	if *maxTimeout <= 0 {
+		fatalUsage("invalid -max-timeout %v: want a positive deadline", *maxTimeout)
+	}
+	if *drainTimeout < 0 {
+		fatalUsage("invalid -drain-timeout %v: the drain cannot take negative time", *drainTimeout)
+	}
 
 	// All daemon output is structured JSON on stderr: slog records directly,
 	// and the legacy *log.Logger surfaces (panic logs, http.Server errors)

@@ -41,6 +41,9 @@ func TestExitCodes(t *testing.T) {
 		{"negative max sweep specs", []string{"-no-cache", "-addr", "127.0.0.1:0", "-max-sweep-specs", "-1"}, 2},
 		{"negative max inflight", []string{"-no-cache", "-addr", "127.0.0.1:0", "-max-inflight", "-1"}, 2},
 		{"negative max queue", []string{"-no-cache", "-addr", "127.0.0.1:0", "-max-queue", "-1"}, 2},
+		{"negative default timeout", []string{"-no-cache", "-addr", "127.0.0.1:0", "-default-timeout", "-5s"}, 2},
+		{"zero max timeout", []string{"-no-cache", "-addr", "127.0.0.1:0", "-max-timeout", "0"}, 2},
+		{"negative drain timeout", []string{"-no-cache", "-addr", "127.0.0.1:0", "-drain-timeout", "-1s"}, 2},
 		{"unusable listen address", []string{"-no-cache", "-addr", "256.256.256.256:0"}, 1},
 		// The serving address is fine; the debug listener's is not. The
 		// daemon must die loudly rather than serve without its debug surface.

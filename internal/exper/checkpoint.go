@@ -1,11 +1,9 @@
 package exper
 
 import (
-	"regsim/internal/ckpt"
 	"regsim/internal/core"
 	"regsim/internal/prog"
 	"regsim/internal/sweep/rescache"
-	"regsim/internal/workload"
 )
 
 // Checkpoint fast-forwarding across budgets.
@@ -23,34 +21,34 @@ import (
 // (at most 2·width retire per cycle, so stopping at budget-2·width+1 lands
 // at or before the budget), which a same-budget repeat can resume too.
 
-// ckptKeyMat is the key material for a configuration's snapshot. Its JSON
-// encoding is the key's preimage: changing a field or tag orphans every
-// existing checkpoint directory.
-type ckptKeyMat struct {
-	Kind     string `json:"kind"`
-	Sim      string `json:"sim"`
-	Workload string `json:"workload"`
-	Prog     string `json:"prog"`
-	Ckpt     string `json:"ckpt"`
-	Snap     string `json:"snap"`
-	ProgID   string `json:"progID"`
-	Width    int    `json:"width"`
-	Queue    int    `json:"queue"`
-	Model    string `json:"model,omitempty"`
-	Cache    string `json:"cache"`
-	Track    bool   `json:"track,omitempty"`
-	Regs     int    `json:"regs,omitempty"`
+// configKey is the checkpoint store's key for spec's configuration.
+func configKey(spec Spec, art *prog.Artifact) string {
+	var w rescache.KeyWriter
+	writeConfigKey(&w, spec, art.ID())
+	return w.Key()
 }
 
-func configKey(spec Spec, art *prog.Artifact) string {
-	return rescache.Fingerprint(ckptKeyMat{
-		Kind: "deepest",
-		Sim:  core.Version, Workload: workload.Version,
-		Prog: prog.ArtifactVersion, Ckpt: ckpt.Version, Snap: core.SnapVersion,
-		ProgID: art.ID(), Width: spec.Width, Queue: spec.Queue,
-		Model: spec.Model.String(), Cache: spec.Cache.String(),
-		Track: spec.Track, Regs: spec.Regs,
-	})
+// writeConfigKey writes configKey's key material: the versions a result's
+// key binds, the snapshot version, the artifact's content ID and every spec
+// dimension but the budget. Its bytes are the JSON object the store has
+// always been keyed by (a false track and zero regs left out), so
+// reordering, renaming or adding a field orphans every existing checkpoint
+// directory.
+func writeConfigKey(w *rescache.KeyWriter, spec Spec, progID string) {
+	w.Str("kind", "deepest")
+	writeVersions(w)
+	w.Str("snap", core.SnapVersion)
+	w.Str("progID", progID)
+	w.Int("width", int64(spec.Width))
+	w.Int("queue", int64(spec.Queue))
+	w.Str("model", spec.Model.String())
+	w.Str("cache", spec.Cache.String())
+	if spec.Track {
+		w.Bool("track", true)
+	}
+	if spec.Regs != 0 {
+		w.Int("regs", int64(spec.Regs))
+	}
 }
 
 // runCheckpointed simulates spec through the checkpoint store: resume from

@@ -218,10 +218,12 @@ func (s *Suite) RunContext(ctx context.Context, spec Spec) (*core.Result, error)
 }
 
 // RunAll simulates a batch of specs and returns results in spec order. The
-// result table answers the specs it holds, duplicate specs coalesce, at most
-// Jobs simulations run concurrently, and the first failure (or the context's
-// cancellation/deadline) cancels the rest of the batch. Figures and the
-// serving layer's `/v1/sweep` run their batches here.
+// result table answers the specs it holds, the persistent result cache
+// those of the rest it holds, in one batch read, duplicate specs coalesce,
+// at most Jobs simulations run concurrently, and the first failure (or the
+// context's cancellation/deadline) cancels the rest of the batch. Figures
+// and the serving layer's `/v1/sweep` run their batches here; a batch the
+// stores answer in full never reaches the sweep engine.
 //
 // The rest executes trunk-first: largest register file first, precise before
 // imprecise, otherwise in request order. The runs that can answer their
@@ -229,12 +231,17 @@ func (s *Suite) RunContext(ctx context.Context, spec Spec) (*core.Result, error)
 // finished yet only costs the sibling a simulation, never a different result.
 func (s *Suite) RunAll(ctx context.Context, specs []Spec) ([]*core.Result, error) {
 	out := make([]*core.Result, len(specs))
+	norm := make([]Spec, len(specs))
 	var order []int // the specs the table does not hold
 	for i, spec := range specs {
+		norm[i] = s.normalize(spec)
 		var ok bool
-		if out[i], ok = s.table.get(s.normalize(spec)); !ok {
+		if out[i], ok = s.table.get(norm[i]); !ok {
 			order = append(order, i)
 		}
+	}
+	if order = s.lookupAll(ctx, norm, order, out); len(order) == 0 {
+		return out, nil
 	}
 	slices.SortStableFunc(order, func(a, b int) int {
 		if c := cmp.Compare(specs[b].Regs, specs[a].Regs); c != 0 {
@@ -242,11 +249,11 @@ func (s *Suite) RunAll(ctx context.Context, specs []Spec) ([]*core.Result, error
 		}
 		return cmp.Compare(specs[a].Model, specs[b].Model)
 	})
-	norm := make([]Spec, len(order))
+	batch := make([]Spec, len(order))
 	for j, i := range order {
-		norm[j] = s.normalize(specs[i])
+		batch[j] = norm[i]
 	}
-	done, err := s.engine().DoAll(ctx, norm)
+	done, err := s.engine().DoAll(context.WithValue(ctx, cacheAsked{}, true), batch)
 	if err != nil {
 		return nil, err
 	}
@@ -254,6 +261,74 @@ func (s *Suite) RunAll(ctx context.Context, specs []Spec) ([]*core.Result, error
 		out[i] = done[j]
 	}
 	return out, nil
+}
+
+// cacheAsked marks the context of a RunAll batch, whose specs the persistent
+// cache was asked for before the batch reached the engine: simulate does
+// not ask again, so a miss counts once.
+type cacheAsked struct{}
+
+// lookupAll answers from the persistent result cache the specs of order
+// (indexes into norm) that simulate would look up there: every spec unless
+// it is sampled, each spec once. It fills their slots of out and returns
+// the indexes still unanswered, in their order.
+func (s *Suite) lookupAll(ctx context.Context, norm []Spec, order []int, out []*core.Result) []int {
+	if s.Cache == nil || len(order) == 0 {
+		return order
+	}
+	first := make(map[Spec]int, len(order)) // a spec's index in uniq
+	uniq := make([]Spec, 0, len(order))
+	keys := make([]string, 0, len(order))
+	for _, i := range order {
+		spec := norm[i]
+		if _, ok := first[spec]; ok || s.sampled(spec) {
+			continue
+		}
+		first[spec] = len(uniq)
+		uniq = append(uniq, spec)
+		keys = append(keys, fingerprint(spec))
+	}
+	if len(keys) == 0 {
+		return order
+	}
+	found := s.lookup(ctx, uniq, keys)
+	rest := order[:0]
+	for _, i := range order {
+		if j, ok := first[norm[i]]; ok && found[j] != nil {
+			out[i] = found[j]
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	return rest
+}
+
+// lookup reads the results of specs, stored under keys, from the persistent
+// result cache in one batch and enters each hit in the table: found[j] is
+// specs[j]'s result, or nil if the cache misses it. A traced caller records
+// one rescache.lookup span.
+func (s *Suite) lookup(ctx context.Context, specs []Spec, keys []string) (found []*core.Result) {
+	found = make([]*core.Result, len(specs))
+	sp, _ := obs.StartSpan(ctx, "rescache.lookup")
+	hits := s.Cache.GetAll(keys, func(j int, val []byte) error {
+		r := new(core.Result)
+		if err := r.UnmarshalBinary(val); err != nil {
+			return err
+		}
+		found[j] = r
+		return nil
+	})
+	sp.Set("keys", len(keys))
+	sp.Set("hits", hits)
+	sp.End()
+	for j, r := range found {
+		if r != nil {
+			s.table.put(specs[j], r, siblingMeta{})
+			s.progressf("hit %-9s w=%d q=%-3d regs=%-4d %s/%s: IPC %.2f (cached)",
+				specs[j].Bench, specs[j].Width, specs[j].Queue, specs[j].Regs, specs[j].Model, specs[j].Cache, r.CommitIPC())
+		}
+	}
+	return found
 }
 
 // progressf emits one serialised Progress line.
@@ -277,34 +352,41 @@ func Fingerprint(spec Spec) string { return fingerprint(spec) }
 
 // fingerprint is the persistent-cache key: everything that can change a
 // spec's result, including the behavioural versions of the simulator and
-// the workload generators. Model and cache kind are encoded as strings so
-// reordering the enums cannot silently alias old entries.
+// the workload generators.
 func fingerprint(spec Spec) string {
-	return rescache.Fingerprint(struct {
-		Sim      string `json:"sim"`
-		Workload string `json:"workload"`
-		Prog     string `json:"prog"`
-		Ckpt     string `json:"ckpt"`
-		Bench    string `json:"bench"`
-		Width    int    `json:"width"`
-		Queue    int    `json:"queue"`
-		Regs     int    `json:"regs"`
-		Model    string `json:"model"`
-		Cache    string `json:"cache"`
-		Track    bool   `json:"track"`
-		Budget   int64  `json:"budget"`
-	}{
-		Sim: core.Version, Workload: workload.Version,
-		// The artifact and checkpoint format versions are key material
-		// even though a cached Result carries neither: a result may have
-		// been produced via predecoded artifacts and checkpoint resume,
-		// so a behavioural bug fixed in either layer must invalidate the
-		// results it could have tainted.
-		Prog: prog.ArtifactVersion, Ckpt: ckpt.Version,
-		Bench: spec.Bench, Width: spec.Width, Queue: spec.Queue, Regs: spec.Regs,
-		Model: spec.Model.String(), Cache: spec.Cache.String(),
-		Track: spec.Track, Budget: spec.Budget,
-	})
+	var w rescache.KeyWriter
+	writeFingerprint(&w, spec)
+	return w.Key()
+}
+
+// writeFingerprint writes fingerprint's key material. Its bytes are the
+// JSON object the cache has always been keyed by, so reordering, renaming
+// or adding a field orphans every existing cache directory. Model and cache
+// kind are written as names so reordering the enums cannot silently alias
+// old entries.
+func writeFingerprint(w *rescache.KeyWriter, spec Spec) {
+	writeVersions(w)
+	w.Str("bench", spec.Bench)
+	w.Int("width", int64(spec.Width))
+	w.Int("queue", int64(spec.Queue))
+	w.Int("regs", int64(spec.Regs))
+	w.Str("model", spec.Model.String())
+	w.Str("cache", spec.Cache.String())
+	w.Bool("track", spec.Track)
+	w.Int("budget", spec.Budget)
+}
+
+// writeVersions writes the behavioural versions that both store keys bind:
+// simulator, workload, artifact and checkpoint format. The artifact and
+// checkpoint versions bind a cached Result too, though it carries neither:
+// it may have been produced via predecoded artifacts and checkpoint resume,
+// so a behavioural bug fixed in either layer must invalidate the results it
+// could have tainted.
+func writeVersions(w *rescache.KeyWriter) {
+	w.Str("sim", core.Version)
+	w.Str("workload", workload.Version)
+	w.Str("prog", prog.ArtifactVersion)
+	w.Str("ckpt", ckpt.Version)
 }
 
 // artifact returns the shared program artifact for bench — the built
@@ -345,11 +427,18 @@ func unhooked(cfg core.Config) bool {
 	return cfg.Tracer == nil && cfg.Telemetry == nil && cfg.CounterSampler == nil
 }
 
+// sampled reports whether the suite runs spec sampled: a sampling rate is
+// set and the spec does not track live registers.
+func (s *Suite) sampled(spec Spec) bool {
+	return s.SampleRate > 0 && s.SampleRate < 1 && !spec.Track
+}
+
 // simulate is the engine's run function: result-table lookup (a run may have
-// finished since the caller missed the table), persistent-cache lookup, a
-// finished sibling's result when one is servable, then the real simulation
-// — checkpoint-accelerated or sampled when the suite is so configured — and
-// a cache fill. Its answers enter the table. It may run on any pool worker.
+// finished since the caller missed the table), persistent-cache lookup
+// (unless the spec's RunAll batch made it), a finished sibling's result when
+// one is servable, then the real simulation — checkpoint-accelerated or
+// sampled when the suite is so configured — and a cache fill. Its answers
+// enter the table. It may run on any pool worker.
 //
 // Sampled runs bypass the persistent cache in both directions: an estimate
 // must never be served where an exact result is expected, and the same
@@ -364,20 +453,14 @@ func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 	if res, ok := s.table.get(spec); ok {
 		return res, nil
 	}
-	sampled := s.SampleRate > 0 && s.SampleRate < 1 && !spec.Track
+	sampled := s.sampled(spec)
 	var key string
 	if s.Cache != nil && !sampled {
 		key = fingerprint(spec)
-		lookup, _ := obs.StartSpan(ctx, "rescache.lookup")
-		var r core.Result
-		hit := s.Cache.Get(key, &r)
-		lookup.Set("hit", hit)
-		lookup.End()
-		if hit {
-			s.table.put(spec, &r, siblingMeta{})
-			s.progressf("hit %-9s w=%d q=%-3d regs=%-4d %s/%s: IPC %.2f (cached)",
-				spec.Bench, spec.Width, spec.Queue, spec.Regs, spec.Model, spec.Cache, r.CommitIPC())
-			return &r, nil
+	}
+	if key != "" && ctx.Value(cacheAsked{}) == nil {
+		if res := s.lookup(ctx, []Spec{spec}, []string{key})[0]; res != nil {
+			return res, nil
 		}
 	}
 	shareable := !sampled && !spec.Track

@@ -2,11 +2,14 @@ package exper
 
 import (
 	"context"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"regsim/internal/cache"
+	"regsim/internal/ckpt"
 	"regsim/internal/rename"
+	"regsim/internal/sweep/rescache"
 	"regsim/internal/telemetry"
 )
 
@@ -176,4 +179,44 @@ func TestPaperAllWork(t *testing.T) {
 		t.Errorf("paper all at budget 3000:\n got  %+v\n want %+v", got, want)
 	}
 	t.Logf("result table holds %.1f MiB", float64(s.table.bytes)/(1<<20))
+}
+
+// TestFig6SessionWork pins the work of a Fig. 6 session over fresh stores,
+// each phase a fresh suite on one worker, as `paper -jobs 1` runs them: a
+// cold sweep, a warm rerun and a rerun at twice the budget. The cold sweep
+// misses the cache once per spec (the batch lookup ahead of the engine and
+// simulate do not both count it) and simulates the 220 runs no sibling
+// answers; the warm rerun is all cache hits and simulates nothing; the
+// extended one resumes every run it simulates from the cold one's snapshot.
+func TestFig6SessionWork(t *testing.T) {
+	dir := t.TempDir()
+	for _, phase := range []struct {
+		name   string
+		budget int64
+		sweep  telemetry.SweepStats
+		ckpt   ckpt.Stats
+	}{
+		{"cold", 3000, telemetry.SweepStats{Workers: 1, Runs: 220, Shared: 68, CacheMisses: 288}, ckpt.Stats{SnapshotMisses: 220}},
+		{"warm", 3000, telemetry.SweepStats{Workers: 1, CacheHits: 288}, ckpt.Stats{}},
+		{"extended", 6000, telemetry.SweepStats{Workers: 1, Runs: 220, Shared: 68, CacheMisses: 288}, ckpt.Stats{SnapshotHits: 220}},
+	} {
+		s := NewSuite(phase.budget)
+		s.Jobs = 1
+		var err error
+		if s.Cache, err = rescache.Open(filepath.Join(dir, "D")); err != nil {
+			t.Fatal(err)
+		}
+		if s.Checkpoints, err = ckpt.OpenStore(filepath.Join(dir, "C")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Fig6(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.SweepStats(); got != phase.sweep {
+			t.Errorf("%s fig6 at budget %d:\n got  %v\n want %v", phase.name, phase.budget, got, phase.sweep)
+		}
+		if got := s.Checkpoints.Stats(); got != phase.ckpt {
+			t.Errorf("%s fig6 at budget %d: checkpoint store %+v, want %+v", phase.name, phase.budget, got, phase.ckpt)
+		}
+	}
 }

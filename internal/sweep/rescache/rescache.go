@@ -11,8 +11,12 @@
 // `magic | key len | data len | CRC-32C(key‖data) | key | data`, written
 // with one write call. Reads go through an in-memory index of record
 // locations (no payload stays in memory), which a miss refreshes from the
-// tails of the segments. A key's newest record wins: the one in the later
-// segment, or else at the later offset.
+// tails of the segments, read in bounded windows. A key's newest record
+// wins: the one in the later segment, or else at the later offset. One
+// lookup takes any number of keys (GetAll; Get and GetBytes take one): it
+// reads their records in offset order, one read per run of records that
+// lie back to back, so a sweep's rerun costs a few reads, not two per
+// result.
 //
 // Durability properties:
 //
@@ -38,11 +42,9 @@ package rescache
 
 import (
 	"bytes"
-	"crypto/sha256"
+	"cmp"
 	"encoding"
 	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -52,6 +54,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,6 +89,12 @@ const (
 	// maxSegments is the segment count above which a store's first scan
 	// folds every segment into its own.
 	maxSegments = 8
+	// scanWindow bounds one read of a segment scan; bigRecord is the record
+	// size past which a scan expects the next record to be big too and
+	// reads only headerAndKey bytes of it: a header and, usually, its key.
+	scanWindow   = 64 << 10
+	bigRecord    = scanWindow / 16
+	headerAndKey = headerLen + 128
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -172,14 +181,25 @@ var ErrStale = errors.New("rescache: stale entry format")
 // intact. Any defect — unreadable record, bad envelope, key mismatch, or
 // value bytes v rejects — counts as a miss plus an error counter tick, and
 // an entry of another format revision as a quiet miss; either way the
-// entry leaves the index until the next Put heals it.
+// entry leaves the index until the next Put heals it. It is GetAll for one
+// key.
 func (s *Store) Get(key string, v encoding.BinaryUnmarshaler) bool {
-	return s.GetBytes(key, func(data []byte) error {
-		val, err := openEnvelope(data, key)
+	return s.GetAll([]string{key}, func(_ int, val []byte) error { return v.UnmarshalBinary(val) }) == 1
+}
+
+// GetAll looks keys up in one pass, as Get does one key, and hands the
+// value bytes of each intact entry to decode with its key's index. It
+// returns how many keys hit. An entry that fails its checks, or whose value
+// decode rejects, is a miss of that key alone. decode is called in the
+// order the records lie on disk, never concurrently, and val is lent for
+// the call only, as in GetBytes.
+func (s *Store) GetAll(keys []string, decode func(i int, val []byte) error) int {
+	return s.lookup(keys, func(i int, data []byte) error {
+		val, err := openEnvelope(data, keys[i])
 		if err != nil {
 			return err
 		}
-		return v.UnmarshalBinary(val)
+		return decode(i, val)
 	})
 }
 
@@ -215,8 +235,22 @@ func openEnvelope(data []byte, key string) ([]byte, error) {
 // bufs holds the buffers records are built in before their write and read
 // into for their decoder, one per worker a sweep runs at once by default. A
 // call borrows one and returns it before it returns, so puts and reads stop
-// allocating once the buffers have grown to the records' size.
+// allocating once the buffers have grown to the records' size. A buffer a
+// large batch grew past pooledMax goes to the collector instead, so that
+// one large read does not pin its size.
 var bufs = reuse.NewPool[[]byte](runtime.GOMAXPROCS(0))
+
+// pooledMax is the largest buffer bufs keeps: room for a few Fig. 6 sweeps'
+// results, or several snapshots.
+const pooledMax = 1 << 20
+
+// putBuf returns buf to bufs, or drops its bytes if it grew past pooledMax.
+func putBuf(buf *[]byte) {
+	if cap(*buf) > pooledMax {
+		*buf = nil
+	}
+	bufs.Put(buf)
+}
 
 // GetBytes reads the raw entry stored under key and hands it to decode,
 // reporting whether the entry was present and decode accepted it. A record
@@ -228,47 +262,129 @@ var bufs = reuse.NewPool[[]byte](runtime.GOMAXPROCS(0))
 // reused by later reads, so decode must copy out whatever it keeps, as
 // encoding.BinaryUnmarshaler requires of UnmarshalBinary.
 func (s *Store) GetBytes(key string, decode func(data []byte) error) bool {
+	return s.lookup([]string{key}, func(_ int, data []byte) error { return decode(data) }) == 1
+}
+
+// wanted is one key's record in a lookup.
+type wanted struct {
+	i int // the key's index among the keys looked up
+	l loc
+	// at is where the record starts in the lookup's buffer; err is the
+	// error of the read that should have filled it but stopped short.
+	at  int64
+	err error
+}
+
+// lookup is the store's one read path. Under one hold of the lock it
+// locates the keys' records, refreshing the index first if it lacks any
+// key, and reads them, segment by segment in offset order, with one read
+// per run of records that lie back to back. Then, with the lock released,
+// it re-checks each record (header, CRC, key) and hands its data to decode
+// with the key's index. It counts a hit per record decode accepts and a
+// miss per other key. A record that fails its checks, or that decode
+// rejects, drops its key from the index: quietly if decode's error wraps
+// ErrStale, else with an error tick.
+func (s *Store) lookup(keys []string, decode func(i int, data []byte) error) int {
 	buf := bufs.Get()
-	defer bufs.Put(buf)
-	data, l, found, err := s.fetch(key, buf)
-	if found && err == nil {
-		err = decode(data)
-	}
-	switch {
-	case !found:
-	case err == nil:
-		s.hits.Add(1)
-		return true
-	default:
-		s.mu.Lock()
-		s.drop(key, l)
-		s.mu.Unlock()
+	defer putBuf(buf)
+	s.mu.Lock()
+	ws := s.locate(keys)
+	readSpans(ws, buf)
+	s.mu.Unlock()
+
+	hits := 0
+	var failed []wanted
+	for _, w := range ws {
+		key := keys[w.i]
+		var data []byte
+		err := w.err
+		if err != nil {
+			err = fmt.Errorf("rescache: read %s: %w", key, err)
+		} else if data, err = w.l.check(key, (*buf)[w.at:w.at+w.l.size()]); err == nil {
+			err = decode(w.i, data)
+		}
+		if err == nil {
+			hits++
+			continue
+		}
+		failed = append(failed, w)
 		if !errors.Is(err, ErrStale) {
 			s.errs.Add(1)
 		}
 	}
-	s.misses.Add(1)
-	return false
+	if len(failed) > 0 {
+		s.mu.Lock()
+		for _, w := range failed {
+			s.drop(keys[w.i], w.l)
+		}
+		s.mu.Unlock()
+	}
+	s.hits.Add(int64(hits))
+	s.misses.Add(int64(len(keys) - hits))
+	return hits
 }
 
-// fetch reads the payload of key's indexed record into *buf, refreshing
-// the index first if key is not in it. found reports whether the index held
-// key; err whether its record failed to read or check.
-func (s *Store) fetch(key string, buf *[]byte) (data []byte, l loc, found bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if l, found = s.index[key]; !found {
-		s.refresh()
-		if l, found = s.index[key]; !found {
-			return nil, loc{}, false, nil
+// locate returns the records the index holds for keys, ordered by segment
+// and offset. s.mu must be held.
+func (s *Store) locate(keys []string) []wanted {
+	ws := make([]wanted, 0, len(keys))
+	for refreshed := false; ; refreshed = true {
+		for i, key := range keys {
+			if l, ok := s.index[key]; ok {
+				ws = append(ws, wanted{i: i, l: l})
+			}
 		}
+		if len(ws) == len(keys) || refreshed {
+			break
+		}
+		// A missing record may have been written since, by this process or
+		// another. The refresh may also drop segments whose files are
+		// gone, so every key is located again.
+		s.refresh()
+		ws = ws[:0]
 	}
-	data, err = l.read(key, buf)
-	return data, l, true, err
+	slices.SortFunc(ws, func(a, b wanted) int {
+		if c := cmp.Compare(a.l.seg.stamp, b.l.seg.stamp); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.l.off, b.l.off)
+	})
+	return ws
+}
+
+// readSpans reads the records ws locates into *buf, growing it if needed,
+// with one ReadAt per run of records that lie back to back in one segment.
+// A record the read did not fill gets the read's error. s.mu must be held.
+func readSpans(ws []wanted, buf *[]byte) {
+	var total int64
+	for j := range ws {
+		ws[j].at = total
+		total += ws[j].l.size()
+	}
+	if int64(cap(*buf)) < total {
+		*buf = make([]byte, total)
+	}
+	*buf = (*buf)[:total]
+	for start := 0; start < len(ws); {
+		first := ws[start].l
+		end := start + 1
+		for end < len(ws) && ws[end].l.seg == first.seg && ws[end].l.off == ws[end-1].l.off+ws[end-1].l.size() {
+			end++
+		}
+		last := ws[end-1]
+		span := (*buf)[ws[start].at : last.at+last.l.size()]
+		n, err := first.seg.f.ReadAt(span, first.off)
+		for j := start; j < end; j++ {
+			if ws[j].at+ws[j].l.size() > ws[start].at+int64(n) {
+				ws[j].err = err
+			}
+		}
+		start = end
+	}
 }
 
 // read loads the record at l into *buf, growing it if needed, and returns
-// its payload, re-checking the header, the CRC and the key.
+// its payload, re-checking it.
 func (l loc) read(key string, buf *[]byte) ([]byte, error) {
 	if int64(cap(*buf)) < l.size() {
 		*buf = make([]byte, l.size())
@@ -277,6 +393,12 @@ func (l loc) read(key string, buf *[]byte) ([]byte, error) {
 	if _, err := l.seg.f.ReadAt(rec, l.off); err != nil {
 		return nil, fmt.Errorf("rescache: read %s: %w", key, err)
 	}
+	return l.check(key, rec)
+}
+
+// check re-checks the record of key read from l into rec — its header, its
+// CRC and its key — and returns its payload.
+func (l loc) check(key string, rec []byte) ([]byte, error) {
 	klen, dlen, ok := parseHeader(rec)
 	switch {
 	case !ok || klen != l.klen || dlen != l.dlen:
@@ -504,7 +626,11 @@ func segmentStamp(name string) (int64, bool) {
 }
 
 // scan indexes the complete records past seg's scanned end. It reads
-// headers and keys only. s.mu must be held.
+// headers and keys in windows of up to scanWindow bytes, so a segment of
+// results costs a read per few hundred records; after a record larger than
+// bigRecord, such as a snapshot, it reads only the next header and,
+// usually, its key, so no payload is read for its own sake. s.mu must be
+// held.
 func (s *Store) scan(seg *segment) {
 	if seg.bad {
 		return
@@ -514,33 +640,48 @@ func (s *Store) scan(seg *segment) {
 		return
 	}
 	size := fi.Size()
-	var buf [headerLen + 128]byte // a header and, usually, its key
+	if seg.end+headerLen > size {
+		return
+	}
+	buf := bufs.Get()
+	defer putBuf(buf)
+	want := int64(scanWindow)
 	for seg.end+headerLen <= size {
-		n, _ := seg.f.ReadAt(buf[:], seg.end)
-		if n < headerLen {
-			return // unreadable for now: look again at the next refresh
+		if int64(cap(*buf)) < want {
+			*buf = make([]byte, want)
 		}
-		klen, dlen, ok := parseHeader(buf[:n])
-		if !ok {
-			seg.bad = true
-			return
-		}
-		l := loc{seg: seg, off: seg.end, klen: klen, dlen: dlen}
-		if seg.end+l.size() > size {
-			return // incomplete: look again at the next refresh
-		}
-		var key string
-		if headerLen+int(klen) <= n {
-			key = string(buf[headerLen : headerLen+klen])
-		} else {
-			kb := make([]byte, klen)
-			if _, err := seg.f.ReadAt(kb, seg.end+headerLen); err != nil {
+		win := (*buf)[:min(want, size-seg.end)]
+		n, _ := seg.f.ReadAt(win, seg.end)
+		short := n < len(win)
+		win = win[:n]
+		want = scanWindow
+		for len(win) >= headerLen {
+			klen, dlen, ok := parseHeader(win)
+			if !ok {
+				seg.bad = true
 				return
 			}
-			key = string(kb)
+			l := loc{seg: seg, off: seg.end, klen: klen, dlen: dlen}
+			if seg.end+l.size() > size {
+				return // incomplete: look again at the next refresh
+			}
+			if keyEnd := headerLen + int64(klen); keyEnd > int64(len(win)) {
+				want = max(want, keyEnd) // read again from this record, key and all
+				break
+			}
+			s.add(string(win[headerLen:headerLen+klen]), l)
+			seg.end += l.size()
+			if l.size() >= int64(len(win)) {
+				if l.size() > bigRecord {
+					want = headerAndKey
+				}
+				break
+			}
+			win = win[l.size():]
 		}
-		s.add(key, l)
-		seg.end += l.size()
+		if short {
+			return // unreadable for now: look again at the next refresh
+		}
 	}
 }
 
@@ -650,19 +791,4 @@ type Stats struct {
 // Stats returns the store's counters.
 func (s *Store) Stats() Stats {
 	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Errors: s.errs.Load()}
-}
-
-// Fingerprint derives a content address from any JSON-encodable value: the
-// hex SHA-256 of its canonical encoding. Callers should pass a struct whose
-// fields enumerate everything that can change the cached computation's
-// output; two specs collide only if they encode identically.
-func Fingerprint(v any) string {
-	data, err := json.Marshal(v)
-	if err != nil {
-		// Fingerprint inputs are plain structs of scalars; an encoding
-		// failure is a programming error, not a runtime condition.
-		panic(fmt.Sprintf("rescache: fingerprint: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
 }
